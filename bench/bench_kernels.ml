@@ -69,6 +69,16 @@ let words_now () =
   let minor, promoted, major = Gc.counters () in
   minor +. major -. promoted
 
+(* [words_now] at the start of a measurement window. The minor
+   collection empties the minor heap first, so every word promoted
+   inside the window was also allocated inside it and the difference
+   counts exactly the window's allocation; otherwise survivors of
+   earlier allocations are subtracted too, and a row's reading depends
+   on what the rows run before it left in the minor heap. *)
+let window_start () =
+  Gc.minor ();
+  words_now ()
+
 (* Best-of-[rounds] wall clock over [ops] iterations of [f]; the
    minimum is the standard noise-robust estimator for single-threaded
    kernels (the pool rows use a single round: they measure wall-clock
@@ -78,7 +88,7 @@ let words_now () =
 let time_kernel ?(rounds = 3) ~ops f =
   let best = ref infinity and alloc = ref 0.0 in
   for r = 1 to rounds do
-    let w0 = words_now () in
+    let w0 = window_start () in
     let t = Timer.start () in
     for _ = 1 to ops do
       f ()
@@ -96,7 +106,7 @@ let time_kernel ?(rounds = 3) ~ops f =
    the small AVG-D shapes dwarfs the effect being measured. *)
 let time_pair ?(rounds = 5) ~ops f g =
   let measure h =
-    let w0 = words_now () in
+    let w0 = window_start () in
     let t = Timer.start () in
     for _ = 1 to ops do
       h ()
@@ -659,6 +669,61 @@ let st_total_utility_records ~shapes =
         mk ~alloc:reuse_w "st_total_utility" "reuse" size reuse;
       ])
     shapes
+
+(* ---------------- community detection ----------------------------- *)
+
+(* Linux sets VmHWM back to the current RSS on "5" > clear_refs, which
+   scopes the next peak reading to whatever runs in between. *)
+let reset_peak_rss () =
+  match open_out "/proc/self/clear_refs" with
+  | oc ->
+      output_string oc "5";
+      close_out oc;
+      true
+  | exception Sys_error _ -> false
+
+(* Greedy modularity (what [Shard.Modularity] and the SDP baseline
+   run) on the plan_unlabelled benchmark graph, and on a Timik-like
+   graph shaped like the serve rows' (communities of 100 users). The
+   note carries the labelling's shape and the peak-RSS growth of one
+   detection over the compacted heap it started from; the timed rounds
+   follow it. *)
+let community_detect_records ~timik_users =
+  let module Generate = Svgic_graph.Generate in
+  let module Graph = Svgic_graph.Graph in
+  let planted, _ =
+    Generate.planted_partition (Rng.create 240) ~n:240 ~communities:8
+      ~p_in:0.2 ~p_out:0.003
+  in
+  let timik, _ =
+    Generate.timik_like (Rng.create 7300) ~n:timik_users
+      ~communities:(timik_users / 100) ~attach:2 ~cross_frac:0.02
+  in
+  List.map
+    (fun (variant, g, ops) ->
+      Gc.compact ();
+      let rss0 = Svgic_util.Rss.current_rss_bytes () in
+      let scoped = reset_peak_rss () in
+      let labels = Svgic_graph.Community.greedy_modularity g in
+      let growth =
+        match (scoped, rss0, Svgic_util.Rss.peak_rss_bytes ()) with
+        | true, Some r0, Some peak ->
+            Printf.sprintf "peak RSS +%.1f MB" (float (peak - r0) /. 1e6)
+        | _ -> "peak RSS growth unavailable"
+      in
+      let ns, words =
+        time_kernel ~ops (fun () ->
+            ignore (Svgic_graph.Community.greedy_modularity g))
+      in
+      let cut = ref 0 in
+      Graph.iteri_pairs g (fun _ u v -> if labels.(u) <> labels.(v) then incr cut);
+      let note =
+        Printf.sprintf "%d communities, %d of %d pairs cut; %s"
+          (Array.fold_left (fun acc l -> max acc (l + 1)) 0 labels)
+          !cut (Graph.num_pairs g) growth
+      in
+      mk ~note ~alloc:words "community_detect" variant (Graph.n g) ns)
+    [ ("plan_unlabelled", planted, 20); ("timik", timik, 1) ]
 
 (* ---------------- end-to-end pipeline: monolith vs sharded -------- *)
 
@@ -1300,6 +1365,7 @@ let run () =
   let shard_partition_shape =
     if smoke then (5_000, 10, 6, 2) else (200_000, 200, 8, 4)
   in
+  let community_timik_users = if smoke then 10_000 else 100_000 in
   let records =
     weighted_draw_records ~sizes:sampler_sizes
     @ avg_d_select_records ~sizes:sampler_sizes
@@ -1317,6 +1383,7 @@ let run () =
     @ fault_ladder_records ~lp_shapes:ladder_lp_shapes
         ~fw_shapes:ladder_fw_shapes
     @ st_total_utility_records ~shapes:st_shapes
+    @ community_detect_records ~timik_users:community_timik_users
     @ pipeline_records ~shape:pipeline_shape
     @ pipeline_mc_records ~shape:pipeline_shape
     @ shard_partition_records ~shape:shard_partition_shape

@@ -118,8 +118,18 @@ let parse_labelling = function
       | Some parts when parts >= 1 -> Ok (Svgic.Shard.Balanced parts)
       | Some _ | None -> Error (Printf.sprintf "bad --shards value %S" s))
 
-let run_sharded spec rounding ?cap ?token ~on_fault seed inst =
+(* [--shards N] is checked against the user count here, so the
+   partitioner's [Invalid_argument] never reaches the user. *)
+let labelling_for inst spec =
   match parse_labelling spec with
+  | Ok (Svgic.Shard.Balanced parts) when parts > Svgic.Instance.n inst ->
+      Error
+        (Printf.sprintf "bad --shards value %S: more parts than the %d users"
+           spec (Svgic.Instance.n inst))
+  | r -> r
+
+let run_sharded spec rounding ?cap ?token ~on_fault seed inst =
+  match labelling_for inst spec with
   | Error _ as e -> e
   | Ok labelling ->
       let part =
@@ -522,12 +532,12 @@ let print_fingerprint t =
 let serve_cmd =
   let run preset n m k lambda seed load events shards deadline_ms certify
       domains repair_passes wal checkpoint_every fsync retain fingerprint =
-    match parse_labelling shards with
+    let inst = make_instance ?load preset seed ~n ~m ~k ~lambda in
+    match labelling_for inst shards with
     | Error msg ->
         prerr_endline msg;
         exit 1
     | Ok labelling ->
-        let inst = make_instance ?load preset seed ~n ~m ~k ~lambda in
         let deadline_s = Option.map (fun ms -> ms /. 1e3) deadline_ms in
         let t =
           Svgic.Serve.create ~labelling ?deadline_s ~certify ?domains

@@ -30,7 +30,8 @@ let labels_of inst rng = function
       label
   | Modularity -> Community.greedy_modularity (Instance.graph inst)
   | Balanced parts ->
-      if parts < 1 then invalid_arg "Shard.partition: parts must be >= 1";
+      if parts < 1 || parts > Instance.n inst then
+        invalid_arg "Shard.partition: parts must be between 1 and the user count";
       Community.balanced_partition rng (Instance.graph inst) ~parts
   | Labels l ->
       if Array.length l <> Instance.n inst then

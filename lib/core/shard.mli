@@ -18,7 +18,9 @@ type labelling =
   | Modularity  (** [Community.greedy_modularity] (deterministic) *)
   | Balanced of int
       (** [Community.balanced_partition] into the given number of
-          equal-size parts (takes the partition call's [rng]) *)
+          equal-size parts (takes the partition call's [rng]);
+          {!partition} raises [Invalid_argument] unless the part
+          count is between 1 and the user count *)
   | Labels of int array
       (** caller-supplied community label per user (arbitrary ints) *)
 

@@ -119,7 +119,12 @@ let test_view_equivalence () =
 let test_partition_is_zero_copy () =
   let rng = Rng.create 7 in
   let inst, labels = timik_instance rng ~n:2000 ~communities:8 ~m:6 ~k:2 in
+  (* The minor collection first makes [minor + major − promoted] count
+     only the allocations between two calls: otherwise it also subtracts
+     promotions of older objects, and the readings vary from run to run
+     with the state the earlier tests left. *)
   let words () =
+    Gc.minor ();
     let c = Gc.counters () in
     let minor, promoted, major = c in
     minor +. major -. promoted

@@ -123,18 +123,6 @@ let two_cliques_bridge () =
   in
   Graph.of_edges ~n:10 (clique 0 @ clique 5 @ [ (4, 5); (5, 4) ])
 
-let test_label_propagation () =
-  let g = two_cliques_bridge () in
-  let rng = Rng.create 7 in
-  let labels = Community.label_propagation rng g in
-  (* The two cliques should be internally uniform. *)
-  for i = 1 to 3 do
-    Alcotest.(check int) "clique 1 uniform" labels.(0) labels.(i)
-  done;
-  for i = 6 to 9 do
-    Alcotest.(check int) "clique 2 uniform" labels.(5) labels.(i)
-  done
-
 let test_greedy_modularity () =
   let g = two_cliques_bridge () in
   let labels = Community.greedy_modularity g in
@@ -219,7 +207,6 @@ let suite =
     Alcotest.test_case "watts-strogatz" `Quick test_watts_strogatz;
     Alcotest.test_case "planted partition" `Quick test_planted_partition;
     Alcotest.test_case "random-walk sample" `Quick test_random_walk_sample;
-    Alcotest.test_case "label propagation" `Quick test_label_propagation;
     Alcotest.test_case "greedy modularity" `Quick test_greedy_modularity;
     Alcotest.test_case "modularity bounds" `Quick test_modularity_bounds;
     Alcotest.test_case "balanced partition" `Quick test_balanced_partition;

@@ -10,6 +10,7 @@ let () =
       ("revised", Test_revised_simplex.suite);
       ("bnb_fw", Test_bnb_fw.suite);
       ("graph", Test_graph.suite);
+      ("community", Test_community.suite);
       ("core", Test_core.suite);
       ("algorithms", Test_algorithms.suite);
       ("baselines", Test_baselines.suite);

@@ -122,6 +122,41 @@ let test_partition_balanced () =
       Alcotest.(check bool) "capped sizes" true (sz >= 1 && sz <= 4))
     part.Shard.shards
 
+let test_balanced_part_count () =
+  let inst = community_instance (Rng.create 6) ~blobs:2 ~blob_size:5 ~m:4 ~k:2 in
+  let part = Shard.partition ~labelling:(Shard.Balanced 10) inst in
+  Alcotest.(check int) "one user per part" 10 (Array.length part.Shard.shards);
+  List.iter
+    (fun parts ->
+      match Shard.partition ~labelling:(Shard.Balanced parts) inst with
+      | _ -> Alcotest.failf "Balanced %d accepted for 10 users" parts
+      | exception Invalid_argument _ -> ())
+    [ 0; 11; 50 ]
+
+(* Exit code and stderr of one CLI run; stdout is discarded. *)
+let run_cli args =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/svgic_cli.exe" in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid = Unix.create_process cli (Array.of_list (cli :: args)) null null err_w in
+  Unix.close err_w;
+  Unix.close null;
+  let ic = Unix.in_channel_of_descr err_r in
+  let err = In_channel.input_all ic in
+  close_in ic;
+  match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED code -> (code, err)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> (-1, err)
+
+let test_cli_rejects_part_count () =
+  List.iter
+    (fun cmd ->
+      let code, err = run_cli [ cmd; "-n"; "12"; "--shards"; "50" ] in
+      Alcotest.(check int) (cmd ^ ": exit code") 1 code;
+      Alcotest.(check string) (cmd ^ ": one-line error")
+        "bad --shards value \"50\": more parts than the 12 users\n" err)
+    [ "solve"; "serve" ]
+
 (* On a disconnected graph the objective factors exactly, so
    component-sharding is pinned to the monolith at every layer where
    equality genuinely holds: the relaxation value decomposes to the
@@ -307,6 +342,10 @@ let suite =
     Alcotest.test_case "components: empty cut" `Quick
       test_partition_components_disconnected;
     Alcotest.test_case "balanced labelling" `Quick test_partition_balanced;
+    Alcotest.test_case "balanced part count checked" `Quick
+      test_balanced_part_count;
+    Alcotest.test_case "CLI rejects --shards > users" `Quick
+      test_cli_rejects_part_count;
     Alcotest.test_case "component exactness (20 seeds)" `Quick
       test_component_exactness;
     Alcotest.test_case "bit-identity across domains" `Quick
