@@ -32,7 +32,7 @@ let mip_variants_bench () =
       "no MIP variant beats AVG-D even at 5000x its running time; the";
       "variants differ only marginally from each other.";
     ];
-  (* The largest size our dense-simplex B&B still handles; the high λ
+  (* The largest size our simplex B&B still handles; the high λ
      makes the relaxation fractional so the tree search has real work.
      NOTE (EXPERIMENTS.md): at laptop scale the exact solver is far
      stronger relative to AVG-D than Gurobi was at the paper's scale
@@ -100,8 +100,8 @@ let speedups_bench () =
       "for AVG (the LP is its bottleneck), while the advanced sampling";
       "matters more on the focal-parameter side.";
     ];
-  (* Sizes small enough that the untransformed slot-indexed LP remains
-     solvable by the dense simplex. *)
+  (* Sizes small enough that the untransformed slot-indexed LP stays
+     cheap for the exact simplex. *)
   let make rng = Datasets.make Datasets.Timik rng ~n:8 ~m:8 ~k:3 ~lambda:0.5 in
   let variants : C.solver list =
     [

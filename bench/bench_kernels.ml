@@ -288,7 +288,7 @@ let avg_d_end_to_end_records ~shapes =
       ])
     shapes
 
-(* ---------------- LP engine: dense vs revised --------------------- *)
+(* ---------------- LP engine ---------------------------------------- *)
 
 let simp_lp_of (n, m) =
   let rng = Rng.create (3100 + n + m) in
@@ -296,65 +296,22 @@ let simp_lp_of (n, m) =
   let problem, _ = Svgic.Lp_build.simp_lp inst in
   problem
 
-(* Same LP_SIMP program through both exact engines. [pairs] are shapes
-   the dense tableau can still stomach; [revised_only] rows document
-   the scale the revised engine opens up (no dense counterpart, so no
-   speedup row is derived for them). The size field is the LP variable
-   count. *)
-let lp_solve_records ~pairs ~revised_only =
-  List.concat_map
-    (fun shape ->
+(* LP_SIMP programs through the exact engine, one row per
+   (shape, rounds). The size field is the LP variable count. *)
+let lp_solve_records ~shapes =
+  List.map
+    (fun (shape, rounds) ->
       let problem = simp_lp_of shape in
       let size = Svgic_lp.Problem.num_vars problem in
-      let (dense, dense_w), (revised, revised_w) =
-        time_pair ~rounds:3 ~ops:1
-          (fun () -> ignore (Svgic_lp.Simplex.solve problem))
-          (fun () -> ignore (Svgic_lp.Revised_simplex.solve problem))
+      let ns, w =
+        time_kernel ~rounds ~ops:1 (fun () ->
+            ignore (Svgic_lp.Revised_simplex.solve problem))
       in
-      [
-        mk ~alloc:dense_w "lp_solve" "dense" size dense;
-        mk ~alloc:revised_w "lp_solve" "revised" size revised;
-      ])
-    pairs
-  @ List.map
-      (fun shape ->
-        let problem = simp_lp_of shape in
-        let size = Svgic_lp.Problem.num_vars problem in
-        let revised, revised_w =
-          time_kernel ~rounds:1 ~ops:1 (fun () ->
-              ignore (Svgic_lp.Revised_simplex.solve problem))
-        in
-        mk ~alloc:revised_w "lp_solve" "revised" size revised)
-      revised_only
-
-(* ---------------- LP engine: eta file vs sparse LU ----------------- *)
-
-(* The same LP_SIMP program through the revised simplex under both
-   basis-factorization engines: the seed's Gauss-Jordan product-form
-   eta file against the Markowitz sparse LU with eta-append updates.
-   Identical pricing and ratio test on both sides, so the pair
-   isolates the factorization (FTRAN/BTRAN cost and rebuild policy);
-   the ~13k-variable shape is where the LU engine's hypersparse
-   triangular solves pay off. *)
-let lp_engine_records ~shapes =
-  let module RS = Svgic_lp.Revised_simplex in
-  List.concat_map
-    (fun shape ->
-      let problem = simp_lp_of shape in
-      let size = Svgic_lp.Problem.num_vars problem in
-      let (eta, eta_w), (lu, lu_w) =
-        time_pair ~rounds:1 ~ops:1
-          (fun () -> ignore (RS.solve ~engine:RS.Eta_file problem))
-          (fun () -> ignore (RS.solve ~engine:RS.Sparse_lu problem))
-      in
-      [
-        mk ~alloc:eta_w "lp_engine" "eta" size eta;
-        mk ~alloc:lu_w "lp_engine" "lu" size lu;
-      ])
+      mk ~alloc:w "lp_solve" "revised" size ns)
     shapes
 
 (* Characterizes the LU rebuild itself, off the counters of a normal
-   Sparse_lu solve: ns_per_op is factor time per rebuild, and the note
+   solve: ns_per_op is factor time per rebuild, and the note
    carries the fill ratio (factor nonzeros over basis-column nonzeros
    at the last rebuild) and how many pivots/update etas one base
    factorization absorbs before the fill-growth policy asks for the
@@ -365,7 +322,7 @@ let lp_refactor_records ~shapes =
     (fun shape ->
       let problem = simp_lp_of shape in
       let size = Svgic_lp.Problem.num_vars problem in
-      match RS.solve ~engine:RS.Sparse_lu problem with
+      match RS.solve problem with
       | RS.Optimal sol ->
           let s = sol.RS.stats in
           let rebuilds = max 1 s.RS.refactorizations in
@@ -975,23 +932,18 @@ let pairwise_ilp (p : Svgic_lp.Pairwise_fw.problem) =
     p.pairs;
   (ilp, Array.concat (Array.to_list (Array.map Array.copy x)))
 
-let bnb_fw_opts ?(warm_start = true) ?gap_tol ~iters ~sm () =
+let bnb_fw_opts ?(warm_start = true) ?gap_tol () =
   let module BB = Svgic_lp.Branch_bound in
-  let o =
-    {
-      BB.default_options with
-      warm_start;
-      engine =
-        BB.Frank_wolfe
-          {
-            BB.default_fw_options with
-            node_iterations = iters;
-            smoothing = sm;
-            leaf_gap_tol = 1e-5;
-          };
-    }
-  in
+  let o = { BB.default_options with warm_start } in
   match gap_tol with None -> o | Some g -> { o with BB.gap_tol = g }
+
+let bnb_fw_node ~iters ~sm =
+  {
+    Svgic_lp.Branch_bound.default_fw_options with
+    node_iterations = iters;
+    smoothing = sm;
+    leaf_gap_tol = 1e-5;
+  }
 
 (* Certified integer solves, simplex nodes vs Frank-Wolfe nodes, at
    matched ILP sizes — plus one oversized FW-only row past the
@@ -1018,8 +970,9 @@ let bnb_fw_records ~shapes ~oversize =
             (fun () ->
               fw :=
                 Some
-                  (BB.solve_fw ~options:(bnb_fw_opts ~gap_tol:g ~iters ~sm ())
-                     p))
+                  (BB.solve_fw
+                     ~options:(bnb_fw_opts ~gap_tol:g ())
+                     ~fw:(bnb_fw_node ~iters ~sm) p))
         in
         let sr = Option.get !simplex and fr = Option.get !fw in
         let dfs =
@@ -1056,7 +1009,11 @@ let bnb_fw_records ~shapes ~oversize =
   let fw = ref None in
   let over_ns, over_w =
     time_kernel ~rounds:1 ~ops:1 (fun () ->
-        fw := Some (BB.solve_fw ~options:(bnb_fw_opts ~gap_tol:g ~iters ~sm ()) p))
+        fw :=
+          Some
+            (BB.solve_fw
+               ~options:(bnb_fw_opts ~gap_tol:g ())
+               ~fw:(bnb_fw_node ~iters ~sm) p))
   in
   let fr = Option.get !fw in
   if not fr.BB.proved_optimal then
@@ -1089,10 +1046,13 @@ let bnb_warm_records ~shapes =
             cold :=
               Some
                 (BB.solve_fw
-                   ~options:(bnb_fw_opts ~warm_start:false ~iters ~sm ())
-                   p))
+                   ~options:(bnb_fw_opts ~warm_start:false ())
+                   ~fw:(bnb_fw_node ~iters ~sm) p))
           (fun () ->
-            warm := Some (BB.solve_fw ~options:(bnb_fw_opts ~iters ~sm ()) p))
+            warm :=
+              Some
+                (BB.solve_fw ~options:(bnb_fw_opts ())
+                   ~fw:(bnb_fw_node ~iters ~sm) p))
       in
       let wr = Option.get !warm and cr = Option.get !cold in
       let size = Svgic_lp.Problem.num_vars (fst (pairwise_ilp p)) in
@@ -1116,10 +1076,6 @@ let speedups records =
     | "fenwick" -> Some "naive"
     | "champion" -> Some "naive"
     | "parallel" -> Some "serial"
-    | "revised" -> Some "dense"
-    (* lp_engine pairs; the lp_refactor "lu" row has no eta twin and
-       derives no ratio. *)
-    | "lu" -> Some "eta"
     | "sparse" -> Some "dense"
     | "fw" -> Some "exact"
     (* bnb pairs: FW-node tree vs simplex-node tree at matched ILP
@@ -1306,25 +1262,19 @@ let run () =
   in
   let pool_shape = if smoke then (8, 8, 2) else (20, 24, 4) in
   let pool_repeats = if smoke then 2 else 8 in
-  (* The paired shapes range from just above Relaxation's dense_vars
-     ceiling (256) to ~1900 variables: the dense tableau still *solves*
-     all of them, just slowly — which is the point; these rows are what
-     calibrated the ceiling. The revised-only shape (~13k variables) is
-     past exact_vars, i.e. the scale Auto now hands to the Frank-Wolfe
-     engine; its row documents what an exact solve costs there, and the
-     fw_vs_exact rows at the same shape document what the first-order
-     engine trades for that time. *)
-  let lp_pairs =
-    if smoke then [ (8, 12) ]
-    else [ (8, 12); (12, 16); (20, 24); (19, 26); (24, 26) ]
-  in
-  let lp_revised_only = if smoke then [] else [ (50, 80) ] in
-  (* The largest pair is the acceptance shape of the LU work: ~13k
-     variables, where the eta file's dense triangular applies dominate
-     the solve. Smoke keeps one tiny pair so CI exercises both engine
-     paths end to end. *)
-  let lp_engine_shapes =
-    if smoke then [ (8, 12) ] else [ (20, 24); (24, 26); (50, 80) ]
+  (* LP_SIMP shapes from ~290 to ~1900 variables (three rounds each)
+     calibrate Relaxation's exact-solve budget. The ~13k-variable shape
+     (one round) is past exact_vars, i.e. the scale Auto hands to the
+     Frank-Wolfe engine; its row documents what an exact solve costs
+     there, and the fw_vs_exact rows at the same shape document what
+     the first-order engine trades for that time. *)
+  let lp_shapes =
+    if smoke then [ ((8, 12), 3) ]
+    else
+      List.map
+        (fun shape -> (shape, 3))
+        [ (8, 12); (12, 16); (20, 24); (19, 26); (24, 26) ]
+      @ [ ((50, 80), 1) ]
   in
   let lp_refactor_shapes = if smoke then [ (8, 12) ] else [ (24, 26); (50, 80) ] in
   let za_fw_shape = if smoke then (16, 12, 2) else (256, 128, 8) in
@@ -1370,8 +1320,7 @@ let run () =
     weighted_draw_records ~sizes:sampler_sizes
     @ avg_d_select_records ~sizes:sampler_sizes
     @ avg_d_end_to_end_records ~shapes:avg_d_shapes
-    @ lp_solve_records ~pairs:lp_pairs ~revised_only:lp_revised_only
-    @ lp_engine_records ~shapes:lp_engine_shapes
+    @ lp_solve_records ~shapes:lp_shapes
     @ lp_refactor_records ~shapes:lp_refactor_shapes
     @ lp_phase_records ~shapes:lp_phase_shapes
     @ pool_records ~repeats:pool_repeats ~shape:pool_shape

@@ -11,9 +11,9 @@ let make ~n ~m ~k rng = Datasets.make Datasets.Timik rng ~n ~m ~k ~lambda:0.5
 
 let methods () = C.heuristics @ [ C.ip_solver ~time_budget_s:20.0 () ]
 
-(* The exact IP is only run where its root LP is tractable for the
-   dense simplex — the same "IP cannot terminate beyond small sizes"
-   cut-off the paper applies (Section 6.4). *)
+(* The exact IP is only run at the small sizes where its
+   branch-and-bound tree terminates — the same "IP cannot terminate
+   beyond small sizes" cut-off the paper applies (Section 6.4). *)
 let ip_tractable ~n ~m ~k = n * m * k <= 300
 
 let sweep ~id ~title ~note ~axis ~points ~size_of ~make_instance ~metric =

@@ -34,6 +34,14 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"random seed")
 let cap_arg =
   Arg.(value & opt (some int) None & info [ "cap" ] ~doc:"SVGIC-ST subgroup size cap M")
 
+(* [--cap M] below 1 is rejected here, so [Csf.create]'s
+   [Invalid_argument] never reaches the user. *)
+let check_cap = function
+  | Some c when c < 1 ->
+      Printf.eprintf "bad --cap value %d: the size cap must be at least 1\n" c;
+      exit 1
+  | Some _ | None -> ()
+
 let method_arg =
   Arg.(
     value
@@ -168,9 +176,9 @@ let warn_degraded relax =
       "note               : degraded solve (deadline or numerical fallback); \
        result is feasible but not certified optimal\n"
 
-(* --verbose: the relaxation's simplex counters, when the revised
-   engine produced the point (the dense tableau, Frank-Wolfe and
-   greedy paths carry none). *)
+(* --verbose: the relaxation's simplex counters, when the exact path
+   produced the point (the Frank-Wolfe and greedy paths carry
+   none). *)
 let report_lp_stats verbose relax =
   if verbose then
     match relax.Svgic.Relaxation.lp_stats with
@@ -267,6 +275,7 @@ let generate_cmd =
 let solve_cmd =
   let run preset n m k lambda seed method_name cap shards load deadline
       on_fault verbose =
+    check_cap cap;
     let inst = make_instance ?load preset seed ~n ~m ~k ~lambda in
     Printf.printf "%s instance: n=%d m=%d k=%d lambda=%.2f\n\n"
       (match load with Some path -> path | None -> Datasets.name preset ^ "-like")
@@ -310,6 +319,7 @@ let solve_cmd =
 
 let compare_cmd =
   let run preset n m k lambda seed cap =
+    check_cap cap;
     let inst = make_instance preset seed ~n ~m ~k ~lambda in
     Printf.printf "%s-like instance: n=%d m=%d k=%d lambda=%.2f (seed %d)\n\n"
       (Datasets.name preset) n m k lambda seed;

@@ -43,6 +43,7 @@ let start ?warm rng inst =
 
 let instance t = t.inst
 let config t = t.cfg
+let relaxation t = t.relax
 let total_utility t = Config.total_utility t.inst t.cfg
 let external_of t u = t.ext_of.(u)
 

@@ -49,6 +49,11 @@ val start :
 
 val instance : t -> Instance.t
 val config : t -> Config.t
+
+val relaxation : t -> Relaxation.t
+(** The relaxation behind the last full solve ([start] or {!resolve});
+    its [basis] is what {!resolve} warm starts from. *)
+
 val total_utility : t -> float
 
 val external_of : t -> int -> int

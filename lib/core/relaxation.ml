@@ -12,24 +12,15 @@ type backend =
     }
   | Auto
 
-type budget = { exact_vars : int; exact_nnz : int; dense_vars : int }
+type budget = { exact_vars : int; exact_nnz : int }
 
 (* Calibrated against BENCH_kernels.json lp_solve rows (revised
-   engine, sparse-LU factorization): ~64 ms at 1.9k variables, ~3.9 s
+   simplex, sparse-LU factorization): ~64 ms at 1.9k variables, ~3.9 s
    at 13.3k. Fitting the power law between those points puts the ~2 s
-   exact-solve envelope at ~9.5k variables / ~32k matrix nonzeros —
-   half again what the product-form eta engine could afford (~6.5k /
-   ~20k), because the LU basis keeps the per-pivot FTRAN/BTRAN cost
-   flat where the eta file's grew with the pivot count. Instances
-   beyond the envelope go to the certified Frank-Wolfe engine. The
-   dense-tableau window stops at the measured engine crossover: the
-   paired lp_solve rows show the revised engine ahead from ~290
-   variables (2.7x) through 1.9k (12x), so dense is only picked for
-   the tiny programs below that — which matters doubly for the sharded
-   pipeline, whose per-shard programs land exactly in the former dense
-   window. *)
-let default_budget =
-  { exact_vars = 9_500; exact_nnz = 32_000; dense_vars = 256 }
+   exact-solve envelope at ~9.5k variables / ~32k matrix nonzeros.
+   Instances beyond the envelope go to the certified Frank-Wolfe
+   engine. *)
+let default_budget = { exact_vars = 9_500; exact_nnz = 32_000 }
 
 let budget_ref = ref default_budget
 let backend_budget () = !budget_ref
@@ -111,63 +102,35 @@ let choose_backend inst =
    remaining rungs (which are all cheap) decide what to do. *)
 exception Deadline_exhausted
 
-(* Exact solve of an arbitrary [Problem]: the dense tableau for small
-   programs (the long-standing oracle path), the sparse revised
-   simplex beyond [dense_vars] (or always, under [force_revised] — the
-   ladder's retry rung skips the dense path because only the revised
-   engine carries its own breakdown recovery). Returns the final basis
-   when the revised engine ran, so callers can warm start re-solves;
-   the last component is [false] when the result is a feasible but
+(* Exact solve of an arbitrary [Problem] by the revised simplex.
+   Returns the final basis, so callers can warm start re-solves; the
+   last component is [false] when the result is a feasible but
    non-optimal deadline partial. *)
-let solve_exact ?warm ?token ?(force_revised = false) ~what problem =
-  let b = !budget_ref in
-  let vars = Svgic_lp.Problem.num_vars problem in
-  let rows = Svgic_lp.Problem.num_rows problem in
-  if
-    (not force_revised) && warm = None && vars <= b.dense_vars
-    && rows <= 2 * b.dense_vars
-  then begin
-    (* The dense engine has no pivot-loop poll, but it is bounded by
-       [dense_vars] (milliseconds), so one pre-solve screen honours
-       the deadline at the only granularity that exists here — and
-       keeps the clean supervised path bit-identical to the
-       unsupervised one. *)
-    (match token with
-    | Some t when Supervise.expired t -> raise Deadline_exhausted
-    | Some _ | None -> ());
-    match Svgic_lp.Simplex.solve problem with
-    | Svgic_lp.Simplex.Optimal { x; objective; _ } ->
-        (x, objective, None, None, true)
-    | Svgic_lp.Simplex.Infeasible ->
-        failwith (Printf.sprintf "Relaxation.solve: %s reported infeasible" what)
-    | Svgic_lp.Simplex.Unbounded ->
-        failwith (Printf.sprintf "Relaxation.solve: %s reported unbounded" what)
-  end
-  else
-    match Revised.solve ?basis:warm ?token problem with
-    | Revised.Optimal { x; objective; basis; pivots; stats } ->
-        (x, objective, Some basis, Some (single_solve_stats pivots stats), true)
-    | Revised.Infeasible ->
-        failwith (Printf.sprintf "Relaxation.solve: %s reported infeasible" what)
-    | Revised.Unbounded ->
-        failwith (Printf.sprintf "Relaxation.solve: %s reported unbounded" what)
-    | Revised.Timeout p when p.Revised.feasible ->
-        (* A feasible partial is a usable (degraded) relaxation point:
-           every downstream consumer only needs feasibility, the
-           optimality only sharpened the bound. *)
-        ( p.Revised.x,
-          p.Revised.objective,
-          Some p.Revised.basis,
-          Some (single_solve_stats p.Revised.pivots p.Revised.stats),
-          false )
-    | Revised.Timeout _ -> raise Deadline_exhausted
+let solve_exact ?warm ?token ~what problem =
+  match Revised.solve ?basis:warm ?token problem with
+  | Revised.Optimal { x; objective; basis; pivots; stats } ->
+      (x, objective, Some basis, Some (single_solve_stats pivots stats), true)
+  | Revised.Infeasible ->
+      failwith (Printf.sprintf "Relaxation.solve: %s reported infeasible" what)
+  | Revised.Unbounded ->
+      failwith (Printf.sprintf "Relaxation.solve: %s reported unbounded" what)
+  | Revised.Timeout p when p.Revised.feasible ->
+      (* A feasible partial is a usable (degraded) relaxation point:
+         every downstream consumer only needs feasibility, the
+         optimality only sharpened the bound. *)
+      ( p.Revised.x,
+        p.Revised.objective,
+        Some p.Revised.basis,
+        Some (single_solve_stats p.Revised.pivots p.Revised.stats),
+        false )
+  | Revised.Timeout _ -> raise Deadline_exhausted
 
-let solve_simplex ?warm ?token ?force_revised inst =
+let solve_simplex ?warm ?token inst =
   let problem, x_var = Lp_build.simp_lp inst in
   (* The uniform point k/m is always feasible, so infeasibility here is
      a solver bug, not an input condition. *)
   let x, objective, basis, lp_stats, complete =
-    solve_exact ?warm ?token ?force_revised ~what:"LP_SIMP" problem
+    solve_exact ?warm ?token ~what:"LP_SIMP" problem
   in
   let n = Instance.n inst and m = Instance.m inst in
   let xbar = Array.init n (fun u -> Array.init m (fun c -> x.(x_var u c))) in
@@ -209,7 +172,7 @@ let greedy_fallback inst =
     degraded = true; lp_stats = None }
 
 (* The config-phase degradation ladder (DESIGN.md §5):
-     exact -> exact retry (revised engine, no warm basis)
+     exact -> exact retry (cold, no warm basis)
            -> gap-certified Frank-Wolfe (serial)
            -> top-k greedy baseline.
    The ladder only engages on failure, so the clean path is
@@ -218,7 +181,7 @@ let greedy_fallback inst =
    straight to the greedy floor. A caller that would rather crash than
    degrade can watch the [degraded] flag — or not pass a token and let
    [Failure] escape from the final rung. *)
-let solve ?(backend = Auto) ?warm ?token ?(force_revised = false) inst =
+let solve ?(backend = Auto) ?warm ?token inst =
   let backend = match backend with Auto -> choose_backend inst | b -> b in
   let expired () =
     match token with Some t -> Supervise.expired t | None -> false
@@ -239,18 +202,18 @@ let solve ?(backend = Auto) ?warm ?token ?(force_revised = false) inst =
       try solve_fw ~iterations ~smoothing ~gap_tol ~domains ?token inst
       with Failure _ -> greedy_fallback inst)
   | Exact_simplex -> (
-      match solve_simplex ?warm ?token ~force_revised inst with
+      match solve_simplex ?warm ?token inst with
       | r -> r
       | exception Deadline_exhausted -> greedy_fallback inst
       | exception Failure msg -> (
           if token = None then failwith msg
           else if expired () then greedy_fallback inst
           else
-            (* Retry rung: drop the (possibly poisoned) warm basis and
-               force the revised engine, whose internal recovery ladder
-               (reinversion, Bland restart, perturbed retry) is the
-               actual repair mechanism. *)
-            match solve_simplex ?token ~force_revised:true inst with
+            (* Retry rung: drop the (possibly poisoned) warm basis; the
+               revised engine's internal recovery ladder (reinversion,
+               Bland restart, perturbed retry) is the actual repair
+               mechanism. *)
+            match solve_simplex ?token inst with
             | r -> { r with degraded = true }
             | exception (Deadline_exhausted | Failure _) ->
                 if expired () then greedy_fallback inst else fw_fallback ()))
@@ -393,19 +356,19 @@ let solve_integer_fw ?time_budget_s ?node_budget ?token inst =
       gap_tol = g;
       time_budget_s = bnb_budgets ?time_budget_s ?token ();
       node_budget;
-      engine =
-        Svgic_lp.Branch_bound.Frank_wolfe
-          {
-            Svgic_lp.Branch_bound.default_fw_options with
-            node_iterations = 400;
-            smoothing;
-            root_gap_tol = 4.0 *. g;
-            leaf_gap_tol = 0.25 *. g;
-            gap_decay = 0.6;
-          };
     }
   in
-  let r = Svgic_lp.Branch_bound.solve_fw ~options ?token p in
+  let fw =
+    {
+      Svgic_lp.Branch_bound.default_fw_options with
+      node_iterations = 400;
+      smoothing;
+      root_gap_tol = 4.0 *. g;
+      leaf_gap_tol = 0.25 *. g;
+      gap_decay = 0.6;
+    }
+  in
+  let r = Svgic_lp.Branch_bound.solve_fw ~options ~fw ?token p in
   {
     xint = r.Svgic_lp.Branch_bound.incumbent;
     int_objective = r.Svgic_lp.Branch_bound.objective;

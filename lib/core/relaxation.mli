@@ -6,9 +6,7 @@
 
 type backend =
   | Exact_simplex
-      (** exact simplex on [LP_SIMP] — the dense tableau for small
-          programs, the sparse revised simplex beyond
-          [budget.dense_vars] *)
+      (** exact solve of [LP_SIMP] by the sparse revised simplex *)
   | Frank_wolfe of {
       iterations : int;  (** iteration cap *)
       smoothing : float;  (** soft-min temperature *)
@@ -27,20 +25,16 @@ type backend =
 type budget = {
   exact_vars : int;  (** largest LP (variables) solved exactly under [Auto] *)
   exact_nnz : int;  (** largest LP (matrix nonzeros) solved exactly *)
-  dense_vars : int;  (** dense-tableau ceiling inside the exact path *)
 }
 (** Backend-selection thresholds, calibrated from the committed
     BENCH_kernels.json [lp_solve] rows so that [Auto]'s exact solves
     stay inside a ~2 s envelope: the revised simplex (sparse-LU
     factorization) measured ~64 ms at 1.9k LP variables and ~3.9 s at
     13.3k, and the fitted power law crosses 2 s near 9.5k variables /
-    32k nonzeros — up from ~6.5k / 20k under the product-form eta
-    engine. Defaults: [exact_vars = 9_500], [exact_nnz = 32_000],
-    [dense_vars = 256] — the dense tableau is only picked below the
-    measured engine crossover (the paired rows show the revised engine
-    2.7x ahead already at ~290 variables). Instances beyond the
-    envelope route to the Frank–Wolfe engine, which reports its
-    achieved gap in {!t.fw_gap}. *)
+    32k nonzeros. Defaults: [exact_vars = 9_500],
+    [exact_nnz = 32_000]. Instances beyond the envelope route to the
+    Frank–Wolfe engine, which reports its achieved gap in
+    {!t.fw_gap}. *)
 
 val backend_budget : unit -> budget
 val set_backend_budget : budget -> unit
@@ -83,8 +77,9 @@ type t = {
   xbar : float array array;  (** [n x m] utility factors, rows sum to k *)
   scaled_objective : float;  (** relaxation objective in scaled units *)
   basis : Svgic_lp.Revised_simplex.vbasis option;
-      (** final simplex basis when the revised engine solved the
-          program; reusable via [solve ~warm] *)
+      (** final simplex basis when the exact path solved the program
+          (optimal or feasible deadline partial); reusable via
+          [solve ~warm] *)
   fw_gap : float option;
       (** achieved smoothed duality gap when the Frank–Wolfe engine
           solved the program ([None] on the exact paths):
@@ -100,14 +95,13 @@ type t = {
   lp_stats : lp_stats option;
       (** pivot and factorization counters when the revised simplex
           produced [xbar] (optimal or feasible deadline partial);
-          [None] on the dense-tableau, Frank–Wolfe and greedy paths *)
+          [None] on the Frank–Wolfe and greedy paths *)
 }
 
 val solve :
   ?backend:backend ->
   ?warm:Svgic_lp.Revised_simplex.vbasis ->
   ?token:Svgic_util.Supervise.token ->
-  ?force_revised:bool ->
   Instance.t ->
   t
 (** Solves [LP_SIMP] (with the advanced LP transformation). Default
@@ -115,15 +109,11 @@ val solve :
     returned by an earlier solve of a same-shaped instance (same [n],
     [m] and friend pairs — e.g. a re-solve after utility drift); a
     mismatched basis is ignored, so passing a stale one is safe.
-    Giving [warm] forces the exact path onto the revised engine;
-    [force_revised] does the same without a basis — a solve below the
-    dense-tableau ceiling then still returns a reusable [basis], which
-    is what {!Serve}'s per-shard warm restarts need on small shards.
 
     [token] supervises the solve (DESIGN.md §5 "Failure handling"):
     it is threaded into the simplex pivot loop / Frank–Wolfe sweep
     loop, and on expiry or failure the degradation ladder takes over —
-    exact → exact retry (revised engine, cold) → gap-certified serial
+    exact → exact retry (cold) → gap-certified serial
     Frank–Wolfe → top-k greedy floor — always returning a feasible
     [t] with [degraded = true] instead of raising. The ladder engages
     only on failure, so a clean supervised solve is bit-identical to

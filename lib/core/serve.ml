@@ -673,11 +673,8 @@ let solve_shard t token rng sid =
         else None
       in
       let warm_hit = warm <> None in
-      (* [force_revised]: a dense-tableau solve returns no basis, so
-         small shards would never warm start across ticks. *)
       let relax =
-        Relaxation.solve ?warm ~token ~force_revised:true
-          ~backend:(serial_backend sub) sub
+        Relaxation.solve ?warm ~token ~backend:(serial_backend sub) sub
       in
       if Supervise.expired token then fallback warm_hit
       else begin

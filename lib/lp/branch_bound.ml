@@ -24,8 +24,6 @@ let default_fw_options =
     fw_domains = Some 1;
   }
 
-type engine = Simplex | Frank_wolfe of fw_options
-
 type options = {
   strategy : strategy;
   branch_rule : branch_rule;
@@ -33,7 +31,6 @@ type options = {
   node_budget : int option;
   gap_tol : float;
   warm_start : bool;
-  engine : engine;
 }
 
 let default_options =
@@ -49,7 +46,6 @@ let default_options =
     node_budget = None;
     gap_tol = 1e-6;
     warm_start = true;
-    engine = Simplex;
   }
 
 type result = {
@@ -106,12 +102,6 @@ let pick_branch_var options problem x binary =
   !best
 
 let solve ?(options = default_options) base ~binary =
-  (match options.engine with
-  | Simplex -> ()
-  | Frank_wolfe _ ->
-      invalid_arg
-        "Branch_bound.solve: the Frank_wolfe engine takes a Pairwise_fw \
-         problem; use solve_fw");
   Array.iter
     (fun v ->
       match Problem.upper_bound base v with
@@ -346,10 +336,8 @@ let project_fixed (p : Pairwise_fw.problem) fixed x =
       end;
       row)
 
-let solve_fw ?(options = default_options) ?token (p : Pairwise_fw.problem) =
-  let fw =
-    match options.engine with Frank_wolfe f -> f | Simplex -> default_fw_options
-  in
+let solve_fw ?(options = default_options) ?(fw = default_fw_options) ?token
+    (p : Pairwise_fw.problem) =
   let n = p.Pairwise_fw.n and m = p.Pairwise_fw.m and k = p.Pairwise_fw.k in
   let delta = Pairwise_fw.smoothing_slack ~smoothing:fw.smoothing p in
   (* Effective fathoming tolerance: the node certificate can never be

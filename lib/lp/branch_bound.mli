@@ -43,12 +43,6 @@ val default_fw_options : fw_options
 (** 300 iterations/node, smoothing 0.005, schedule
     [max(1e-4, 0.5 · 0.5^depth)], serial node solves. *)
 
-type engine =
-  | Simplex  (** node relaxations by {!Revised_simplex} (exact) *)
-  | Frank_wolfe of fw_options
-      (** node relaxations by {!Pairwise_fw} with dual-gap fathoming
-          (the Boscia recipe) — only meaningful through {!solve_fw} *)
-
 type options = {
   strategy : strategy;
   branch_rule : branch_rule;
@@ -59,12 +53,11 @@ type options = {
       (** re-solve children warm: from the parent basis (simplex) or
           the parent's best iterate projected onto the child fixings
           (Frank–Wolfe) *)
-  engine : engine;
 }
 
 val default_options : options
 (** Best-first, most-fractional, no budget, [gap_tol = 1e-6], warm
-    starts on, [Simplex] engine. (Best-first replaced the old
+    starts on. (Best-first replaced the old
     depth-first default: same optima, measurably fewer nodes explored
     — the bnb_fw bench records the node counts; pass [Depth_first]
     to get the old incumbent-early diving order.) *)
@@ -85,9 +78,9 @@ type result = {
 val solve : ?options:options -> Problem.t -> binary:int array -> result
 (** [solve p ~binary] maximizes [p] with the variables listed in
     [binary] restricted to {0,1}. Binary variables must carry an upper
-    bound of at most 1. Raises [Invalid_argument] when
-    [options.engine] is [Frank_wolfe] — that engine solves
-    [Pairwise_fw] programs through {!solve_fw}. *)
+    bound of at most 1. Node relaxations are solved by
+    {!Revised_simplex}; {!solve_fw} is the Frank–Wolfe counterpart for
+    [Pairwise_fw] programs. *)
 
 type fw_result = {
   incumbent : float array array option;
@@ -118,6 +111,7 @@ type fw_result = {
 
 val solve_fw :
   ?options:options ->
+  ?fw:fw_options ->
   ?token:Svgic_util.Supervise.token ->
   Pairwise_fw.problem ->
   fw_result
@@ -145,8 +139,8 @@ val solve_fw :
     that — shrink [smoothing] (and pay slower node convergence) for a
     tighter proof. [options.strategy] orders the frontier exactly as
     in {!solve} (best-first on the node certificate by default);
-    [options.engine] supplies the [fw_options] ([Simplex] falls back
-    to {!default_fw_options}).
+    [fw] supplies the node-solve settings (default
+    {!default_fw_options}).
 
     [token] supervises the whole tree and each node solve: on expiry
     the search stops and returns the incumbent with the global

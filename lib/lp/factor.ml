@@ -1,6 +1,6 @@
-(* Sparse basis factorizations: Markowitz LU with threshold partial
-   pivoting, plus the seed's Gauss-Jordan product form kept as the
-   benchmark baseline. See factor.mli for the architecture notes.
+(* Sparse basis factorization: Markowitz LU with threshold partial
+   pivoting and eta-append updates. See factor.mli for the
+   architecture notes.
 
    Storage discipline: every factor lives in flat arenas — parallel
    [int array] / [Float.Array.t] pools indexed by per-step start
@@ -16,8 +16,6 @@ module Timer = Svgic_util.Timer
 
 exception Singular
 
-type mode = Product_form | Lu
-
 type stats = {
   refactorizations : int;
   fill_nnz : int;
@@ -30,7 +28,6 @@ let ztol = 1e-9 (* pivot-magnitude floor *)
 let drop_tol = 1e-12 (* entries below this are discarded *)
 let tau = 0.1 (* threshold partial pivoting: |a| >= tau * colmax *)
 let markowitz_scan = 4 (* candidate columns examined per pivot search *)
-let pf_period = 128 (* product-form fixed reinversion period (seed) *)
 let lu_update_cap = 512 (* hard bound on update etas between rebuilds *)
 
 (* Markowitz working state: the active submatrix as dynamic rows
@@ -44,14 +41,6 @@ let lu_update_cap = 512 (* hard bound on update etas between rebuilds *)
 type ws = {
   mutable cbuf_i : int array; (* column load / pivot-row copy buffer *)
   mutable cbuf_v : float array;
-  (* product-form path *)
-  w : float array; (* dense column scratch *)
-  touched : int array;
-  in_touched : bool array;
-  order : int array; (* column slots, sorted sparsest-first *)
-  key : int array;
-  row_taken : bool array;
-  (* LU path *)
   r_idx : int array array; (* per-row entry columns *)
   r_val : float array array; (* matching values *)
   r_len : int array;
@@ -72,16 +61,16 @@ type ws = {
   in_sc : bool array;
   in_sr : bool array;
   step_of_col : int array; (* pivot step of each column slot *)
+  ut_cnt : int array; (* transposed-U counting sort: entries per step *)
+  ut_pos : int array; (* ... and each step's next free slot *)
 }
 
 type t = {
-  mode : mode;
   m : int;
-  (* Base factorization. LU: steps 0..m-1, step t pivots row
-     [p_row.(t)] with value [diag.(t)]; L multipliers (rows below) in
-     the l pool, the U row (entries in later-pivoted columns, stored
-     as pivot rows after the remap) in the u pool. Product form: GJ
-     etas sharing p_row/diag and the u pool for their entries. *)
+  (* Base factorization: steps 0..m-1, step t pivots row [p_row.(t)]
+     with value [diag.(t)]; L multipliers (rows below) in the l pool,
+     the U row (entries in later-pivoted columns, stored as pivot rows
+     after the remap) in the u pool. *)
   mutable nsteps : int;
   mutable p_row : int array;
   mutable diag : FA.t;
@@ -93,7 +82,7 @@ type t = {
   mutable u_idx : int array;
   mutable u_val : FA.t;
   mutable u_n : int;
-  (* Transposed U view (LU only, rebuilt per refactorization): the
+  (* Transposed U view (rebuilt per refactorization): the
      entries of every U row bucketed by the step they reference, which
      is what the pattern-driven back substitution scatters from. *)
   ut_start : int array;
@@ -123,10 +112,9 @@ type t = {
   mutable ws : ws option;
 }
 
-let create mode ~m =
+let create ~m =
   let mm = max 1 m in
   {
-    mode;
     m;
     nsteps = 0;
     p_row = Array.make mm 0;
@@ -187,14 +175,11 @@ let set_refactor_every f p = f.force_every <- p
 let should_refactor f =
   match f.force_every with
   | Some p -> f.ne >= p
-  | None -> (
-      match f.mode with
-      | Product_form -> f.ne >= pf_period
-      | Lu ->
-          (* Amortized balance: once applying the update file costs
-             about as much as the base solve itself, a rebuild pays
-             for itself within a few iterations. *)
-          f.ne >= lu_update_cap || f.e_n > f.base_nnz + f.m)
+  | None ->
+      (* Amortized balance: once applying the update file costs about
+         as much as the base solve itself, a rebuild pays for itself
+         within a few iterations. *)
+      f.ne >= lu_update_cap || f.e_n > f.base_nnz + f.m
 
 (* ---------------- arena growth ------------------------------------ *)
 
@@ -236,12 +221,6 @@ let make_ws m =
   {
     cbuf_i = Array.make mm 0;
     cbuf_v = Array.make mm 0.0;
-    w = Array.make mm 0.0;
-    touched = Array.make mm 0;
-    in_touched = Array.make mm false;
-    order = Array.make mm 0;
-    key = Array.make mm 0;
-    row_taken = Array.make mm false;
     r_idx = Array.make mm [||];
     r_val = Array.make mm [||];
     r_len = Array.make mm 0;
@@ -262,6 +241,8 @@ let make_ws m =
     in_sc = Array.make mm false;
     in_sr = Array.make mm false;
     step_of_col = Array.make mm 0;
+    ut_cnt = Array.make mm 0;
+    ut_pos = Array.make mm 0;
   }
 
 let get_ws f =
@@ -304,74 +285,50 @@ let apply_update_etas_btran f y =
   done
 
 let ftran f w =
-  (match f.mode with
-  | Product_form ->
-      (* GJ etas in creation order; a zero pivot entry is a no-op. *)
-      for t = 0 to f.nsteps - 1 do
-        let wp = w.(f.p_row.(t)) in
-        if wp <> 0.0 then begin
-          let z = wp /. FA.get f.diag t in
-          w.(f.p_row.(t)) <- z;
-          for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
-            w.(f.u_idx.(i)) <- w.(f.u_idx.(i)) -. (FA.get f.u_val i *. z)
-          done
-        end
+  (* Forward elimination through L (multipliers in step order)... *)
+  for t = 0 to f.nsteps - 1 do
+    let wp = w.(f.p_row.(t)) in
+    if wp <> 0.0 then
+      for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
+        w.(f.l_idx.(i)) <- w.(f.l_idx.(i)) -. (FA.get f.l_val i *. wp)
       done
-  | Lu ->
-      (* Forward elimination through L (multipliers in step order)... *)
-      for t = 0 to f.nsteps - 1 do
-        let wp = w.(f.p_row.(t)) in
-        if wp <> 0.0 then
-          for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
-            w.(f.l_idx.(i)) <- w.(f.l_idx.(i)) -. (FA.get f.l_val i *. wp)
-          done
-      done;
-      (* ...then back substitution through U (reverse step order; the
-         U-row entries were remapped to pivot rows at build time). *)
-      for t = f.nsteps - 1 downto 0 do
-        let r = f.p_row.(t) in
-        let acc = ref w.(r) in
-        for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
-          acc := !acc -. (FA.get f.u_val i *. w.(f.u_idx.(i)))
-        done;
-        w.(r) <- (if !acc = 0.0 then 0.0 else !acc /. FA.get f.diag t)
-      done);
+  done;
+  (* ...then back substitution through U (reverse step order; the
+     U-row entries were remapped to pivot rows at build time). *)
+  for t = f.nsteps - 1 downto 0 do
+    let r = f.p_row.(t) in
+    let acc = ref w.(r) in
+    for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
+      acc := !acc -. (FA.get f.u_val i *. w.(f.u_idx.(i)))
+    done;
+    w.(r) <- (if !acc = 0.0 then 0.0 else !acc /. FA.get f.diag t)
+  done;
   apply_update_etas_ftran f w
 
 let btran f y =
   apply_update_etas_btran f y;
-  match f.mode with
-  | Product_form ->
-      for t = f.nsteps - 1 downto 0 do
-        let acc = ref y.(f.p_row.(t)) in
-        for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
-          acc := !acc -. (FA.get f.u_val i *. y.(f.u_idx.(i)))
-        done;
-        y.(f.p_row.(t)) <- !acc /. FA.get f.diag t
+  (* U^T forward substitution (scatter form)... *)
+  for t = 0 to f.nsteps - 1 do
+    let r = f.p_row.(t) in
+    let v = y.(r) in
+    if v <> 0.0 then begin
+      let s = v /. FA.get f.diag t in
+      y.(r) <- s;
+      for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
+        y.(f.u_idx.(i)) <- y.(f.u_idx.(i)) -. (FA.get f.u_val i *. s)
       done
-  | Lu ->
-      (* U^T forward substitution (scatter form)... *)
-      for t = 0 to f.nsteps - 1 do
-        let r = f.p_row.(t) in
-        let v = y.(r) in
-        if v <> 0.0 then begin
-          let s = v /. FA.get f.diag t in
-          y.(r) <- s;
-          for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
-            y.(f.u_idx.(i)) <- y.(f.u_idx.(i)) -. (FA.get f.u_val i *. s)
-          done
-        end
-        else y.(r) <- 0.0
-      done;
-      (* ...then L^T in reverse step order (gather form). *)
-      for t = f.nsteps - 1 downto 0 do
-        let r = f.p_row.(t) in
-        let acc = ref y.(r) in
-        for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
-          acc := !acc -. (FA.get f.l_val i *. y.(f.l_idx.(i)))
-        done;
-        y.(r) <- !acc
-      done
+    end
+    else y.(r) <- 0.0
+  done;
+  (* ...then L^T in reverse step order (gather form). *)
+  for t = f.nsteps - 1 downto 0 do
+    let r = f.p_row.(t) in
+    let acc = ref y.(r) in
+    for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
+      acc := !acc -. (FA.get f.l_val i *. y.(f.l_idx.(i)))
+    done;
+    y.(r) <- !acc
+  done
 
 let update f ~pivot_row w =
   let n = ref 0 in
@@ -523,217 +480,87 @@ let hp_pop_max f =
   top
 
 let ftran_pattern f w idx n =
-  match f.mode with
-  | Product_form ->
-      (* No triangular structure to exploit: dense apply + rescan. *)
-      ftran f w;
-      let k = ref 0 in
-      for i = 0 to f.m - 1 do
-        if w.(i) <> 0.0 then begin
-          idx.(!k) <- i;
-          incr k
-        end
-      done;
-      !k
-  | Lu ->
-      let in_pat = f.in_pat in
-      (* Dedup the incoming pattern in place while marking it. *)
-      let n0 = ref 0 in
-      for k = 0 to n - 1 do
-        let i = idx.(k) in
-        if not in_pat.(i) then begin
-          in_pat.(i) <- true;
-          idx.(!n0) <- i;
-          incr n0
-        end
-      done;
-      let np = ref !n0 in
-      let add i =
-        if not in_pat.(i) then begin
-          in_pat.(i) <- true;
-          idx.(!np) <- i;
-          incr np
-        end
-      in
-      if f.nsteps > 0 then begin
-        (* L forward pass: a step fires only once its pivot row is
-           nonzero, and firing scatters into later-pivoted rows, so
-           the min-heap pops steps in dependency order and visits only
-           the steps the pattern actually reaches. *)
-        f.hp_n <- 0;
-        for k = 0 to !np - 1 do
-          hp_push_min f f.step_of_row.(idx.(k))
-        done;
-        while f.hp_n > 0 do
-          let t = hp_pop_min f in
-          let wp = w.(f.p_row.(t)) in
-          if wp <> 0.0 then
-            for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
-              let j = f.l_idx.(i) in
-              add j;
-              w.(j) <- w.(j) -. (FA.get f.l_val i *. wp);
-              hp_push_min f f.step_of_row.(j)
-            done
-        done;
-        (* U back substitution in scatter form off the transposed
-           view: finalizing a step divides by its diagonal and pushes
-           its value into the earlier-pivoted rows that reference it,
-           so the max-heap pops in reverse dependency order. *)
-        f.hp_n <- 0;
-        for k = 0 to !np - 1 do
-          hp_push_max f f.step_of_row.(idx.(k))
-        done;
-        while f.hp_n > 0 do
-          let s = hp_pop_max f in
-          let r = f.p_row.(s) in
-          let v = w.(r) in
-          if v <> 0.0 then begin
-            let z = v /. FA.get f.diag s in
-            w.(r) <- z;
-            for i = f.ut_start.(s) to f.ut_start.(s + 1) - 1 do
-              let t = f.ut_t.(i) in
-              let rt = f.p_row.(t) in
-              add rt;
-              w.(rt) <- w.(rt) -. (FA.get f.ut_v i *. z);
-              hp_push_max f t
-            done
-          end
-        done
-      end;
-      (* Update etas, pattern-tracked. *)
-      for t = 0 to f.ne - 1 do
-        let wp = w.(f.e_piv.(t)) in
-        if wp <> 0.0 then begin
-          let z = wp /. FA.get f.e_pv t in
-          w.(f.e_piv.(t)) <- z;
-          for i = f.e_start.(t) to f.e_start.(t + 1) - 1 do
-            let j = f.e_idx.(i) in
-            add j;
-            w.(j) <- w.(j) -. (FA.get f.e_val i *. z)
-          done
-        end
-      done;
-      for k = 0 to !np - 1 do
-        in_pat.(idx.(k)) <- false
-      done;
-      !np
-
-(* ---------------- product-form refactorization -------------------- *)
-
-(* The seed scheme: process columns sparsest-first, FTRAN each through
-   the partial eta file with touched-entry tracking, pivot on the
-   best-magnitude free row, emit a Gauss-Jordan eta over every other
-   touched entry. A column that transforms to a pure unit vector
-   (logicals, and anything already triangulated) emits no eta. *)
-let refactor_pf f ~nnz ~load ~row_of =
-  let ws = get_ws f in
-  let m = f.m in
-  let maxnnz = ref 1 in
-  for slot = 0 to m - 1 do
-    let k = nnz slot in
-    if k > !maxnnz then maxnnz := k;
-    ws.key.(slot) <- (k * m) + slot;
-    ws.order.(slot) <- slot
+  let in_pat = f.in_pat in
+  (* Dedup the incoming pattern in place while marking it. *)
+  let n0 = ref 0 in
+  for k = 0 to n - 1 do
+    let i = idx.(k) in
+    if not in_pat.(i) then begin
+      in_pat.(i) <- true;
+      idx.(!n0) <- i;
+      incr n0
+    end
   done;
-  ensure_cbuf ws !maxnnz;
-  Array.sort (fun a b -> compare ws.key.(a) ws.key.(b)) ws.order;
-  f.nsteps <- 0;
-  f.u_n <- 0;
-  Array.fill ws.row_taken 0 m false;
-  Array.fill ws.w 0 m 0.0;
-  Array.fill ws.in_touched 0 m false;
-  let w = ws.w in
-  let ntouched = ref 0 in
-  let touch i =
-    if not ws.in_touched.(i) then begin
-      ws.in_touched.(i) <- true;
-      ws.touched.(!ntouched) <- i;
-      incr ntouched
+  let np = ref !n0 in
+  let add i =
+    if not in_pat.(i) then begin
+      in_pat.(i) <- true;
+      idx.(!np) <- i;
+      incr np
     end
   in
-  let bnnz = ref 0 in
-  (try
-     for oi = 0 to m - 1 do
-       let slot = ws.order.(oi) in
-       let cnt = load slot ws.cbuf_i ws.cbuf_v in
-       bnnz := !bnnz + cnt;
-       for p = 0 to cnt - 1 do
-         let r = ws.cbuf_i.(p) in
-         touch r;
-         w.(r) <- w.(r) +. ws.cbuf_v.(p)
-       done;
-       (* Partial FTRAN through the etas built so far. *)
-       for t = 0 to f.nsteps - 1 do
-         let ep = f.p_row.(t) in
-         let wp = w.(ep) in
-         if wp <> 0.0 then begin
-           let z = wp /. FA.get f.diag t in
-           w.(ep) <- z;
-           for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
-             let r = f.u_idx.(i) in
-             touch r;
-             w.(r) <- w.(r) -. (FA.get f.u_val i *. z)
-           done
-         end
-       done;
-       (* Pivot row: best remaining magnitude. *)
-       let best = ref (-1) and best_mag = ref ztol in
-       for i = 0 to !ntouched - 1 do
-         let r = ws.touched.(i) in
-         if not ws.row_taken.(r) then begin
-           let mag = Float.abs w.(r) in
-           if mag > !best_mag then begin
-             best := r;
-             best_mag := mag
-           end
-         end
-       done;
-       if !best < 0 then raise Singular;
-       let r = !best in
-       let n_entries = ref 0 in
-       for i = 0 to !ntouched - 1 do
-         let j = ws.touched.(i) in
-         if j <> r && Float.abs w.(j) > drop_tol then incr n_entries
-       done;
-       if !n_entries > 0 || w.(r) <> 1.0 then begin
-         ensure_u f (f.u_n + !n_entries);
-         let t = f.nsteps in
-         f.p_row.(t) <- r;
-         FA.set f.diag t w.(r);
-         f.u_start.(t) <- f.u_n;
-         let cursor = ref f.u_n in
-         for i = 0 to !ntouched - 1 do
-           let j = ws.touched.(i) in
-           if j <> r && Float.abs w.(j) > drop_tol then begin
-             f.u_idx.(!cursor) <- j;
-             FA.set f.u_val !cursor w.(j);
-             incr cursor
-           end
-         done;
-         f.u_n <- !cursor;
-         f.u_start.(t + 1) <- !cursor;
-         f.nsteps <- t + 1
-       end;
-       for i = 0 to !ntouched - 1 do
-         let j = ws.touched.(i) in
-         w.(j) <- 0.0;
-         ws.in_touched.(j) <- false
-       done;
-       ntouched := 0;
-       ws.row_taken.(r) <- true;
-       row_of.(slot) <- r
-     done
-   with e ->
-     (* Leave a consistent (identity) factor behind on failure. *)
-     for i = 0 to !ntouched - 1 do
-       let j = ws.touched.(i) in
-       w.(j) <- 0.0;
-       ws.in_touched.(j) <- false
-     done;
-     reset_identity f;
-     raise e);
-  f.base_nnz <- f.u_n + f.nsteps;
-  f.basis_nnz <- !bnnz
+  if f.nsteps > 0 then begin
+    (* L forward pass: a step fires only once its pivot row is
+       nonzero, and firing scatters into later-pivoted rows, so
+       the min-heap pops steps in dependency order and visits only
+       the steps the pattern actually reaches. *)
+    f.hp_n <- 0;
+    for k = 0 to !np - 1 do
+      hp_push_min f f.step_of_row.(idx.(k))
+    done;
+    while f.hp_n > 0 do
+      let t = hp_pop_min f in
+      let wp = w.(f.p_row.(t)) in
+      if wp <> 0.0 then
+        for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
+          let j = f.l_idx.(i) in
+          add j;
+          w.(j) <- w.(j) -. (FA.get f.l_val i *. wp);
+          hp_push_min f f.step_of_row.(j)
+        done
+    done;
+    (* U back substitution in scatter form off the transposed
+       view: finalizing a step divides by its diagonal and pushes
+       its value into the earlier-pivoted rows that reference it,
+       so the max-heap pops in reverse dependency order. *)
+    f.hp_n <- 0;
+    for k = 0 to !np - 1 do
+      hp_push_max f f.step_of_row.(idx.(k))
+    done;
+    while f.hp_n > 0 do
+      let s = hp_pop_max f in
+      let r = f.p_row.(s) in
+      let v = w.(r) in
+      if v <> 0.0 then begin
+        let z = v /. FA.get f.diag s in
+        w.(r) <- z;
+        for i = f.ut_start.(s) to f.ut_start.(s + 1) - 1 do
+          let t = f.ut_t.(i) in
+          let rt = f.p_row.(t) in
+          add rt;
+          w.(rt) <- w.(rt) -. (FA.get f.ut_v i *. z);
+          hp_push_max f t
+        done
+      end
+    done
+  end;
+  (* Update etas, pattern-tracked. *)
+  for t = 0 to f.ne - 1 do
+    let wp = w.(f.e_piv.(t)) in
+    if wp <> 0.0 then begin
+      let z = wp /. FA.get f.e_pv t in
+      w.(f.e_piv.(t)) <- z;
+      for i = f.e_start.(t) to f.e_start.(t + 1) - 1 do
+        let j = f.e_idx.(i) in
+        add j;
+        w.(j) <- w.(j) -. (FA.get f.e_val i *. z)
+      done
+    end
+  done;
+  for k = 0 to !np - 1 do
+    in_pat.(idx.(k)) <- false
+  done;
+  !np
 
 (* ---------------- Markowitz LU refactorization -------------------- *)
 
@@ -1088,25 +915,25 @@ let refactor_lu f ~nnz ~load ~row_of =
        f.step_of_row.(f.p_row.(t)) <- t
      done;
      (* Transposed U view for the pattern-driven back substitution:
-        every entry bucketed by the step it references (counting sort;
-        [ws.key] and [ws.order] are free product-form scratch here). *)
+        every entry bucketed by the step it references (counting
+        sort). *)
      f.ut_t <- grow_int f.ut_t f.u_n;
      f.ut_v <- grow_fa f.ut_v f.u_n;
-     Array.fill ws.key 0 m 0;
+     Array.fill ws.ut_cnt 0 m 0;
      for i = 0 to f.u_n - 1 do
        let s = f.step_of_row.(f.u_idx.(i)) in
-       ws.key.(s) <- ws.key.(s) + 1
+       ws.ut_cnt.(s) <- ws.ut_cnt.(s) + 1
      done;
      f.ut_start.(0) <- 0;
      for s = 0 to m - 1 do
-       f.ut_start.(s + 1) <- f.ut_start.(s) + ws.key.(s);
-       ws.order.(s) <- f.ut_start.(s)
+       f.ut_start.(s + 1) <- f.ut_start.(s) + ws.ut_cnt.(s);
+       ws.ut_pos.(s) <- f.ut_start.(s)
      done;
      for t = 0 to m - 1 do
        for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
          let s = f.step_of_row.(f.u_idx.(i)) in
-         let pos = ws.order.(s) in
-         ws.order.(s) <- pos + 1;
+         let pos = ws.ut_pos.(s) in
+         ws.ut_pos.(s) <- pos + 1;
          f.ut_t.(pos) <- t;
          FA.set f.ut_v pos (FA.get f.u_val i)
        done
@@ -1123,10 +950,6 @@ let refactorize f ~nnz ~load ~row_of =
   let t0 = Timer.start () in
   f.ne <- 0;
   f.e_n <- 0;
-  if f.m > 0 then begin
-    match f.mode with
-    | Product_form -> refactor_pf f ~nnz ~load ~row_of
-    | Lu -> refactor_lu f ~nnz ~load ~row_of
-  end;
+  if f.m > 0 then refactor_lu f ~nnz ~load ~row_of;
   f.refactorizations <- f.refactorizations + 1;
   f.factor_s <- f.factor_s +. Timer.elapsed_s t0

@@ -1,22 +1,15 @@
-(** Sparse basis factorizations behind the revised simplex FTRAN/BTRAN
+(** Sparse basis factorization behind the revised simplex FTRAN/BTRAN
     entry points.
 
     A [t] represents the inverse of one basis matrix [B] (square, [m]
     rows; columns are opaque slots [0..m-1] read back through caller
-    callbacks) in one of two forms:
-
-    - {!Lu}: a Markowitz-ordered sparse LU factorization with threshold
-      partial pivoting. Pivots are chosen to minimize the Markowitz
-      fill metric [(r_i - 1)(c_j - 1)] among entries within a relative
-      threshold of their column's magnitude, after a fill-free
-      singleton elimination pre-pass that triangularizes the unit-heavy
-      bases these LPs produce. FTRAN/BTRAN cost is proportional to the
-      L + U fill, roughly half the Gauss-Jordan product form the seed
-      engine used.
-    - {!Product_form}: the seed Gauss-Jordan eta file (sparsest-column-
-      first static order, magnitude pivoting), kept as the measured
-      "before" side of the eta-vs-LU benchmark rows and as a
-      cross-check of the update machinery.
+    callbacks) as a Markowitz-ordered sparse LU factorization with
+    threshold partial pivoting. Pivots are chosen to minimize the
+    Markowitz fill metric [(r_i - 1)(c_j - 1)] among entries within a
+    relative threshold of their column's magnitude, after a fill-free
+    singleton elimination pre-pass that triangularizes the unit-heavy
+    bases these LPs produce. FTRAN/BTRAN cost is proportional to the
+    L + U fill.
 
     Basis changes are absorbed by bounded eta-append updates (the
     product-form update on top of the base factorization — the
@@ -24,10 +17,9 @@
     pivot appends one eta built from the FTRANed entering column, and
     {!should_refactor} requests a rebuild once the update file's fill
     outgrows the base factorization (amortized-optimal) or a hard
-    update cap is hit, rather than on the seed's fixed 128-pivot
-    period. Instability is handled one level up: the simplex health
-    guard refactorizes on a non-finite iterate, which rebuilds the base
-    factors from scratch.
+    update cap is hit. Instability is handled one level up: the simplex
+    health guard refactorizes on a non-finite iterate, which rebuilds
+    the base factors from scratch.
 
     All factors live in flat unboxed arenas ([int array] /
     [Float.Array.t]) that are reused across refactorizations, so the
@@ -35,8 +27,6 @@
 
 exception Singular
 (** The column set is not a basis (structurally or numerically). *)
-
-type mode = Product_form | Lu
 
 type t
 
@@ -48,7 +38,7 @@ type stats = {
   factor_s : float;  (** cumulative seconds inside {!refactorize} *)
 }
 
-val create : mode -> m:int -> t
+val create : m:int -> t
 (** A factorization of the [m x m] identity (the all-logical basis). *)
 
 val reset_identity : t -> unit
@@ -94,22 +84,19 @@ val ftran_pattern : t -> float array -> int array -> int -> int
     tolerated). Tracks fill through the factors and returns the output
     pattern size, rewriting [idx] in place (duplicate-free; an entry
     may hold an exact zero after cancellation, so consumers re-check
-    values). Under {!Lu} the cost is proportional to the entries
-    actually touched, not to [m] — worklist heaps walk only the
-    reached steps of L and of the transposed U — which is what makes
-    the solver's per-iteration FTRAN cheap on hypersparse entering
-    columns. {!Product_form} has no triangular structure to exploit
-    and falls back to the dense apply plus a pattern rescan. *)
+    values). The cost is proportional to the entries actually touched,
+    not to [m] — worklist heaps walk only the reached steps of L and of
+    the transposed U — which is what makes the solver's per-iteration
+    FTRAN cheap on hypersparse entering columns. *)
 
 val should_refactor : t -> bool
-(** Whether the update file has outgrown the base factorization (LU:
-    update fill > base fill + m, or 512 updates; product form: the
-    seed's fixed 128-update period). *)
+(** Whether the update file has outgrown the base factorization
+    (update fill > base fill + m, or 512 updates). *)
 
 val set_refactor_every : t -> int option -> unit
 (** Diagnostic override: [Some p] forces {!should_refactor} after [p]
-    updates regardless of mode ([Some 1] = fresh factorization every
-    pivot, the equivalence-test anchor); [None] restores the policy. *)
+    updates ([Some 1] = fresh factorization every pivot, the
+    equivalence-test anchor); [None] restores the policy. *)
 
 val updates_since_refactor : t -> int
 val stats : t -> stats

@@ -9,17 +9,14 @@
    materialized as a row.
 
    The basis inverse lives in a [Factor.t] behind the FTRAN/BTRAN
-   entry points: by default a Markowitz-ordered sparse LU with
-   threshold partial pivoting ([Sparse_lu]), with the historical
-   Gauss-Jordan product form retained as [Eta_file] for benchmarking
-   and cross-checks. Either way, basis changes between
-   refactorizations are absorbed by bounded eta-append updates, and
-   [Factor.should_refactor] decides when the update file has outgrown
-   the base factors (fill-growth policy for LU, the old fixed period
-   for the eta file). Phase 1 is the composite method: minimize the
-   total bound violation of the basic variables, with piecewise costs
-   recomputed from the current iterate, so it works unchanged from any
-   (possibly warm-started, possibly infeasible) basis.
+   entry points: a Markowitz-ordered sparse LU with threshold partial
+   pivoting. Basis changes between refactorizations are absorbed by
+   bounded eta-append updates, and [Factor.should_refactor] decides
+   when the update file has outgrown the base factors. Phase 1 is the
+   composite method: minimize the total bound violation of the basic
+   variables, with piecewise costs recomputed from the current
+   iterate, so it works unchanged from any (possibly warm-started,
+   possibly infeasible) basis.
 
    Supervision (DESIGN.md §5): the caller may pass a [Supervise.token];
    it is polled once per iteration, right after the feasibility scan,
@@ -38,8 +35,6 @@ module Supervise = Svgic_util.Supervise
 type vbasis = { stat0 : int array }
 (* Per-column status snapshot: 0 = basic, 1 = at lower bound,
    2 = at upper bound; length = structural + logical columns. *)
-
-type engine = Eta_file | Sparse_lu
 
 type stats = {
   refactorizations : int;
@@ -241,7 +236,7 @@ let screen_problem problem =
   done;
   if not !ok then failwith "Revised_simplex.solve: non-finite problem data"
 
-let build ~engine ?refactor_every problem =
+let build ?refactor_every problem =
   let nv = Problem.num_vars problem in
   let csc = Problem.csc problem in
   let m = csc.Problem.c_nr in
@@ -260,12 +255,7 @@ let build ~engine ?refactor_every problem =
         up.(nv + r) <- 0.0
     | Problem.Eq -> up.(nv + r) <- 0.0 (* [0, 0] *)
   done;
-  let mode =
-    match engine with
-    | Eta_file -> Factor.Product_form
-    | Sparse_lu -> Factor.Lu
-  in
-  let f = Factor.create mode ~m in
+  let f = Factor.create ~m in
   Factor.set_refactor_every f refactor_every;
   {
     m;
@@ -371,9 +361,9 @@ let extract_x st =
    fresh factorization repairs — the retry ladder in [solve] owns
    recovery. [force_bland] pins pricing and the ratio test to Bland's
    rule from the first pivot (the anti-cycling restart rung). *)
-let attempt ?basis ?(force_bland = false) ~engine ?refactor_every ~max_pivots
-    ~token problem =
-  let st = build ~engine ?refactor_every problem in
+let attempt ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
+    problem =
+  let st = build ?refactor_every problem in
   (* Bound sanity: an empty box is infeasible before any algebra. *)
   let box_ok = ref true in
   for j = 0 to st.ncols - 1 do
@@ -690,21 +680,19 @@ let jitter j =
   let z = logxor z (shift_right_logical z 31) in
   (to_float (shift_right_logical z 11) *. 0x1p-52) -. 1.0
 
-let solve ?(max_pivots = 500_000) ?basis ?token ?(engine = Sparse_lu)
-    ?refactor_every problem =
+let solve ?(max_pivots = 500_000) ?basis ?token ?refactor_every problem =
   let token =
     match token with Some t -> t | None -> Supervise.unlimited ()
   in
   screen_problem problem;
-  match attempt ?basis ~engine ?refactor_every ~max_pivots ~token problem with
+  match attempt ?basis ?refactor_every ~max_pivots ~token problem with
   | result -> result
   | exception Breakdown -> (
       (* Rung 2: cold restart under Bland's rule. Slower but immune to
          cycling, and the cold install discards whatever basis drove
          the numerics into the ground. *)
       match
-        attempt ~force_bland:true ~engine ?refactor_every ~max_pivots ~token
-          problem
+        attempt ~force_bland:true ?refactor_every ~max_pivots ~token problem
       with
       | result -> result
       | exception Breakdown -> (
@@ -728,13 +716,13 @@ let solve ?(max_pivots = 500_000) ?basis ?token ?(engine = Sparse_lu)
                Bland restart and perturbed retry"
           in
           match
-            attempt ~force_bland:true ~engine ?refactor_every ~max_pivots
-              ~token perturbed
+            attempt ~force_bland:true ?refactor_every ~max_pivots ~token
+              perturbed
           with
           | exception Breakdown -> fail ()
           | Optimal { basis = pb; _ } -> (
               match
-                attempt ~basis:pb ~force_bland:true ~engine ?refactor_every
+                attempt ~basis:pb ~force_bland:true ?refactor_every
                   ~max_pivots ~token problem
               with
               | result -> result

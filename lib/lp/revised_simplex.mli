@@ -5,11 +5,9 @@
     rows are kept sparse (the CSC view built by {!Problem.csc}),
     variable bounds are handled natively in the ratio test instead of
     being materialized as rows, and the basis inverse lives in a
-    {!Factor.t} — by default a Markowitz-ordered sparse LU with
-    threshold partial pivoting and bounded eta-append updates,
-    refactorized on fill growth rather than a fixed pivot period (the
-    historical product-form eta file remains available as
-    {!Eta_file}). Bland's rule takes over pricing and the ratio test
+    {!Factor.t} — a Markowitz-ordered sparse LU with threshold partial
+    pivoting and bounded eta-append updates, refactorized on fill
+    growth. Bland's rule takes over pricing and the ratio test
     after a stall, so degenerate programs terminate.
 
     Supervision (DESIGN.md §5 "Failure handling"): problem data is
@@ -22,10 +20,12 @@
     deadline or cancellation surfaces as {!Timeout} within one
     iteration, carrying the best iterate reached.
 
-    The dense tableau in [Simplex] solves the same class of programs
-    and is kept as the cross-check oracle; the randomized equivalence
-    tests in [test/test_revised_simplex.ml] pin the two solvers (and
-    both factorization engines) to each other. *)
+    This is the repository's only exact LP engine, standing in for the
+    commercial solver (Gurobi) the paper uses. A dense tableau kept
+    under [test/oracles/] solves the same class of programs; the
+    randomized equivalence tests in [test/test_revised_simplex.ml] pin
+    this solver to it, and to itself under a fresh factorization after
+    every pivot. *)
 
 type vbasis
 (** Snapshot of a basis: the basic/at-lower/at-upper status of every
@@ -33,10 +33,6 @@ type vbasis
     same rows and variables — only bounds and objective may differ,
     which is exactly the shape of branch-and-bound node re-solves and
     of repeated relaxation solves. *)
-
-type engine =
-  | Eta_file  (** Gauss-Jordan product form (the pre-LU engine). *)
-  | Sparse_lu  (** Markowitz LU + eta-append updates (default). *)
 
 type stats = {
   refactorizations : int;  (** base-factorization rebuilds *)
@@ -89,7 +85,6 @@ val solve :
   ?max_pivots:int ->
   ?basis:vbasis ->
   ?token:Svgic_util.Supervise.token ->
-  ?engine:engine ->
   ?refactor_every:int ->
   Problem.t ->
   status
@@ -101,13 +96,10 @@ val solve :
     always safe. [max_pivots] (default [500_000]) bounds basis
     changes per attempt; exceeding it raises [Failure].
 
-    [engine] selects the basis factorization (default {!Sparse_lu});
-    both engines implement identical FTRAN/BTRAN semantics, so
-    verdicts and iterates agree to factorization roundoff — the
-    equivalence tests assert agreement within [1e-7] on the programs
-    in the suite. [refactor_every] overrides the refactorization
-    policy with a fixed update period ([~refactor_every:1] = a fresh
-    factorization after every pivot, the testing anchor).
+    [refactor_every] overrides the refactorization policy with a fixed
+    update period ([~refactor_every:1] = a fresh factorization after
+    every pivot, the testing anchor: the equivalence tests assert that
+    it agrees with the default policy within [1e-7]).
 
     [token] supervises the solve: it is polled once per iteration and
     expiry returns [Timeout] with the current iterate. Without it the

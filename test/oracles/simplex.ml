@@ -1,3 +1,5 @@
+module Problem = Svgic_lp.Problem
+
 type status =
   | Optimal of solution
   | Infeasible

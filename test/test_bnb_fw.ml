@@ -92,19 +92,14 @@ let ilp_of (p : Pairwise_fw.problem) =
   (ilp, Array.concat (Array.to_list (Array.map Array.copy x)))
 
 let fw_options ?(warm_start = true) ?time_budget_s ?node_budget () =
+  { Branch_bound.default_options with warm_start; time_budget_s; node_budget }
+
+let fw =
   {
-    Branch_bound.default_options with
-    warm_start;
-    time_budget_s;
-    node_budget;
-    engine =
-      Branch_bound.Frank_wolfe
-        {
-          Branch_bound.default_fw_options with
-          node_iterations = 250;
-          smoothing = 0.002;
-          leaf_gap_tol = 1e-5;
-        };
+    Branch_bound.default_fw_options with
+    node_iterations = 250;
+    smoothing = 0.002;
+    leaf_gap_tol = 1e-5;
   }
 
 (* The proof tolerance solve_fw works to, mirrored here so the
@@ -123,7 +118,7 @@ let test_fw_vs_simplex_equivalence () =
     Alcotest.(check (float 1e-6))
       (Printf.sprintf "seed %d: simplex tree matches brute force" seed)
       exact simplex.Branch_bound.objective;
-    let r = Branch_bound.solve_fw ~options:(fw_options ()) p in
+    let r = Branch_bound.solve_fw ~fw ~options:(fw_options ()) p in
     let tol = proof_tol p in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: fw tree proved" seed)
@@ -150,9 +145,9 @@ let test_warm_cold_identity () =
     incr seed;
     let p = random_problem !seed ~n:4 ~m:5 ~k:2 ~edges:6 in
     let exact = brute_force p in
-    let warm = Branch_bound.solve_fw ~options:(fw_options ()) p in
+    let warm = Branch_bound.solve_fw ~fw ~options:(fw_options ()) p in
     let cold =
-      Branch_bound.solve_fw ~options:(fw_options ~warm_start:false ()) p
+      Branch_bound.solve_fw ~fw ~options:(fw_options ~warm_start:false ()) p
     in
     Alcotest.(check int) "cold tree takes no warm starts" 0
       cold.Branch_bound.warm_starts;
@@ -183,9 +178,9 @@ let test_warm_saves_iterations () =
   let warm_total = ref 0 and cold_total = ref 0 in
   for seed = 1 to 12 do
     let p = random_problem seed ~n:5 ~m:6 ~k:2 ~edges:8 in
-    let warm = Branch_bound.solve_fw ~options:(fw_options ()) p in
+    let warm = Branch_bound.solve_fw ~fw ~options:(fw_options ()) p in
     let cold =
-      Branch_bound.solve_fw ~options:(fw_options ~warm_start:false ()) p
+      Branch_bound.solve_fw ~fw ~options:(fw_options ~warm_start:false ()) p
     in
     warm_total := !warm_total + warm.Branch_bound.fw_iterations;
     cold_total := !cold_total + cold.Branch_bound.fw_iterations;
@@ -207,7 +202,7 @@ let test_deadline_mid_tree () =
   let exact = brute_force p in
   (* Node budget 1: the root is solved and rounded, then the budget
      trips with both children still open — deterministic "mid-tree". *)
-  let r = Branch_bound.solve_fw ~options:(fw_options ~node_budget:1 ()) p in
+  let r = Branch_bound.solve_fw ~fw ~options:(fw_options ~node_budget:1 ()) p in
   Alcotest.(check bool) "timed out" true r.Branch_bound.timed_out;
   Alcotest.(check bool) "not proved" false r.Branch_bound.proved_optimal;
   (match r.Branch_bound.incumbent with
@@ -224,7 +219,7 @@ let test_deadline_mid_tree () =
   (* An already-expired supervision token: still a sound (if trivial)
      anytime answer, never an exception. *)
   let r2 =
-    Branch_bound.solve_fw ~options:(fw_options ())
+    Branch_bound.solve_fw ~fw ~options:(fw_options ())
       ~token:(Supervise.expired_token ()) p
   in
   Alcotest.(check bool) "expired token times out" true
@@ -235,14 +230,14 @@ let test_deadline_mid_tree () =
    tree still proves the same optimum as a clean run. *)
 let test_fault_recovery () =
   let p = random_problem 11 ~n:4 ~m:5 ~k:2 ~edges:6 in
-  let clean = Branch_bound.solve_fw ~options:(fw_options ()) p in
+  let clean = Branch_bound.solve_fw ~fw ~options:(fw_options ()) p in
   Alcotest.(check bool) "clean run proved" true
     clean.Branch_bound.proved_optimal;
   List.iter
     (fun kind ->
       Fault.configure ~seed:3 ~rate:1.0 ~kinds:[ kind ];
       Fun.protect ~finally:Fault.clear (fun () ->
-          let faulty = Branch_bound.solve_fw ~options:(fw_options ()) p in
+          let faulty = Branch_bound.solve_fw ~fw ~options:(fw_options ()) p in
           Alcotest.(check bool) "faulty run proved" true
             faulty.Branch_bound.proved_optimal;
           Alcotest.(check (float 1e-9))
@@ -256,7 +251,7 @@ let test_certificate_sound_dense () =
   for seed = 30 to 34 do
     let p = random_problem seed ~n:4 ~m:4 ~k:2 ~edges:10 in
     let exact = brute_force p in
-    let r = Branch_bound.solve_fw ~options:(fw_options ()) p in
+    let r = Branch_bound.solve_fw ~fw ~options:(fw_options ()) p in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: bound >= optimum" seed)
       true

@@ -212,9 +212,27 @@ let test_dynamic_resolve_not_worse_than_greedy_join () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invalid resolve: %s" msg
 
+(* Pivots of the exact relaxation solve behind a result; fails when the
+   solve left no basis or no counters to warm start from. *)
+let warm_pivots (relax : Svgic.Relaxation.t) =
+  Alcotest.(check bool) "relaxation returns a basis" true (relax.basis <> None);
+  match relax.lp_stats with
+  | Some s -> s.Svgic.Relaxation.pivots
+  | None -> Alcotest.fail "relaxation returns no lp_stats"
+
+let test_dynamic_resolve_warm () =
+  let rng = Rng.create 501 in
+  let inst = Helpers.random_instance rng ~n:5 ~m:7 ~k:2 in
+  let session = Dynamic.start rng inst in
+  ignore (warm_pivots (Dynamic.relaxation session));
+  let resolved = Dynamic.resolve rng session in
+  Alcotest.(check int) "unchanged population re-solves in 0 pivots" 0
+    (warm_pivots (Dynamic.relaxation resolved))
+
 (* ------------------------------ SEO -------------------------------- *)
 
-let test_seo_plan_feasible () =
+(* Ten attendees, eight events, two rounds: a 224-variable LP_SIMP. *)
+let seo_fixture () =
   let rng = Rng.create 503 in
   let g = Svgic_graph.Generate.erdos_renyi rng ~n:10 ~p:0.4 in
   let events = Array.init 8 (fun i -> Seo.{ name = Printf.sprintf "event-%d" i }) in
@@ -223,6 +241,10 @@ let test_seo_plan_feasible () =
     Seo.organize rng ~graph:g ~events ~rounds:2 ~capacity:4 ~pref
       ~tau:(fun _ _ _ -> 0.2) ~lambda:0.5
   in
+  (rng, plan)
+
+let test_seo_plan_feasible () =
+  let _, plan = seo_fixture () in
   Alcotest.(check bool) "capacity respected" true (Seo.max_event_load plan <= 4);
   (* Every user's schedule has distinct events. *)
   for u = 0 to 9 do
@@ -231,6 +253,13 @@ let test_seo_plan_feasible () =
     Alcotest.(check bool) "distinct events" true (schedule.(0) <> schedule.(1))
   done;
   Alcotest.(check bool) "welfare positive" true (Seo.total_welfare plan > 0.0)
+
+let test_seo_replan_warm () =
+  let rng, plan = seo_fixture () in
+  Alcotest.(check bool) "plan pivoted" true (warm_pivots plan.Seo.relax > 0);
+  let replanned = Seo.replan rng plan in
+  Alcotest.(check int) "unchanged plan replans in 0 pivots" 0
+    (warm_pivots replanned.Seo.relax)
 
 let test_seo_capacity_guard () =
   let rng = Rng.create 504 in
@@ -260,6 +289,8 @@ let suite =
     Alcotest.test_case "MVD view cap" `Quick test_mvd_view_cap;
     Alcotest.test_case "dynamic join/leave" `Quick test_dynamic_join_leave_roundtrip;
     Alcotest.test_case "dynamic resolve" `Quick test_dynamic_resolve_not_worse_than_greedy_join;
+    Alcotest.test_case "dynamic resolve warm starts" `Quick test_dynamic_resolve_warm;
     Alcotest.test_case "SEO feasible plan" `Quick test_seo_plan_feasible;
+    Alcotest.test_case "SEO replan warm starts" `Quick test_seo_replan_warm;
     Alcotest.test_case "SEO capacity guard" `Quick test_seo_capacity_guard;
   ]

@@ -1,9 +1,8 @@
-(* The Factor module against a dense linear-algebra oracle: both modes
-   (Markowitz LU and the seed product form) must solve B z = w and
-   B^T y = c to tight tolerance on random unit-heavy bases, absorb
-   column replacements through update etas, agree with a fresh
-   factorization after any update sequence, and detect singular column
-   sets. *)
+(* The Factor module against a dense linear-algebra oracle: the
+   Markowitz LU must solve B z = w and B^T y = c to tight tolerance on
+   random unit-heavy bases, absorb column replacements through update
+   etas, agree with a fresh factorization after any update sequence,
+   and detect singular column sets. *)
 
 module Factor = Svgic_lp.Factor
 module Rng = Svgic_util.Rng
@@ -111,9 +110,9 @@ let max_abs_diff x y =
   Array.iteri (fun i v -> d := Float.max !d (Float.abs (v -. y.(i)))) x;
   !d
 
-let check_solves ~msg mode a =
+let check_solves ~msg a =
   let m = Array.length a in
-  let f = Factor.create mode ~m in
+  let f = Factor.create ~m in
   let row_of = Array.make m 0 in
   refactor_dense f a row_of;
   (* row_of must be a permutation *)
@@ -164,17 +163,7 @@ let test_oracle_lu () =
   for case = 1 to 40 do
     let m = 1 + Rng.int rng 24 in
     let a = random_basis rng m in
-    check_solves ~msg:(Printf.sprintf "lu case %d (m=%d)" case m) Factor.Lu a
-  done
-
-let test_oracle_pf () =
-  let rng = Rng.create 43 in
-  for case = 1 to 40 do
-    let m = 1 + Rng.int rng 24 in
-    let a = random_basis rng m in
-    check_solves
-      ~msg:(Printf.sprintf "pf case %d (m=%d)" case m)
-      Factor.Product_form a
+    check_solves ~msg:(Printf.sprintf "lu case %d (m=%d)" case m) a
   done
 
 (* ------------------ update etas ----------------------------------- *)
@@ -183,95 +172,88 @@ let test_oracle_pf () =
    compare every FTRAN against a freshly refactorized twin. *)
 let test_updates () =
   let rng = Rng.create 4242 in
-  List.iter
-    (fun mode ->
-      for case = 1 to 12 do
-        let m = 4 + Rng.int rng 16 in
-        let a = random_basis rng m in
-        let f = Factor.create mode ~m in
-        let row_of = Array.make m 0 in
-        refactor_dense f a row_of;
-        for step = 1 to 8 do
-          (* new column replacing a random slot *)
-          let slot = Rng.int rng m in
-          let col = Array.make m 0.0 in
-          for i = 0 to m - 1 do
-            if Rng.float rng 1.0 < 0.4 then col.(i) <- Rng.float rng 4.0 -. 2.0
-          done;
-          col.(slot) <- col.(slot) +. 2.0;
-          (* keep it invertible *)
-          let w = Array.copy col in
-          Factor.ftran f w;
-          let r = row_of.(slot) in
-          if Float.abs w.(r) > 1e-6 then begin
-            Factor.update f ~pivot_row:r w;
-            for i = 0 to m - 1 do
-              a.(i).(slot) <- col.(i)
-            done;
-            (* twin: fresh factorization of the updated basis *)
-            let g = Factor.create mode ~m in
-            let row_of_g = Array.make m 0 in
-            refactor_dense g a row_of_g;
-            let b = Array.init m (fun _ -> Rng.float rng 2.0 -. 1.0) in
-            let wu = Array.copy b and wf = Array.copy b in
-            Factor.ftran f wu;
-            Factor.ftran g wf;
-            let got_u = Array.make m 0.0 and got_f = Array.make m 0.0 in
-            Array.iteri (fun s r -> got_u.(s) <- wu.(r)) row_of;
-            Array.iteri (fun s r -> got_f.(s) <- wf.(r)) row_of_g;
-            Alcotest.(check bool)
-              (Printf.sprintf "update case %d step %d: updated = fresh" case
-                 step)
-              true
-              (max_abs_diff got_u got_f < 1e-6)
-          end
+  for case = 1 to 12 do
+    let m = 4 + Rng.int rng 16 in
+    let a = random_basis rng m in
+    let f = Factor.create ~m in
+    let row_of = Array.make m 0 in
+    refactor_dense f a row_of;
+    for step = 1 to 8 do
+      (* new column replacing a random slot *)
+      let slot = Rng.int rng m in
+      let col = Array.make m 0.0 in
+      for i = 0 to m - 1 do
+        if Rng.float rng 1.0 < 0.4 then col.(i) <- Rng.float rng 4.0 -. 2.0
+      done;
+      col.(slot) <- col.(slot) +. 2.0;
+      (* keep it invertible *)
+      let w = Array.copy col in
+      Factor.ftran f w;
+      let r = row_of.(slot) in
+      if Float.abs w.(r) > 1e-6 then begin
+        Factor.update f ~pivot_row:r w;
+        for i = 0 to m - 1 do
+          a.(i).(slot) <- col.(i)
         done;
-        Alcotest.(check bool) "updates counted" true
-          (Factor.updates_since_refactor f <= 8
-          && (Factor.stats f).eta_appends = Factor.updates_since_refactor f)
-      done)
-    [ Factor.Lu; Factor.Product_form ]
+        (* twin: fresh factorization of the updated basis *)
+        let g = Factor.create ~m in
+        let row_of_g = Array.make m 0 in
+        refactor_dense g a row_of_g;
+        let b = Array.init m (fun _ -> Rng.float rng 2.0 -. 1.0) in
+        let wu = Array.copy b and wf = Array.copy b in
+        Factor.ftran f wu;
+        Factor.ftran g wf;
+        let got_u = Array.make m 0.0 and got_f = Array.make m 0.0 in
+        Array.iteri (fun s r -> got_u.(s) <- wu.(r)) row_of;
+        Array.iteri (fun s r -> got_f.(s) <- wf.(r)) row_of_g;
+        Alcotest.(check bool)
+          (Printf.sprintf "update case %d step %d: updated = fresh" case step)
+          true
+          (max_abs_diff got_u got_f < 1e-6)
+      end
+    done;
+    Alcotest.(check bool) "updates counted" true
+      (Factor.updates_since_refactor f <= 8
+      && (Factor.stats f).eta_appends = Factor.updates_since_refactor f)
+  done
 
 (* ------------------ singularity ----------------------------------- *)
 
 let test_singular () =
-  List.iter
-    (fun mode ->
-      let m = 6 in
-      let rng = Rng.create 7 in
-      let a = random_basis rng m in
-      (* duplicate column 0 into column 1 *)
-      for i = 0 to m - 1 do
-        a.(i).(1) <- a.(i).(0)
-      done;
-      let f = Factor.create mode ~m in
-      let row_of = Array.make m 0 in
-      let raised =
-        try
-          refactor_dense f a row_of;
-          false
-        with Factor.Singular -> true
-      in
-      Alcotest.(check bool) "duplicate column detected" true raised;
-      (* after Singular the factor is usable as the identity *)
-      let w = Array.init m float_of_int in
-      let w' = Array.copy w in
-      Factor.ftran f w';
-      Alcotest.(check bool) "identity after Singular" true
-        (max_abs_diff w w' = 0.0);
-      (* structurally empty column *)
-      let b = random_basis (Rng.create 8) m in
-      for i = 0 to m - 1 do
-        b.(i).(2) <- 0.0
-      done;
-      let raised2 =
-        try
-          refactor_dense f b row_of;
-          false
-        with Factor.Singular -> true
-      in
-      Alcotest.(check bool) "empty column detected" true raised2)
-    [ Factor.Lu; Factor.Product_form ]
+  let m = 6 in
+  let rng = Rng.create 7 in
+  let a = random_basis rng m in
+  (* duplicate column 0 into column 1 *)
+  for i = 0 to m - 1 do
+    a.(i).(1) <- a.(i).(0)
+  done;
+  let f = Factor.create ~m in
+  let row_of = Array.make m 0 in
+  let raised =
+    try
+      refactor_dense f a row_of;
+      false
+    with Factor.Singular -> true
+  in
+  Alcotest.(check bool) "duplicate column detected" true raised;
+  (* after Singular the factor is usable as the identity *)
+  let w = Array.init m float_of_int in
+  let w' = Array.copy w in
+  Factor.ftran f w';
+  Alcotest.(check bool) "identity after Singular" true
+    (max_abs_diff w w' = 0.0);
+  (* structurally empty column *)
+  let b = random_basis (Rng.create 8) m in
+  for i = 0 to m - 1 do
+    b.(i).(2) <- 0.0
+  done;
+  let raised2 =
+    try
+      refactor_dense f b row_of;
+      false
+    with Factor.Singular -> true
+  in
+  Alcotest.(check bool) "empty column detected" true raised2
 
 (* ------------------ policy + stats -------------------------------- *)
 
@@ -279,7 +261,7 @@ let test_policy () =
   let m = 8 in
   let rng = Rng.create 11 in
   let a = random_basis rng m in
-  let f = Factor.create Factor.Lu ~m in
+  let f = Factor.create ~m in
   let row_of = Array.make m 0 in
   refactor_dense f a row_of;
   Alcotest.(check bool) "fresh factor needs no refactor" false
@@ -304,8 +286,6 @@ let suite =
   [
     Alcotest.test_case "lu vs dense oracle (40 random bases)" `Quick
       test_oracle_lu;
-    Alcotest.test_case "product form vs dense oracle (40 random bases)" `Quick
-      test_oracle_pf;
     Alcotest.test_case "update etas = fresh refactorization" `Quick
       test_updates;
     Alcotest.test_case "singular bases detected, identity after" `Quick

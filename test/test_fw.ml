@@ -5,7 +5,7 @@
    Relaxation-level gap report. *)
 
 module Problem = Svgic_lp.Problem
-module Simplex = Svgic_lp.Simplex
+module Simplex = Svgic_oracles.Simplex
 module Fw = Svgic_lp.Pairwise_fw
 module Rng = Svgic_util.Rng
 
@@ -208,7 +208,7 @@ let test_relaxation_reports_gap () =
   let saved = Svgic.Relaxation.backend_budget () in
   (* Shrink the budget so Auto must route this instance to FW. *)
   Svgic.Relaxation.set_backend_budget
-    { Svgic.Relaxation.exact_vars = 10; exact_nnz = 10; dense_vars = 10 };
+    { Svgic.Relaxation.exact_vars = 10; exact_nnz = 10 };
   let fw = Svgic.Relaxation.solve inst in
   Svgic.Relaxation.set_backend_budget saved;
   (match fw.Svgic.Relaxation.fw_gap with

@@ -1,7 +1,7 @@
 (* Tests for the LP substrate: simplex, branch-and-bound, Frank-Wolfe. *)
 
 module Problem = Svgic_lp.Problem
-module Simplex = Svgic_lp.Simplex
+module Simplex = Svgic_oracles.Simplex
 module Branch_bound = Svgic_lp.Branch_bound
 module Pairwise_fw = Svgic_lp.Pairwise_fw
 module Rng = Svgic_util.Rng

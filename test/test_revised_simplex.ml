@@ -3,7 +3,7 @@
    starts are for. *)
 
 module Problem = Svgic_lp.Problem
-module Simplex = Svgic_lp.Simplex
+module Simplex = Svgic_oracles.Simplex
 module Revised = Svgic_lp.Revised_simplex
 module Branch_bound = Svgic_lp.Branch_bound
 module Rng = Svgic_util.Rng
@@ -55,7 +55,7 @@ let test_ge_rows () =
   check_obj "objective" (-2.8) s
 
 let test_lower_bounds () =
-  (* max -x with x in [2, 5] -> -2; both engines. *)
+  (* max -x with x in [2, 5] -> -2; revised and dense oracle. *)
   let p = Problem.create () in
   let x = Problem.add_var p ~upper:5.0 ~obj:(-1.0) ~name:"x" () in
   Problem.set_lower p x 2.0;
@@ -188,31 +188,7 @@ let test_random_cross_check () =
   done;
   Alcotest.(check bool) "at least 100 instances" true (!checked >= 100)
 
-(* ------------------ factorization engines ------------------------- *)
-
-(* The eta-file and LU engines implement the same FTRAN/BTRAN
-   semantics, so every verdict must agree and optimal objectives must
-   match to factorization roundoff across the full random-program
-   matrix (degenerate, bound-tight, duplicate-row seeds included). *)
-let test_engine_agreement () =
-  let optimal = ref 0 in
-  for seed = 0 to 119 do
-    let p, _ = random_problem seed in
-    let eta = Revised.solve ~engine:Revised.Eta_file p in
-    let lu = Revised.solve ~engine:Revised.Sparse_lu p in
-    match (eta, lu) with
-    | Revised.Optimal e, Revised.Optimal l ->
-        incr optimal;
-        if Float.abs (e.objective -. l.objective) > 1e-7 then
-          Alcotest.failf "seed %d: eta %.9f vs lu %.9f" seed e.objective
-            l.objective;
-        if not (Problem.check_feasible ~eps:1e-6 p l.x) then
-          Alcotest.failf "seed %d: lu solution infeasible" seed
-    | Revised.Infeasible, Revised.Infeasible
-    | Revised.Unbounded, Revised.Unbounded -> ()
-    | _ -> Alcotest.failf "seed %d: engine status disagreement" seed
-  done;
-  Alcotest.(check bool) "at least 100 optimal programs" true (!optimal >= 100)
+(* ------------------ factorization updates ------------------------- *)
 
 (* Eta-append updates against the testing anchor: a fresh
    factorization after every pivot. Any drift between the updated
@@ -222,8 +198,8 @@ let test_lu_updates_equal_fresh_factorization () =
   let optimal = ref 0 in
   for seed = 0 to 119 do
     let p, _ = random_problem seed in
-    let updated = Revised.solve ~engine:Revised.Sparse_lu p in
-    let fresh = Revised.solve ~engine:Revised.Sparse_lu ~refactor_every:1 p in
+    let updated = Revised.solve p in
+    let fresh = Revised.solve ~refactor_every:1 p in
     match (updated, fresh) with
     | Revised.Optimal u, Revised.Optimal f ->
         incr optimal;
@@ -291,9 +267,9 @@ let test_lu_timeout_partial_resumes () =
   | Revised.Optimal _ | Revised.Infeasible | Revised.Unbounded ->
       Alcotest.fail "expected timeout under an expired token"
 
-(* PR-5 health-guard recovery, replayed on the LU engine (now the
-   relaxation default): a fault-injected sharded round completes, the
-   clean shards stay exact, and the objective never falls below the
+(* Health-guard recovery, replayed on the LU engine (the relaxation's
+   exact engine): a fault-injected sharded round completes, the clean
+   shards stay exact, and the objective never falls below the
    all-greedy floor. *)
 let test_lu_fault_injection_recovers () =
   let module Fault = Svgic_util.Fault in
@@ -558,11 +534,27 @@ let test_choose_backend_budget () =
      the same instance back onto the exact path. *)
   let saved = Svgic.Relaxation.backend_budget () in
   Svgic.Relaxation.set_backend_budget
-    { Svgic.Relaxation.exact_vars = 100_000; exact_nnz = 600_000; dense_vars = 1_500 };
+    { Svgic.Relaxation.exact_vars = 100_000; exact_nnz = 600_000 };
   (match Svgic.Relaxation.choose_backend big with
   | Svgic.Relaxation.Exact_simplex -> ()
   | _ -> Alcotest.fail "grown budget should select the exact path");
   Svgic.Relaxation.set_backend_budget saved
+
+(* Table 1's running example (40 LP_SIMP variables): the exact path
+   returns a reusable basis and the dense oracle's optimum. *)
+let test_relaxation_exact_on_example () =
+  let inst = Svgic.Example_paper.instance () in
+  let problem, _ = Svgic.Lp_build.simp_lp inst in
+  Alcotest.(check int) "40 variables" 40 (Problem.num_vars problem);
+  let relax = Svgic.Relaxation.solve inst in
+  Alcotest.(check bool) "exact path returns a basis" true
+    (relax.Svgic.Relaxation.basis <> None);
+  match Simplex.solve problem with
+  | Simplex.Optimal d ->
+      Alcotest.(check (float 1e-9)) "objective = dense oracle" d.objective
+        relax.Svgic.Relaxation.scaled_objective
+  | Simplex.Infeasible | Simplex.Unbounded ->
+      Alcotest.fail "dense oracle: expected optimal"
 
 let test_relaxation_exact_on_medium () =
   (* End-to-end: an instance beyond the old 1500-variable budget now
@@ -601,8 +593,6 @@ let suite =
     Alcotest.test_case "revised degenerate" `Quick test_degenerate;
     Alcotest.test_case "revised vs dense oracle (120 seeds)" `Quick
       test_random_cross_check;
-    Alcotest.test_case "eta vs lu engine agreement (120 seeds)" `Quick
-      test_engine_agreement;
     Alcotest.test_case "lu updates = fresh factorization (120 seeds)" `Quick
       test_lu_updates_equal_fresh_factorization;
     Alcotest.test_case "lu stats sanity + lp_stats surfacing" `Quick
@@ -628,6 +618,8 @@ let suite =
     Alcotest.test_case "bb warm start consistent" `Quick
       test_bb_warm_start_consistent;
     Alcotest.test_case "backend budget rule" `Quick test_choose_backend_budget;
+    Alcotest.test_case "relaxation exact on the running example" `Quick
+      test_relaxation_exact_on_example;
     Alcotest.test_case "relaxation exact beyond old budget" `Quick
       test_relaxation_exact_on_medium;
   ]

@@ -157,6 +157,22 @@ let test_cli_rejects_part_count () =
         "bad --shards value \"50\": more parts than the 12 users\n" err)
     [ "solve"; "serve" ]
 
+let test_cli_rejects_cap () =
+  List.iter
+    (fun (args, cap) ->
+      let code, err = run_cli args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ ": exit code") 1 code;
+      Alcotest.(check string) (what ^ ": one-line error")
+        (Printf.sprintf "bad --cap value %d: the size cap must be at least 1\n" cap)
+        err)
+    [
+      ([ "solve"; "--method"; "avg"; "-n"; "8"; "-m"; "6"; "-k"; "2"; "--cap"; "0" ], 0);
+      ([ "solve"; "--method"; "avg-d"; "-n"; "8"; "-m"; "6"; "-k"; "2"; "--cap"; "0" ], 0);
+      ([ "compare"; "-n"; "8"; "-m"; "6"; "-k"; "2"; "--cap"; "0" ], 0);
+      ([ "solve"; "-n"; "8"; "-m"; "6"; "-k"; "2"; "--cap=-3" ], -3);
+    ]
+
 (* On a disconnected graph the objective factors exactly, so
    component-sharding is pinned to the monolith at every layer where
    equality genuinely holds: the relaxation value decomposes to the
@@ -344,6 +360,7 @@ let suite =
     Alcotest.test_case "balanced labelling" `Quick test_partition_balanced;
     Alcotest.test_case "balanced part count checked" `Quick
       test_balanced_part_count;
+    Alcotest.test_case "CLI rejects --cap < 1" `Quick test_cli_rejects_cap;
     Alcotest.test_case "CLI rejects --shards > users" `Quick
       test_cli_rejects_part_count;
     Alcotest.test_case "component exactness (20 seeds)" `Quick
