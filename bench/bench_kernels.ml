@@ -412,29 +412,23 @@ let fw_sparse_problem seed ~n ~m ~k ~edges ~density =
   in
   Svgic_lp.Pairwise_fw.{ n; m; k; linear; pairs }
 
-(* Dense prototype vs sparse engine, both serial, same iteration
-   schedule: isolates the CSR adjacency + fused sweep + masked-argmax
-   oracle from the fan-out. The size field is m·k, matching the other
-   config-phase kernels. *)
+(* The sparse engine, serial, on a fixed iteration schedule: the CSR
+   adjacency + two-pass sweep + masked-argmax oracle without the
+   fan-out. The size field is m·k, matching the other config-phase
+   kernels. *)
 let fw_solve_records ~shapes =
-  List.concat_map
+  List.map
     (fun (n, m, k) ->
       let p =
         fw_sparse_problem (5100 + n + m + k) ~n ~m ~k ~edges:(4 * n)
           ~density:0.1
       in
       let iterations = 40 in
-      let (dense, dense_w), (sparse, sparse_w) =
-        time_pair ~rounds:3 ~ops:1
-          (fun () ->
-            ignore (Svgic_lp.Pairwise_fw.Reference.solve ~iterations p))
-          (fun () -> ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:1 p))
+      let sparse, sparse_w =
+        time_kernel ~ops:1 (fun () ->
+            ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:1 p))
       in
-      let size = m * k in
-      [
-        mk ~alloc:dense_w "fw_solve" "dense" size dense;
-        mk ~alloc:sparse_w "fw_solve" "sparse" size sparse;
-      ])
+      mk ~alloc:sparse_w "fw_solve" "sparse" (m * k) sparse)
     shapes
 
 (* Sparse engine serial vs fanned out over every available domain.
@@ -682,6 +676,37 @@ let community_detect_records ~timik_users =
       mk ~note ~alloc:words "community_detect" variant (Graph.n g) ns)
     [ ("plan_unlabelled", planted, 20); ("timik", timik, 1) ]
 
+(* ---------------- induced subgraph -------------------------------- *)
+
+(* One 30-user community cut out of a Timik-like graph: the shape of a
+   serving shard's per-tick [Instance.restrict_users]. The cost should
+   follow the community's out-degree sum, not the graph's size. *)
+let subgraph_records ~users =
+  let module Graph = Svgic_graph.Graph in
+  let communities = users / 30 in
+  let g, labels =
+    Svgic_graph.Generate.timik_like (Rng.create 7400) ~n:users ~communities
+      ~attach:2 ~cross_frac:0.02
+  in
+  (* The generator hands the remainder users to the first communities,
+     so the last one has exactly [users / communities] = 30 members. *)
+  let members =
+    Array.of_list
+      (List.filter
+         (fun u -> labels.(u) = communities - 1)
+         (List.init users Fun.id))
+  in
+  let sub, _ = Graph.subgraph g members in
+  let ns, words =
+    time_kernel ~ops:(max 20 (2_000_000 / users)) (fun () ->
+        ignore (Graph.subgraph g members))
+  in
+  let note =
+    Printf.sprintf "%d-user community, %d induced edges" (Array.length members)
+      (Graph.num_edges sub)
+  in
+  [ mk ~note ~alloc:words "subgraph" "community" users ns ]
+
 (* ---------------- end-to-end pipeline: monolith vs sharded -------- *)
 
 (* Planted-community instance: [blobs] dense blobs bridged by one edge
@@ -860,8 +885,8 @@ let time_zero_alloc ~ops f =
   (dt *. 1e9 /. float_of_int ops, dw /. float_of_int ops)
 
 (* The two per-iteration hot paths the GC pass pinned to zero
-   minor-heap allocation: the Frank-Wolfe fused sweep (serial path;
-   gradient + exact objective + top-k oracle + gap per user) and the
+   minor-heap allocation: the Frank-Wolfe sweep (serial path; share
+   pass, then gradient + top-k oracle + gap per user) and the
    AVG-D slot-eval sweep (prepare one slot, re-score every item).
    Regressions fail the bench run itself — and the CI grep on the
    emitted 0.0 — rather than just drifting the baseline. *)
@@ -882,6 +907,15 @@ let zero_alloc_records ~fw_shape:(n, m, k) ~csf_shape:(cn, cm, ck) =
     time_zero_alloc ~ops:fw_ops (fun () -> Svgic_lp.Pairwise_fw.sweep_serial st)
   in
   assert_zero "fw_sweep" fw_w;
+  (* The share pass takes one exp per (pair, item) with a non-zero
+     weight. *)
+  let exps =
+    Array.fold_left
+      (fun acc (_, _, w) ->
+        Array.fold_left (fun a wc -> if wc <> 0.0 then a + 1 else a) acc w)
+      0 p.pairs
+  in
+  let fw_note = Printf.sprintf "%d exp per sweep" exps in
   let rng = Rng.create (8200 + cn + cm + ck) in
   let inst = Datasets.make Datasets.Timik rng ~n:cn ~m:cm ~k:ck ~lambda:0.5 in
   let relax = Svgic.Relaxation.solve inst in
@@ -893,7 +927,7 @@ let zero_alloc_records ~fw_shape:(n, m, k) ~csf_shape:(cn, cm, ck) =
   in
   assert_zero "csf_slot_eval" csf_w;
   [
-    mk ~alloc:fw_w "fw_sweep" "fused" (n * m) fw_ns;
+    mk ~alloc:fw_w ~note:fw_note "fw_sweep" "fused" (n * m) fw_ns;
     mk ~alloc:csf_w "csf_slot_eval" "hot" (cn * cm) csf_ns;
   ]
 
@@ -1076,7 +1110,6 @@ let speedups records =
     | "fenwick" -> Some "naive"
     | "champion" -> Some "naive"
     | "parallel" -> Some "serial"
-    | "sparse" -> Some "dense"
     | "fw" -> Some "exact"
     (* bnb pairs: FW-node tree vs simplex-node tree at matched ILP
        sizes (the oversized fw_bb row has no simplex twin and derives
@@ -1333,6 +1366,7 @@ let run () =
         ~fw_shapes:ladder_fw_shapes
     @ st_total_utility_records ~shapes:st_shapes
     @ community_detect_records ~timik_users:community_timik_users
+    @ subgraph_records ~users:community_timik_users
     @ pipeline_records ~shape:pipeline_shape
     @ pipeline_mc_records ~shape:pipeline_shape
     @ shard_partition_records ~shape:shard_partition_shape

@@ -24,86 +24,22 @@ let fx_free = 0
 let fx_zero = 1
 let fx_one = 2
 
-(* Logistic weight of the soft-min gradient, numerically stable. *)
-let sigmoid z = if z >= 0.0 then 1.0 /. (1.0 +. exp (-.z)) else exp z /. (1.0 +. exp z)
-
-(* The seed prototype, retained verbatim as the dense-gradient oracle:
-   tests pin the sparse engine's gradient and objective to it, and the
-   fw_solve bench rows use it as the "before" side. *)
-module Reference = struct
-  let objective p x =
-    let acc = ref 0.0 in
-    for u = 0 to p.n - 1 do
-      let lin = p.linear.(u) and xu = x.(u) in
+let objective p x =
+  let acc = ref 0.0 in
+  for u = 0 to p.n - 1 do
+    let lin = p.linear.(u) and xu = x.(u) in
+    for c = 0 to p.m - 1 do
+      acc := !acc +. (lin.(c) *. xu.(c))
+    done
+  done;
+  Array.iter
+    (fun (u, v, w) ->
+      let xu = x.(u) and xv = x.(v) in
       for c = 0 to p.m - 1 do
-        acc := !acc +. (lin.(c) *. xu.(c))
-      done
-    done;
-    Array.iter
-      (fun (u, v, w) ->
-        let xu = x.(u) and xv = x.(v) in
-        for c = 0 to p.m - 1 do
-          if w.(c) <> 0.0 then acc := !acc +. (w.(c) *. Float.min xu.(c) xv.(c))
-        done)
-      p.pairs;
-    !acc
-
-  let gradient p ~smoothing x grad =
-    for u = 0 to p.n - 1 do
-      Array.blit p.linear.(u) 0 grad.(u) 0 p.m
-    done;
-    Array.iter
-      (fun (u, v, w) ->
-        let xu = x.(u) and xv = x.(v) in
-        let gu = grad.(u) and gv = grad.(v) in
-        for c = 0 to p.m - 1 do
-          if w.(c) <> 0.0 then begin
-            let share_u = sigmoid ((xv.(c) -. xu.(c)) /. smoothing) in
-            gu.(c) <- gu.(c) +. (w.(c) *. share_u);
-            gv.(c) <- gv.(c) +. (w.(c) *. (1.0 -. share_u))
-          end
-        done)
-      p.pairs;
-    ()
-
-  (* Linear maximization oracle over the capped simplex: an indicator
-     vector of the k largest gradient coordinates. *)
-  let oracle p grad_row vertex =
-    let top = Select.top_k p.k grad_row in
-    Array.fill vertex 0 p.m 0.0;
-    Array.iter (fun c -> vertex.(c) <- 1.0) top
-
-  let solve ?(iterations = 400) ?(smoothing = 0.05) p =
-    assert (p.k >= 1 && p.k <= p.m);
-    assert (smoothing > 0.0);
-    let x = Array.init p.n (fun _ -> Array.make p.m (float_of_int p.k /. float_of_int p.m)) in
-    let grad = Array.init p.n (fun _ -> Array.make p.m 0.0) in
-    let vertex = Array.make p.m 0.0 in
-    let best = Array.init p.n (fun u -> Array.copy x.(u)) in
-    let best_obj = ref (objective p x) in
-    for t = 0 to iterations - 1 do
-      gradient p ~smoothing x grad;
-      let gamma = 2.0 /. float_of_int (t + 2) in
-      for u = 0 to p.n - 1 do
-        oracle p grad.(u) vertex;
-        let xu = x.(u) in
-        for c = 0 to p.m - 1 do
-          xu.(c) <- ((1.0 -. gamma) *. xu.(c)) +. (gamma *. vertex.(c))
-        done
-      done;
-      let obj = objective p x in
-      if obj > !best_obj then begin
-        best_obj := obj;
-        for u = 0 to p.n - 1 do
-          Array.blit x.(u) 0 best.(u) 0 p.m
-        done
-      end
-    done;
-    { x = best; objective = !best_obj; iterations; gap = infinity;
-      ub = infinity; timed_out = false }
-end
-
-let objective = Reference.objective
+        if w.(c) <> 0.0 then acc := !acc +. (w.(c) *. Float.min xu.(c) xv.(c))
+      done)
+    p.pairs;
+  !acc
 
 (* Total absolute pair-weight mass W: the soft-min smoothing brackets
    the exact objective within [smoothing · ln 2 · W], which is the
@@ -125,13 +61,16 @@ let smoothing_slack ~smoothing p = smoothing *. Float.log 2.0 *. weight_mass p
    prototype's O(n·m + |pairs|·m). Entry order is fixed by the pair
    array (pair-major, then item), which pins the float accumulation
    order per user independently of how users are assigned to
-   workers. *)
+   workers. [mate] links the two entries of one (pair, item): the
+   share pass computes both endpoints' soft-min shares from one [exp]
+   and writes the second through it. *)
 
 type csr = {
   ptr : int array;  (* n + 1 *)
   nbr : int array;  (* nnz: the other endpoint *)
   item : int array;  (* nnz *)
   wgt : float array;  (* nnz *)
+  mate : int array;  (* nnz: the same (pair, item) in the other row *)
 }
 
 let build_csr p =
@@ -154,6 +93,7 @@ let build_csr p =
   let nbr = Array.make nnz 0 in
   let item = Array.make nnz 0 in
   let wgt = Array.make nnz 0.0 in
+  let mate = Array.make nnz 0 in
   let fill = Array.sub ptr 0 p.n in
   Array.iter
     (fun (u, v, w) ->
@@ -169,42 +109,54 @@ let build_csr p =
           nbr.(iv) <- u;
           item.(iv) <- c;
           wgt.(iv) <- wc;
-          fill.(v) <- iv + 1
+          fill.(v) <- iv + 1;
+          mate.(iu) <- iv;
+          mate.(iv) <- iu
         end
       done)
     p.pairs;
-  { ptr; nbr; item; wgt }
-
-let gradient ?(smoothing = 0.05) p x =
-  let adj = build_csr p in
-  Array.init p.n (fun u ->
-      let g = Array.copy p.linear.(u) in
-      let xu = x.(u) in
-      for e = adj.ptr.(u) to adj.ptr.(u + 1) - 1 do
-        let c = adj.item.(e) in
-        let share = sigmoid ((x.(adj.nbr.(e)).(c) -. xu.(c)) /. smoothing) in
-        g.(c) <- g.(c) +. (adj.wgt.(e) *. share)
-      done;
-      g)
+  { ptr; nbr; item; wgt; mate }
 
 (* ------------------------------------------------------------------ *)
-(* The production engine. One fused sweep per iteration computes, per
-   user: the exact objective contribution, the soft-min gradient, the
-   top-k oracle vertex, the Frank-Wolfe gap contribution
-   <grad, v - x>, and (in swap mode) the best mass-swap move. The
-   sweep only reads the frozen iterate and writes per-user slots, so
-   fanning users out over Pool blocks is bit-identical to the serial
-   run for every worker count; the objective and gap are reduced
-   serially by user index afterwards. A second per-user pass applies
-   the updates (it must not run concurrently with gradient reads).
+(* The production engine. One sweep per iteration computes, per user:
+   the exact objective contribution, the soft-min gradient, the top-k
+   oracle vertex, the Frank-Wolfe gap contribution <grad, v - x>, and
+   (in swap mode) the best mass-swap move. It runs in two passes over
+   users:
+
+   - the share pass visits each (pair, item) once, from its
+     lower-numbered endpoint, takes one [exp], and writes both
+     endpoints' weighted soft-min shares into the per-entry [share]
+     array (the second through [mate]); it also adds the exact [min]
+     objective terms;
+   - the gather pass adds each user's shares into that user's
+     gradient in CSR row order, then runs the dot product, swap move,
+     oracle and gap.
+
+   IEEE subtraction and division are exactly antisymmetric, so the
+   other endpoint's argument is exactly [-z]. The stable logistic
+   share ([1/(1+exp(-z))] for [z >= 0], [exp z/(1+exp z)] below) at
+   [z] and at [-z] then takes the same [exp], and the pass writes
+   exactly the bits a per-endpoint evaluation would (at [z = +0] both
+   are 0.5). The split changes no result; each (pair, item) now takes
+   one [exp] where each endpoint used to evaluate the formula.
+
+   Each pass only reads the frozen iterate and writes slots no other
+   user writes (a share slot belongs to its pair's lower endpoint), so
+   fanning users out over Pool blocks, with a join between the passes,
+   is bit-identical to the serial run for every worker count; the
+   objective and gap are reduced serially by user index afterwards. A
+   third per-user pass applies the updates (it must not run
+   concurrently with the sweep's reads).
 
    All sweep inputs and outputs live in a [sweep_state] built once per
-   solve: the iterate, the CSR adjacency, the per-user output slots
-   and one preallocated serial scratch gradient. The serial sweep over
-   a state allocates nothing (for the k <= 16 masked-argmax oracle
-   path) — every float stays in flat arrays or locals the compiler
-   unboxes, and there are no closures, options or lists on the path —
-   which is what the zero-allocation bench row pins. *)
+   solve: the iterate, the CSR adjacency, the share and per-user
+   output slots and one preallocated serial scratch gradient. The
+   serial sweep over a state allocates nothing (for the k <= 16
+   masked-argmax oracle path) — every float stays in flat arrays or
+   locals the compiler unboxes, and there are no closures, options or
+   lists on the path — which is what the zero-allocation bench row
+   pins. *)
 
 type sweep_state = {
   sp : problem;
@@ -222,6 +174,7 @@ type sweep_state = {
          which keeps the pinned zero-allocation sweep path untouched *)
   free_k : int array;  (* per user: vertex slots left to the free coords *)
   x : float array array;  (* current iterate, n x m *)
+  share : float array;  (* nnz: weighted soft-min share per CSR entry *)
   (* Per-user slots written by the sweep. *)
   obj_u : float array;
   gap_u : float array;
@@ -270,15 +223,17 @@ let sweep_state ?(smoothing = 0.05) ?(swap_steps = false) ?fixed p =
               | f when f = fx_zero -> 0.0
               | _ -> fill))
   in
+  let adj = build_csr p in
   {
     sp = p;
-    adj = build_csr p;
+    adj;
     smoothing;
     swap_steps;
     small_k = k <= 16;
     fixed;
     free_k;
     x;
+    share = Array.make (Array.length adj.nbr) 0.0;
     obj_u = Array.make n 0.0;
     gap_u = Array.make n 0.0;
     tops = Array.init n (fun _ -> Array.make k 0);
@@ -289,34 +244,63 @@ let sweep_state ?(smoothing = 0.05) ?(swap_steps = false) ?fixed p =
     g0 = Array.make m 0.0;
   }
 
-let sweep_user st g u =
-  let p = st.sp and adj = st.adj and x = st.x in
-  let m = p.m and k = p.k in
+(* Share pass for user u: one [exp] per entry whose neighbour is
+   numbered higher, writing both endpoints' shares (the antisymmetry
+   argument above). The logistic share is inlined by hand: a
+   non-inlined float-returning call would box its result, breaking the
+   zero-allocation contract. *)
+let share_user st u =
+  let p = st.sp and adj = st.adj and x = st.x and share = st.share in
+  let m = p.m in
   let smoothing = st.smoothing in
   let xu = x.(u) and lin = p.linear.(u) in
-  Array.blit lin 0 g 0 m;
   let lin_obj = ref 0.0 in
   for c = 0 to m - 1 do
     lin_obj := !lin_obj +. (lin.(c) *. xu.(c))
   done;
   let pair_obj = ref 0.0 in
   for e = adj.ptr.(u) to adj.ptr.(u + 1) - 1 do
-    let c = adj.item.(e) in
     let v = adj.nbr.(e) in
-    let xuc = xu.(c) and xvc = x.(v).(c) in
-    (* [sigmoid] inlined by hand: a non-inlined float-returning call
-       would box its result, breaking the zero-allocation contract. *)
-    let z = (xvc -. xuc) /. smoothing in
-    let share =
-      if z >= 0.0 then 1.0 /. (1.0 +. exp (-.z)) else exp z /. (1.0 +. exp z)
-    in
-    g.(c) <- g.(c) +. (adj.wgt.(e) *. share);
-    (* Each pair's exact min term is attributed to its lower
-       endpoint, so the serial by-index reduction counts it once. *)
-    if v > u then
-      pair_obj := !pair_obj +. (adj.wgt.(e) *. if xuc <= xvc then xuc else xvc)
+    if v > u then begin
+      let c = adj.item.(e) in
+      let w = adj.wgt.(e) in
+      let xuc = xu.(c) and xvc = x.(v).(c) in
+      let z = (xvc -. xuc) /. smoothing in
+      if z >= 0.0 then begin
+        let ez = exp (-.z) in
+        share.(e) <- w *. (1.0 /. (1.0 +. ez));
+        share.(adj.mate.(e)) <- w *. (ez /. (1.0 +. ez))
+      end
+      else begin
+        let ez = exp z in
+        share.(e) <- w *. (ez /. (1.0 +. ez));
+        share.(adj.mate.(e)) <- w *. (1.0 /. (1.0 +. ez))
+      end;
+      (* Each pair's exact min term is attributed to its lower
+         endpoint, so the serial by-index reduction counts it once. *)
+      pair_obj := !pair_obj +. (w *. if xuc <= xvc then xuc else xvc)
+    end
   done;
-  st.obj_u.(u) <- !lin_obj +. !pair_obj;
+  st.obj_u.(u) <- !lin_obj +. !pair_obj
+
+(* User u's soft-min gradient into [g]: the linear row plus u's shares,
+   in CSR row order. Valid once the share pass has covered every
+   user. *)
+let gather_gradient st g u =
+  let adj = st.adj and share = st.share in
+  Array.blit st.sp.linear.(u) 0 g 0 st.sp.m;
+  for e = adj.ptr.(u) to adj.ptr.(u + 1) - 1 do
+    let c = adj.item.(e) in
+    g.(c) <- g.(c) +. share.(e)
+  done
+
+(* Gather pass for user u: the gradient, then the dot product, swap
+   move, top-k oracle and gap contribution. *)
+let gather_user st g u =
+  let p = st.sp and x = st.x in
+  let m = p.m and k = p.k in
+  let xu = x.(u) in
+  gather_gradient st g u;
   let dot = ref 0.0 in
   for c = 0 to m - 1 do
     dot := !dot +. (g.(c) *. xu.(c))
@@ -408,16 +392,29 @@ let sweep_user st g u =
 
 let sweep_serial st =
   for u = 0 to st.sp.n - 1 do
-    sweep_user st st.g0 u
+    share_user st u
+  done;
+  for u = 0 to st.sp.n - 1 do
+    gather_user st st.g0 u
   done
+
+let gradient ?(smoothing = 0.05) p x =
+  let st = sweep_state ~smoothing p in
+  Array.iteri (fun u row -> Array.blit row 0 st.x.(u) 0 p.m) x;
+  for u = 0 to p.n - 1 do
+    share_user st u
+  done;
+  Array.init p.n (fun u ->
+      let g = Array.make p.m 0.0 in
+      gather_gradient st g u;
+      g)
 
 (* Default fan-out: parallel only when the per-sweep work can amortize
    the per-iteration domain spawns. *)
 let auto_domains p =
   if p.n > 1 && p.n * p.m >= 16_384 then Pool.available_domains () else 1
 
-(* Input-data health screen for the production engine (the Reference
-   oracle is kept verbatim): a poisoned preference or pair weight
+(* Input-data health screen: a poisoned preference or pair weight
    would propagate NaN through every gradient and silently zero the
    best-iterate tracking (NaN compares false), so it is rejected
    before the first sweep. *)
@@ -467,12 +464,17 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
   let best_ub = ref infinity in
   (* The fan-out closures are built once here, not per sweep: the
      serial path calls [sweep_serial] directly, so an iteration of the
-     single-domain engine allocates nothing at all. *)
+     single-domain engine allocates nothing at all. The share pass is
+     joined before the gather pass reads any share. *)
+  let par_share u = share_user st u in
   let par_local () = Array.make m 0.0 in
-  let par_body g u = sweep_user st g u in
+  let par_gather g u = gather_user st g u in
   let sweep () =
     if domains <= 1 then sweep_serial st
-    else Pool.parallel_for_local ~domains n ~local:par_local par_body
+    else begin
+      Pool.parallel_for ~domains n par_share;
+      Pool.parallel_for_local ~domains n ~local:par_local par_gather
+    end
   in
   (* Applies the recorded step to user u. The swap step is taken when
      its first-order progress beats the classic step's; both choices
@@ -583,7 +585,7 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
   (* A timeout before the first completed sweep has banked nothing:
      score the current (initial) iterate directly so the caller still
      gets a real objective. *)
-  if !best_obj = neg_infinity then best_obj := Reference.objective p best;
+  if !best_obj = neg_infinity then best_obj := objective p best;
   {
     x = best;
     objective = !best_obj;

@@ -17,12 +17,18 @@
     - the social pairs are compiled once into a per-user CSR adjacency
       of (neighbor, item, weight) triples, so a full gradient/objective
       sweep costs O(n·m + nnz) instead of O(n·m + |pairs|·m);
-    - each iteration is one fused sweep over users (gradient, exact
-      objective, top-k oracle, duality-gap contribution, optional swap
-      move) fanned out over contiguous user blocks via
-      [Svgic_util.Pool] with one scratch gradient buffer per worker,
-      followed by a per-user update pass. All cross-user reductions
-      are by-index, so serial and parallel runs are bit-identical;
+    - each iteration is one sweep over users in two passes, fanned
+      out over contiguous user blocks via [Svgic_util.Pool] with a
+      join between them. The share pass visits each (pair, item) once,
+      from its lower-numbered endpoint, takes one [exp], and writes
+      both endpoints' soft-min shares into a per-entry array (the
+      second through a [mate] index of the CSR); it also adds the
+      exact objective terms. The gather pass sums each user's shares
+      into that user's gradient, with one scratch buffer per worker,
+      and runs the top-k oracle, duality-gap contribution and
+      optional swap move. A per-user update pass follows. Every
+      share slot has one writer and all cross-user reductions are
+      by-index, so serial and parallel runs are bit-identical;
     - the Frank–Wolfe gap [<grad f_s, v - x>] of the smoothed
       objective [f_s] is accumulated every sweep; [gap_tol] stops the
       solve as soon as it certifies the iterate.
@@ -53,16 +59,14 @@ type solution = {
   iterations : int;  (** update steps actually applied *)
   gap : float;
       (** smallest smoothed Frank–Wolfe duality gap observed at any
-          iterate; certifies the returned [x] as described above
-          ([infinity] from {!Reference.solve}, which has no
-          certificate) *)
+          iterate; certifies the returned [x] as described above *)
   ub : float;
       (** smallest [exact objective + smoothed gap] over all iterates
           visited: a sound upper bound on the smoothed optimum over
           the (possibly fixing-restricted) feasible region. Adding
           {!smoothing_slack} turns it into an upper bound on the exact
           optimum — the branch-and-bound node bound. [infinity] when
-          no sweep completed (or from {!Reference.solve}) *)
+          no sweep completed *)
   timed_out : bool;
       (** the supervision token expired or was cancelled before the
           iteration budget or [gap_tol] was reached; [x] is still the
@@ -90,8 +94,9 @@ val fx_zero : int
 val fx_one : int
 
 type sweep_state
-(** Everything one fused sweep reads and writes: the current iterate,
-    the CSR adjacency, the per-user output slots (objective and gap
+(** Everything one sweep reads and writes: the current iterate, the
+    CSR adjacency with its [mate] index, one soft-min share slot per
+    CSR entry, the per-user output slots (objective and gap
     contributions, oracle vertex, optional swap move) and one
     preallocated serial scratch gradient. [solve] builds one per call;
     it is exposed so the allocation bench can measure the sweep in
@@ -110,17 +115,18 @@ val sweep_state :
     vertex slots left). *)
 
 val sweep_serial : sweep_state -> unit
-(** One fused sweep over every user against the state's current
-    iterate, on the calling domain. For [k <= 16] (the masked-argmax
-    oracle path) this allocates no words at all — every float lives in
-    a flat array or a compiler-unboxed local, and the path builds no
-    closures, options or lists; the [fw_sweep] bench row asserts the 0
-    words/op. *)
+(** One sweep over every user against the state's current iterate, on
+    the calling domain: the share pass, which takes one [exp] per
+    (pair, item) with a non-zero weight, then the gather pass. For
+    [k <= 16] (the masked-argmax oracle path) this allocates no words
+    at all — every float lives in a flat array or a compiler-unboxed
+    local, and the path builds no closures, options or lists; the
+    [fw_sweep] bench row asserts the 0 words/op. *)
 
 val gradient : ?smoothing:float -> problem -> float array array -> float array array
-(** Dense [n x m] soft-min gradient at a point, computed through the
-    CSR adjacency. Exposed so tests can pin the sparse accumulation
-    against {!Reference.gradient}. *)
+(** Dense [n x m] soft-min gradient at a point, computed by the share
+    and gather passes {!solve} runs. Exposed so tests can pin the
+    production arithmetic against a dense oracle. *)
 
 val solve :
   ?iterations:int ->
@@ -173,18 +179,3 @@ val solve :
     sidesteps the late-stage zig-zag of vanilla Frank–Wolfe; the
     returned iterate is still the best exact-objective point visited,
     so enabling it never degrades the reported solution. *)
-
-(** The seed prototype — dense per-pair weight scans, fixed iteration
-    count, no certificate — retained verbatim as the equivalence
-    oracle for tests and the "before" side of the [fw_solve] bench
-    rows. *)
-module Reference : sig
-  val objective : problem -> float array array -> float
-
-  val gradient :
-    problem -> smoothing:float -> float array array -> float array array -> unit
-  (** [gradient p ~smoothing x grad] fills the preallocated [grad]. *)
-
-  val solve : ?iterations:int -> ?smoothing:float -> problem -> solution
-  (** Fixed-iteration dense solve; [gap] is [infinity]. *)
-end

@@ -269,23 +269,38 @@ let ego g ~center ~hops =
   Hashtbl.fold (fun v _ acc -> v :: acc) dist []
   |> List.sort compare |> Array.of_list
 
+(* Only the members' out-rows can hold induced edges, so the cost is
+   their out-degree sum, not the whole graph's edge count. A repeated
+   member keeps its last position (the index's binding); edges are
+   emitted from that position only, and [of_edge_arrays] sorts and
+   dedups, so the result matches a filter of the full edge list. *)
 let subgraph g vs =
+  let len = Array.length vs in
+  Array.iter
+    (fun v ->
+      if v < 0 || v >= g.size then
+        invalid_arg "Graph.subgraph: member out of range")
+    vs;
   let mapping = Array.copy vs in
-  let index = Hashtbl.create (Array.length vs) in
+  let index = Hashtbl.create len in
   Array.iteri (fun i v -> Hashtbl.replace index v i) mapping;
-  let count = ref 0 in
-  iteri_edges g (fun _ u v ->
-      if Hashtbl.mem index u && Hashtbl.mem index v then incr count);
-  let eu = Array.make !count 0 and ev = Array.make !count 0 in
+  let cap = ref 0 in
+  Array.iter (fun u -> cap := !cap + g.out_off.(u + 1) - g.out_off.(u)) vs;
+  let eu = Array.make !cap 0 and ev = Array.make !cap 0 in
   let w = ref 0 in
-  iteri_edges g (fun _ u v ->
-      match (Hashtbl.find_opt index u, Hashtbl.find_opt index v) with
-      | Some iu, Some iv ->
-          eu.(!w) <- iu;
-          ev.(!w) <- iv;
-          incr w
-      | (Some _ | None), _ -> ());
-  (of_edge_arrays ~n:(Array.length vs) eu ev, mapping)
+  for i = 0 to len - 1 do
+    let u = vs.(i) in
+    if Hashtbl.find index u = i then
+      for e = g.out_off.(u) to g.out_off.(u + 1) - 1 do
+        match Hashtbl.find index g.out_dst.(e) with
+        | j ->
+            eu.(!w) <- i;
+            ev.(!w) <- j;
+            incr w
+        | exception Not_found -> ()
+      done
+  done;
+  (of_edge_arrays ~n:len (Array.sub eu 0 !w) (Array.sub ev 0 !w), mapping)
 
 let connected_components g =
   let uf = Svgic_util.Union_find.create g.size in

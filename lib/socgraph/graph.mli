@@ -117,7 +117,9 @@ val ego : t -> center:int -> hops:int -> int array
 val subgraph : t -> int array -> t * int array
 (** [subgraph g vs] returns the induced subgraph on [vs] with vertices
     renumbered [0 .. length vs - 1], plus the mapping from new index to
-    original vertex. *)
+    original vertex. It walks only the members' out-rows, so its cost
+    is their out-degree sum, independent of the rest of the graph.
+    Raises [Invalid_argument] when a member is out of range. *)
 
 val connected_components : t -> int list array
 (** Undirected connected components (list of members per component). *)

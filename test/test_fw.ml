@@ -1,11 +1,13 @@
 (* Tests for the sparse multicore Frank-Wolfe engine (Pairwise_fw):
-   sparse-vs-dense gradient equivalence against the retained
-   prototype, objective agreement with the exact simplex across seeds,
-   serial-vs-parallel bit-identity, duality-gap stopping, and the
-   Relaxation-level gap report. *)
+   sparse-vs-dense gradient equivalence against the seed prototype
+   (test/oracles/fw_reference.ml), objective agreement with the exact
+   simplex across seeds, serial-vs-parallel bit-identity, golden solve
+   digests, duality-gap stopping, and the Relaxation-level gap
+   report. *)
 
 module Problem = Svgic_lp.Problem
 module Simplex = Svgic_oracles.Simplex
+module Reference = Svgic_oracles.Fw_reference
 module Fw = Svgic_lp.Pairwise_fw
 module Rng = Svgic_util.Rng
 
@@ -68,19 +70,33 @@ let check_feasible ?(eps = 1e-6) (fw : Fw.problem) x =
         row)
     x
 
+(* The generator stores every pair as (min, max). This variant stores
+   every third pair as (max, min) and repeats two pairs, one in each
+   orientation, so both endpoints of a pair can be its first-listed
+   one and a user's row can hold two entries for the same neighbour
+   and item. *)
+let mixed_orientation (fw : Fw.problem) =
+  let pairs =
+    Array.mapi
+      (fun i (u, v, w) -> if i mod 3 = 0 then (v, u, w) else (u, v, w))
+      fw.pairs
+  in
+  { fw with pairs = Array.append pairs [| pairs.(0); pairs.(1) |] }
+
 (* ---- sparse-vs-dense gradient equivalence ------------------------- *)
 
 let test_gradient_matches_reference () =
   let rng = Rng.create 71 in
-  for _trial = 1 to 10 do
+  for trial = 1 to 10 do
     let fw = fw_random_problem rng ~n:9 ~m:11 ~k:3 ~edges:20 ~density:0.4 in
+    let fw = if trial mod 2 = 0 then mixed_orientation fw else fw in
     let x =
       Array.init fw.n (fun _ -> Array.init fw.m (fun _ -> Rng.float rng 1.0))
     in
     let smoothing = 0.03 in
     let sparse = Fw.gradient ~smoothing fw x in
     let dense = Array.init fw.n (fun _ -> Array.make fw.m 0.0) in
-    Fw.Reference.gradient fw ~smoothing x dense;
+    Reference.gradient fw ~smoothing x dense;
     for u = 0 to fw.n - 1 do
       for c = 0 to fw.m - 1 do
         if Float.abs (sparse.(u).(c) -. dense.(u).(c)) > 1e-9 then
@@ -116,22 +132,23 @@ let test_fw_matches_exact_across_seeds () =
 (* ---- serial-vs-parallel bit-identity ------------------------------ *)
 
 let test_serial_parallel_bit_identical () =
-  let solve_with ~swap domains =
+  let solve_with ~swap ~mixed domains =
     (* Fresh problem per run so no shared mutable state can leak. *)
     let rng = Rng.create 83 in
     let fw = fw_random_problem rng ~n:37 ~m:24 ~k:4 ~edges:90 ~density:0.3 in
+    let fw = if mixed then mixed_orientation fw else fw in
     Fw.solve ~iterations:120 ~smoothing:0.02 ~gap_tol:1e-6 ~domains
       ~swap_steps:swap fw
   in
   List.iter
-    (fun swap ->
-      let base = solve_with ~swap 1 in
+    (fun (swap, mixed) ->
+      let base = solve_with ~swap ~mixed 1 in
       List.iter
         (fun domains ->
-          let s = solve_with ~swap domains in
+          let s = solve_with ~swap ~mixed domains in
           Alcotest.(check bool)
-            (Printf.sprintf "identical iterate (domains=%d swap=%b)" domains
-               swap)
+            (Printf.sprintf "identical iterate (domains=%d swap=%b mixed=%b)"
+               domains swap mixed)
             true (s.x = base.x);
           Alcotest.(check bool) "identical objective" true
             (s.objective = base.objective);
@@ -139,7 +156,79 @@ let test_serial_parallel_bit_identical () =
           Alcotest.(check int) "identical iterations" base.iterations
             s.iterations)
         [ 2; 3; 7 ])
-    [ false; true ]
+    [ (false, false); (true, false); (false, true); (true, true) ]
+
+(* ---- golden digests ------------------------------------------------ *)
+
+(* Every float of a solve pinned bit for bit: objective, gap and ub in
+   hex, the iteration count, and a CRC-32 of the returned iterate's
+   IEEE bits. The constants were captured before the sweep was split
+   into its share and gather passes; any change to the sweep's
+   arithmetic or accumulation order shows up here. *)
+let digest (s : Fw.solution) =
+  let n = Array.length s.x in
+  let m = if n = 0 then 0 else Array.length s.x.(0) in
+  let buf = Bytes.create (8 * n * m) in
+  Array.iteri
+    (fun u row ->
+      Array.iteri
+        (fun c v ->
+          Bytes.set_int64_le buf (8 * ((u * m) + c)) (Int64.bits_of_float v))
+        row)
+    s.x;
+  Printf.sprintf "obj %h gap %h ub %h it %d crc %08x" s.objective s.gap s.ub
+    s.iterations
+    (Svgic_util.Crc32.update_bytes 0 buf ~pos:0 ~len:(Bytes.length buf))
+
+(* A branch-and-bound style mask: one forced item for every fourth
+   user, two excluded items for every fifth. *)
+let golden_mask (fw : Fw.problem) =
+  let fixed = Array.make (fw.n * fw.m) Fw.fx_free in
+  for u = 0 to fw.n - 1 do
+    if u mod 4 = 0 then fixed.((u * fw.m) + (u mod fw.m)) <- Fw.fx_one;
+    if u mod 5 = 1 then begin
+      fixed.(u * fw.m) <- Fw.fx_zero;
+      fixed.((u * fw.m) + 1) <- Fw.fx_zero
+    end
+  done;
+  fixed
+
+let golden =
+  [
+    ( (false, false),
+      "obj 0x1.5b1af4b909409p+6 gap 0x1.4883cf4c98c18p-2 ub 0x1.5c489c0b8ce1ap+6 it 150 crc 86e05ef1" );
+    ( (true, false),
+      "obj 0x1.5b817714b963dp+6 gap 0x1.36bf51ac19f3ep+0 ub 0x1.6059faf22590fp+6 it 150 crc 2ab9ff4a" );
+    ( (false, true),
+      "obj 0x1.4d9ba98ef84afp+6 gap 0x1.37fa86dae23f4p-2 ub 0x1.4eae0d1446362p+6 it 150 crc 266bd82f" );
+    ( (true, true),
+      "obj 0x1.4deab6e267086p+6 gap 0x1.4b54c0d4921c4p-1 ub 0x1.505d3173ebfa1p+6 it 150 crc a772d51a" );
+  ]
+
+let test_golden_digests () =
+  List.iter
+    (fun ((swap, masked), want) ->
+      List.iter
+        (fun domains ->
+          let rng = Rng.create 211 in
+          let fw =
+            mixed_orientation
+              (fw_random_problem rng ~n:29 ~m:10 ~k:3 ~edges:70 ~density:0.35)
+          in
+          let s =
+            if masked then
+              Fw.solve ~iterations:150 ~smoothing:0.02 ~gap_tol:1e-3 ~domains
+                ~swap_steps:swap ~fixed:(golden_mask fw) fw
+            else
+              Fw.solve ~iterations:150 ~smoothing:0.02 ~domains
+                ~swap_steps:swap fw
+          in
+          let got = digest s in
+          if got <> want then
+            Alcotest.failf "swap=%b masked=%b domains=%d: digest %S, want %S"
+              swap masked domains got want)
+        [ 1; 2; 3 ])
+    golden
 
 (* ---- duality-gap stopping ----------------------------------------- *)
 
@@ -191,7 +280,7 @@ let test_engine_tracks_prototype () =
   for _trial = 1 to 3 do
     let fw = fw_random_problem rng ~n:7 ~m:8 ~k:3 ~edges:12 ~density:0.6 in
     let s = Fw.solve ~iterations:300 ~smoothing:0.05 ~domains:1 fw in
-    let r = Fw.Reference.solve ~iterations:300 ~smoothing:0.05 fw in
+    let r = Reference.solve ~iterations:300 ~smoothing:0.05 fw in
     Alcotest.(check (float 1e-4)) "same best objective" r.objective s.objective
   done
 
@@ -254,6 +343,7 @@ let suite =
       test_fw_matches_exact_across_seeds;
     Alcotest.test_case "serial = parallel bit-identical" `Quick
       test_serial_parallel_bit_identical;
+    Alcotest.test_case "golden solve digests" `Quick test_golden_digests;
     Alcotest.test_case "gap-tolerance stopping" `Quick
       test_gap_tolerance_stopping;
     Alcotest.test_case "feasibility in both step modes" `Quick

@@ -42,7 +42,13 @@ let test_ego_and_subgraph () =
   let sub, mapping = Graph.subgraph g [| 1; 2; 3 |] in
   Alcotest.(check int) "sub n" 3 (Graph.n sub);
   Alcotest.(check (array int)) "mapping" [| 1; 2; 3 |] mapping;
-  Alcotest.(check (array (pair int int))) "sub pairs" [| (0, 1); (1, 2) |] (Graph.pairs sub)
+  Alcotest.(check (array (pair int int))) "sub pairs" [| (0, 1); (1, 2) |] (Graph.pairs sub);
+  List.iter
+    (fun members ->
+      Alcotest.check_raises "out-of-range member"
+        (Invalid_argument "Graph.subgraph: member out of range") (fun () ->
+          ignore (Graph.subgraph g members)))
+    [ [| 1; 5 |]; [| -1; 2 |] ]
 
 let test_connected_components () =
   let g = Graph.of_edges ~n:6 [ (0, 1); (2, 3); (3, 4) ] in
@@ -183,14 +189,37 @@ let qcheck_props =
           total := !total + Graph.degree_undirected g u
         done;
         !total = 2 * Array.length (Graph.pairs g));
-    Test.make ~name:"subgraph preserves adjacency" ~count:60 (make edge_list_gen)
-      (fun (n, edges) ->
+    (* Against a brute-force filter of the full edge list, in both
+       directions (no kept edge lost, none invented), for a random
+       member set given sorted and shuffled. *)
+    Test.make ~name:"subgraph preserves adjacency" ~count:60
+      (make Gen.(pair edge_list_gen (int_bound 1_000_000)))
+      (fun ((n, edges), seed) ->
         let g = Graph.of_edges ~n edges in
-        let keep = Array.init ((n / 2) + 1) (fun i -> i) in
-        let sub, mapping = Graph.subgraph g keep in
-        Array.for_all
-          (fun (a, b) -> Graph.has_edge g mapping.(a) mapping.(b))
-          (Graph.edges sub));
+        let rng = Rng.create seed in
+        let sorted =
+          Array.of_list (List.filter (fun _ -> Rng.bool rng) (List.init n Fun.id))
+        in
+        let shuffled = Array.copy sorted in
+        Rng.shuffle rng shuffled;
+        List.for_all
+          (fun keep ->
+            let sub, mapping = Graph.subgraph g keep in
+            let pos = Hashtbl.create 16 in
+            Array.iteri (fun i v -> Hashtbl.replace pos v i) keep;
+            let want =
+              List.sort compare
+                (List.filter_map
+                   (fun (u, v) ->
+                     match (Hashtbl.find_opt pos u, Hashtbl.find_opt pos v) with
+                     | Some a, Some b -> Some (a, b)
+                     | _ -> None)
+                   (Array.to_list (Graph.edges g)))
+            in
+            Graph.n sub = Array.length keep
+            && mapping = keep
+            && List.sort compare (Array.to_list (Graph.edges sub)) = want)
+          [ sorted; shuffled ]);
   ]
 
 let suite =
