@@ -65,9 +65,13 @@ let mk ?domains ?note ?(alloc = 0.0) kernel variant size ns_per_op =
     note;
   }
 
+(* The minor term comes from [Gc.minor_words], which counts the
+   current minor heap's fill exactly; on OCaml 5.1 the minor term of
+   [Gc.counters] adds only an eighth of it, so a window that triggers
+   no minor collection would read about 8x low. *)
 let words_now () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 (* [words_now] at the start of a measurement window. The minor
    collection empties the minor heap first, so every word promoted
@@ -309,6 +313,48 @@ let lp_solve_records ~shapes =
       in
       mk ~alloc:w "lp_solve" "revised" size ns)
     shapes
+
+(* What a serving tick pays per touched shard: one 30-user Timik-like
+   shard's LP_SIMP (m = 6, k = 4), rebuilt after three preference
+   deltas and re-solved warm from the previous optimal basis through
+   [Relaxation.solve], as [Serve] does. Every op starts from the same
+   basis, so its pivots, rebuilds and words/op are deterministic. The
+   size field is the LP variable count. *)
+let lp_resolve_records () =
+  let n = 30 and m = 6 and k = 4 in
+  let rng = Rng.create 3030 in
+  let g, _ =
+    Svgic_graph.Generate.timik_like rng ~n ~communities:1 ~attach:2
+      ~cross_frac:0.0
+  in
+  let pref = Float.Array.init (n * m) (fun _ -> Rng.float rng 1.0) in
+  let tau =
+    Float.Array.init
+      (Svgic_graph.Graph.num_edges g * m)
+      (fun _ -> Rng.float rng 0.5)
+  in
+  let inst = Svgic.Instance.of_flat ~graph:g ~m ~k ~lambda:0.5 ~pref ~tau in
+  let warm =
+    match (Svgic.Relaxation.solve inst).Svgic.Relaxation.basis with
+    | Some b -> b
+    | None -> failwith "lp_resolve: the shard must solve exactly"
+  in
+  List.iter
+    (fun (user, item, v) ->
+      ignore (Svgic.Instance.set_pref inst ~user ~item v : float))
+    [ (3, 1, 0.95); (11, 4, 0.02); (27, 0, 0.6) ];
+  let resolve () = Svgic.Relaxation.solve ~warm inst in
+  let note =
+    match (resolve ()).Svgic.Relaxation.lp_stats with
+    | Some s ->
+        Printf.sprintf "%d pivots, %d refactorizations per warm re-solve"
+          s.Svgic.Relaxation.pivots
+          s.Svgic.Relaxation.factor.Svgic_lp.Revised_simplex.refactorizations
+    | None -> failwith "lp_resolve: the re-solve must be exact"
+  in
+  let ns, w = time_kernel ~rounds:3 ~ops:20 (fun () -> ignore (resolve ())) in
+  let size = (n + Svgic.Instance.num_pairs inst) * m in
+  [ mk ~alloc:w ~note "lp_resolve" "warm" size ns ]
 
 (* Characterizes the LU rebuild itself, off the counters of a normal
    solve: ns_per_op is factor time per rebuild, and the note
@@ -1355,6 +1401,7 @@ let run () =
     @ avg_d_end_to_end_records ~shapes:avg_d_shapes
     @ lp_solve_records ~shapes:lp_shapes
     @ lp_refactor_records ~shapes:lp_refactor_shapes
+    @ lp_resolve_records ()
     @ lp_phase_records ~shapes:lp_phase_shapes
     @ pool_records ~repeats:pool_repeats ~shape:pool_shape
     @ fw_solve_records ~shapes:fw_shapes

@@ -138,9 +138,14 @@ let serve_records ~smoke =
   Printf.printf "  tick 0 (cold start): %.1f s\n%!" (Timer.elapsed_s t0);
   let tr = make_traffic 4711 ~labels ~hot_shards ~hot_frac:0.9 ~rate inst in
   let stats = ref [] in
+  (* Words per tick, read around each [Serve.tick] alone: the event
+     submissions between ticks are not the tick's allocation. *)
+  let tick_words = ref 0.0 in
   for i = 1 to ticks do
     submit_batch srv tr (poisson tr.gen rate);
+    let w0 = Bench_kernels.window_start () in
     let s = Serve.tick srv in
+    tick_words := !tick_words +. (Bench_kernels.words_now () -. w0);
     stats := s :: !stats;
     Printf.printf "  tick %d: %.2f s, %d shards (%d warm)\n%!" i
       s.Serve.elapsed_s s.Serve.shards_touched s.Serve.warm_hits
@@ -193,7 +198,9 @@ let serve_records ~smoke =
     [
       mk ~alloc:cold_w ~domains:avail ~note:cold_note "serve_tick" "cold" n
         cold_ns;
-      mk ~domains:avail ~note:inc_note "serve_tick" "incremental" n inc_ns;
+      mk
+        ~alloc:(!tick_words /. float_of_int ticks)
+        ~domains:avail ~note:inc_note "serve_tick" "incremental" n inc_ns;
     ]
   in
   let throughput_rows =

@@ -58,15 +58,18 @@ let improve ?(max_passes = 8) inst cfg =
      footprint of the repair step on large instances). *)
   Config.make_unchecked assign
 
-let improve_users ?(max_passes = 8) inst cfg users =
-  let assign = Config.assignment cfg in
+let improve_users_in_place ?(max_passes = 8) inst assign users =
   let pass = ref 0 in
   let moved = ref true in
   while !moved && !pass < max_passes do
     incr pass;
     moved := false;
     Array.iter (fun u -> if sweep_user inst assign u then moved := true) users
-  done;
+  done
+
+let improve_users ?max_passes inst cfg users =
+  let assign = Config.assignment cfg in
+  improve_users_in_place ?max_passes inst assign users;
   Config.make_unchecked assign
 
 let improve_user inst cfg u =

@@ -20,6 +20,15 @@ val improve_users :
     cut-repair: only cut-edge endpoints can have mispriced cells, so
     only they are swept. The objective never decreases. *)
 
+val improve_users_in_place :
+  ?max_passes:int -> Instance.t -> int array array -> int array -> unit
+(** {!improve_users} on the caller's assignment rows, in place: only
+    the listed users' rows are written, the others are only read, so
+    the result is exactly {!improve_users}'s without copying every row.
+    The serving engine's per-tick cut repair runs on its live rows
+    this way, at a cost proportional to the repair set rather than
+    to the session. *)
+
 val improve_user : Instance.t -> Config.t -> int -> Config.t
 (** Re-optimizes only one user's row against the frozen rest (the
     dynamic-scenario primitive). *)

@@ -69,6 +69,8 @@ type t = {
   mutable cut_evu : int array;
   mutable cut_mass : float;
   mutable scratch : bool array;  (** per-shard touched marks, reused *)
+  mutable repair_mark : bool array;
+      (** per-user repair-set marks, reused; all false between ticks *)
   rng : Rng.t;
   rounding : Shard.rounding;
   deadline_s : float option;
@@ -761,11 +763,14 @@ let finish_tick t ~t0 ~token ~seen ~applied ~dropped ~structural ~repair_extra
   Array.iter (fun s -> sc.(s) <- true) touched_ids;
   if t.repair_passes > 0 then begin
     let n = Instance.n t.inst in
-    let seen_u = Array.make n false in
+    if Array.length t.repair_mark < n then
+      t.repair_mark <-
+        Array.make (max n (2 * Array.length t.repair_mark)) false;
+    let mark = t.repair_mark in
     let users = ref [] in
     let add u =
-      if not seen_u.(u) then begin
-        seen_u.(u) <- true;
+      if not mark.(u) then begin
+        mark.(u) <- true;
         users := u :: !users
       end
     in
@@ -777,17 +782,16 @@ let finish_tick t ~t0 ~token ~seen ~applied ~dropped ~structural ~repair_extra
       end
     done;
     List.iter add repair_extra;
+    List.iter (fun u -> mark.(u) <- false) !users;
     if !users <> [] then begin
       let us = Array.of_list !users in
       Array.sort compare us;
-      let cfg = Config.make_unchecked t.assign in
-      let cfg' = Polish.improve_users ~max_passes:t.repair_passes t.inst cfg us in
-      Array.iter
-        (fun u ->
-          t.assign.(u) <- Config.row cfg' u;
-          (* repair may shift rows in shards the solves never touched *)
-          sc.(t.label.(u)) <- true)
-        us
+      (* The sweep writes only the repair users' rows and reads the
+         rest, so it runs on the live rows without a copy. *)
+      Polish.improve_users_in_place ~max_passes:t.repair_passes t.inst
+        t.assign us;
+      (* repair may shift rows in shards the solves never touched *)
+      Array.iter (fun u -> sc.(t.label.(u)) <- true) us
     end
   end;
   (* Re-establish the bracket: recompute the within-shard utility of
@@ -982,6 +986,7 @@ let create ?(labelling = Shard.Components)
       cut_evu = [||];
       cut_mass = 0.0;
       scratch = Array.make (Array.length shards) false;
+      repair_mark = [||];
       rng;
       rounding;
       deadline_s;
@@ -1142,6 +1147,7 @@ let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s
       cut_evu = [||];
       cut_mass = 0.0;
       scratch = Array.make (max 1 nshards) false;
+      repair_mark = [||];
       rng;
       rounding;
       deadline_s;

@@ -9,7 +9,14 @@
    refactorizations reuse the same memory. The Markowitz working
    matrix (dynamic rows + column candidate lists + count buckets) is
    equally persistent, allocated lazily on the first refactorization
-   so small solves that never refactorize pay nothing. *)
+   so small solves that never refactorize pay nothing; its per-row
+   entry arrays and per-column candidate lists start at [entry_cap0]
+   slots, not at the pools' 64-slot floor, because a basis row holds a
+   handful of entries. [reset] re-arms a factor for a new basis size,
+   keeping all of this memory while the size fits (arrays are
+   reallocated, and the working matrix remade, only when it grows),
+   which is how the revised simplex's per-domain workspace reuses one
+   factor across solves. *)
 
 module FA = Float.Array
 module Timer = Svgic_util.Timer
@@ -29,6 +36,7 @@ let drop_tol = 1e-12 (* entries below this are discarded *)
 let tau = 0.1 (* threshold partial pivoting: |a| >= tau * colmax *)
 let markowitz_scan = 4 (* candidate columns examined per pivot search *)
 let lu_update_cap = 512 (* hard bound on update etas between rebuilds *)
+let entry_cap0 = 4 (* first capacity of a working-matrix row / column list *)
 
 (* Markowitz working state: the active submatrix as dynamic rows
    (explicit (col, val) entry arrays with doubling capacity), per-
@@ -58,6 +66,7 @@ type ws = {
   sr : int array; (* row-singleton stack *)
   mutable nsc : int;
   mutable nsr : int;
+  mutable piv_col : int; (* column of the pivot [pick_pivot] returned *)
   in_sc : bool array;
   in_sr : bool array;
   step_of_col : int array; (* pivot step of each column slot *)
@@ -65,8 +74,11 @@ type ws = {
   ut_pos : int array; (* ... and each step's next free slot *)
 }
 
+(* Every per-row array below (and every array of [ws]) holds at least
+   [m] cells; a factor re-armed by [reset] for a smaller basis keeps
+   its longer arrays and only ever reads their first [m] cells. *)
 type t = {
-  m : int;
+  mutable m : int;
   (* Base factorization: steps 0..m-1, step t pivots row [p_row.(t)]
      with value [diag.(t)]; L multipliers (rows below) in the l pool,
      the U row (entries in later-pivoted columns, stored as pivot rows
@@ -85,14 +97,14 @@ type t = {
   (* Transposed U view (rebuilt per refactorization): the
      entries of every U row bucketed by the step they reference, which
      is what the pattern-driven back substitution scatters from. *)
-  ut_start : int array;
+  mutable ut_start : int array;
   mutable ut_t : int array;
   mutable ut_v : FA.t;
-  step_of_row : int array; (* inverse of p_row over steps 0..nsteps-1 *)
+  mutable step_of_row : int array; (* inverse of p_row over steps 0..nsteps-1 *)
   (* Pattern scratch for the hypersparse apply path. *)
-  in_pat : bool array;
-  hp : int array; (* binary heap of step indices *)
-  in_hp : bool array;
+  mutable in_pat : bool array;
+  mutable hp : int array; (* binary heap of step indices *)
+  mutable in_hp : bool array;
   mutable hp_n : int;
   (* Update etas (product-form updates on top of the base factors). *)
   mutable e_piv : int array;
@@ -238,6 +250,7 @@ let make_ws m =
     sr = Array.make mm 0;
     nsc = 0;
     nsr = 0;
+    piv_col = -1;
     in_sc = Array.make mm false;
     in_sr = Array.make mm false;
     step_of_col = Array.make mm 0;
@@ -249,9 +262,39 @@ let get_ws f =
   match f.ws with
   | Some w -> w
   | None ->
-      let w = make_ws f.m in
+      let w = make_ws (Array.length f.p_row) in
       f.ws <- Some w;
       w
+
+let reset f ~m =
+  let cap = Array.length f.p_row in
+  if m > cap then begin
+    let cap = max m (2 * cap) in
+    f.p_row <- Array.make cap 0;
+    f.diag <- FA.make cap 0.0;
+    f.l_start <- Array.make (cap + 1) 0;
+    f.u_start <- Array.make (cap + 1) 0;
+    f.ut_start <- Array.make (cap + 1) 0;
+    f.step_of_row <- Array.make cap 0;
+    f.in_pat <- Array.make cap false;
+    f.hp <- Array.make cap 0;
+    f.in_hp <- Array.make cap false;
+    (* The working matrix is remade at the new capacity on the next
+       refactorization. *)
+    f.ws <- None
+  end
+  else begin
+    (* Marks a pattern solve left behind if an asynchronous exception
+       (a signal handler's, say) cut it short. *)
+    Array.fill f.in_pat 0 m false;
+    Array.fill f.in_hp 0 m false
+  end;
+  f.m <- m;
+  reset_identity f;
+  f.force_every <- None;
+  f.refactorizations <- 0;
+  f.eta_appends <- 0;
+  f.factor_s <- 0.0
 
 let ensure_cbuf ws needed =
   ws.cbuf_i <- grow_int ws.cbuf_i needed;
@@ -622,13 +665,18 @@ let find_in_row ws j c =
   done;
   !p
 
-let push_row_entry ws j c v =
+(* Inlined so that [v], computed unboxed by the caller, is not boxed
+   for the call: one load or fill-in entry would otherwise cost a
+   boxed float. *)
+let[@inline] push_row_entry ws j c v =
   let n = ws.r_len.(j) in
   if n >= Array.length ws.r_idx.(j) then begin
-    ws.r_idx.(j) <- grow_int ws.r_idx.(j) (n + 1);
-    let b = Array.make (Array.length ws.r_idx.(j)) 0.0 in
-    Array.blit ws.r_val.(j) 0 b 0 n;
-    ws.r_val.(j) <- b
+    let cap = max entry_cap0 (2 * n) in
+    let bi = Array.make cap 0 and bv = Array.make cap 0.0 in
+    Array.blit ws.r_idx.(j) 0 bi 0 n;
+    Array.blit ws.r_val.(j) 0 bv 0 n;
+    ws.r_idx.(j) <- bi;
+    ws.r_val.(j) <- bv
   end;
   ws.r_idx.(j).(n) <- c;
   ws.r_val.(j).(n) <- v;
@@ -637,8 +685,10 @@ let push_row_entry ws j c v =
 let push_col_row ws c r =
   let n = ws.c_len.(c) in
   if n >= ws.c_cap.(c) then begin
-    ws.c_rows.(c) <- grow_int ws.c_rows.(c) (n + 1);
-    ws.c_cap.(c) <- Array.length ws.c_rows.(c)
+    let b = Array.make (max entry_cap0 (2 * n)) 0 in
+    Array.blit ws.c_rows.(c) 0 b 0 n;
+    ws.c_rows.(c) <- b;
+    ws.c_cap.(c) <- Array.length b
   end;
   ws.c_rows.(c).(n) <- r;
   ws.c_len.(c) <- n + 1
@@ -665,7 +715,8 @@ exception Found
 
 (* Pivot search: fill-free singletons first, then the bounded
    Markowitz scan over the ascending-count column buckets with the
-   relative-magnitude threshold test. Returns (row, col). *)
+   relative-magnitude threshold test. Returns the row and leaves the
+   column in [ws.piv_col] (no tuple per elimination step). *)
 let pick_pivot ws m =
   let res_r = ref (-1) and res_c = ref (-1) in
   while !res_r < 0 do
@@ -740,7 +791,8 @@ let pick_pivot ws m =
       if !res_c < 0 then raise Singular
     end
   done;
-  (!res_r, !res_c)
+  ws.piv_col <- !res_c;
+  !res_r
 
 let refactor_lu f ~nnz ~load ~row_of =
   let ws = get_ws f in
@@ -811,7 +863,8 @@ let refactor_lu f ~nnz ~load ~row_of =
      done;
      (* Elimination. *)
      for t = 0 to m - 1 do
-       let r, c = pick_pivot ws m in
+       let r = pick_pivot ws m in
+       let c = ws.piv_col in
        compact_col ws c;
        let pp = find_in_row ws r c in
        let pv = ws.r_val.(r).(pp) in

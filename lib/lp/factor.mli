@@ -23,7 +23,12 @@
 
     All factors live in flat unboxed arenas ([int array] /
     [Float.Array.t]) that are reused across refactorizations, so the
-    apply paths (FTRAN / BTRAN / update) allocate nothing. *)
+    apply paths (FTRAN / BTRAN / update) allocate nothing. The
+    Markowitz working matrix behind {!refactorize} is kept too: its
+    per-row entry arrays and per-column candidate lists start at four
+    slots and double, so a basis row of a few entries costs a few
+    words, not an arena-sized block. {!reset} re-arms a factor for
+    another basis size without releasing any of it. *)
 
 exception Singular
 (** The column set is not a basis (structurally or numerically). *)
@@ -34,16 +39,27 @@ type stats = {
   refactorizations : int;  (** base-factorization rebuilds *)
   fill_nnz : int;  (** base-factor nonzeros after the last rebuild *)
   basis_nnz : int;  (** basis-column nonzeros at the last rebuild *)
-  eta_appends : int;  (** update etas appended over the lifetime *)
+  eta_appends : int;  (** update etas appended since {!create} / {!reset} *)
   factor_s : float;  (** cumulative seconds inside {!refactorize} *)
 }
+(** Counters since {!create} or the last {!reset}. *)
 
 val create : m:int -> t
 (** A factorization of the [m x m] identity (the all-logical basis). *)
 
 val reset_identity : t -> unit
 (** Forget everything: the represented basis is the identity again.
-    Counters are kept — they describe the lifetime, not the basis. *)
+    Counters are kept — they describe the solve, not the basis. *)
+
+val reset : t -> m:int -> unit
+(** Re-arm [f] as what [create ~m] returns — the identity on [m] rows,
+    counters at zero, the default refactorization policy — keeping its
+    arenas and Markowitz working matrix when [m] fits its capacity
+    (past it, the per-row arrays are reallocated at least twice as
+    large and the working matrix is remade on the next
+    {!refactorize}). Costs O(m), not O(capacity). This is how the
+    revised simplex's per-domain workspace reuses one factor across
+    solves. *)
 
 val refactorize :
   t ->

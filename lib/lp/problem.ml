@@ -12,16 +12,27 @@ type csc = {
   row_rhs : float array;
 }
 
+(* Rows live in growable flat arrays, in insertion order: row [i]'s
+   terms are [r_var.(p)], [r_coef.(p)] for [p] in
+   [r_start.(i) .. r_start.(i+1) - 1]. Only the first [nr] rows and
+   [nnz] terms are meaningful; the arrays may be longer. *)
 type t = {
   mutable objs : float array;
   mutable lowers : float array;
   mutable uppers : float option array;
   mutable names : string array;
   mutable nv : int;
-  mutable row_list : row list; (* reversed insertion order *)
+  mutable r_start : int array; (* nr + 1 offsets *)
+  mutable r_var : int array;
+  mutable r_coef : float array;
+  mutable r_cmp : cmp array;
+  mutable r_rhs : float array;
   mutable nr : int;
   mutable nnz : int;
-  (* Cached sparse column view of [row_list]; invalidated by any
+  (* Set by [clone] on both sides: the row arrays are shared, so the
+     next [add_row] on either side copies them first. *)
+  mutable rows_shared : bool;
+  (* Cached sparse column view of the rows; invalidated by any
      structural change (add_var / add_row). Bound or objective edits
      keep it valid, which is what lets branch-and-bound clones share
      one CSC across the whole tree. *)
@@ -35,9 +46,14 @@ let create () =
     uppers = [||];
     names = [||];
     nv = 0;
-    row_list = [];
+    r_start = [| 0 |];
+    r_var = [||];
+    r_coef = [||];
+    r_cmp = [||];
+    r_rhs = [||];
     nr = 0;
     nnz = 0;
+    rows_shared = false;
     csc_cache = None;
   }
 
@@ -70,27 +86,66 @@ let add_var t ?name ?upper ~obj () =
   t.csc_cache <- None;
   idx
 
+(* [a] with room for [needed] cells: the same array when it has it,
+   else a copy into one at least twice as long. *)
+let room a needed fill =
+  let cap = Array.length a in
+  if needed <= cap then a
+  else begin
+    let b = Array.make (max needed (max 16 (2 * cap))) fill in
+    Array.blit a 0 b 0 cap;
+    b
+  end
+
+(* Term count of a row, rejecting unknown variables before anything is
+   written. ([row_length] and [write_terms] are top-level so that a
+   row costs no closure.) *)
+let rec row_length nv len = function
+  | [] -> len
+  | (v, _) :: rest ->
+      if v < 0 || v >= nv then invalid_arg "Problem.add_row: unknown variable";
+      row_length nv (len + 1) rest
+
+let rec write_terms r_var r_coef p = function
+  | [] -> ()
+  | (v, c) :: rest ->
+      r_var.(p) <- v;
+      r_coef.(p) <- c;
+      write_terms r_var r_coef (p + 1) rest
+
 let add_row t terms cmp rhs =
-  List.iter
-    (fun (v, _) ->
-      if v < 0 || v >= t.nv then invalid_arg "Problem.add_row: unknown variable")
-    terms;
-  t.row_list <- { terms; cmp; rhs } :: t.row_list;
-  t.nr <- t.nr + 1;
-  t.nnz <- t.nnz + List.length terms;
+  let len = row_length t.nv 0 terms in
+  if t.rows_shared then begin
+    (* Copy on write: the clone partner keeps the arrays. *)
+    t.r_start <- Array.sub t.r_start 0 (t.nr + 1);
+    t.r_var <- Array.sub t.r_var 0 t.nnz;
+    t.r_coef <- Array.sub t.r_coef 0 t.nnz;
+    t.r_cmp <- Array.sub t.r_cmp 0 t.nr;
+    t.r_rhs <- Array.sub t.r_rhs 0 t.nr;
+    t.rows_shared <- false
+  end;
+  let i = t.nr and p0 = t.nnz in
+  t.r_start <- room t.r_start (i + 2) 0;
+  t.r_cmp <- room t.r_cmp (i + 1) Le;
+  t.r_rhs <- room t.r_rhs (i + 1) 0.0;
+  t.r_var <- room t.r_var (p0 + len) 0;
+  t.r_coef <- room t.r_coef (p0 + len) 0.0;
+  write_terms t.r_var t.r_coef p0 terms;
+  t.r_cmp.(i) <- cmp;
+  t.r_rhs.(i) <- rhs;
+  t.r_start.(i + 1) <- p0 + len;
+  t.nr <- i + 1;
+  t.nnz <- p0 + len;
   t.csc_cache <- None
 
 let clone t =
+  t.rows_shared <- true;
   {
+    t with
     objs = Array.copy t.objs;
     lowers = Array.copy t.lowers;
     uppers = Array.copy t.uppers;
     names = Array.copy t.names;
-    nv = t.nv;
-    row_list = t.row_list;
-    nr = t.nr;
-    nnz = t.nnz;
-    csc_cache = t.csc_cache;
   }
 
 let set_upper t v upper =
@@ -125,36 +180,43 @@ let lower_bound t i = t.lowers.(i)
 let var_name t i =
   if t.names.(i) = "" then Printf.sprintf "v%d" i else t.names.(i)
 
-let rows t = Array.of_list (List.rev t.row_list)
+let rows t =
+  Array.init t.nr (fun i ->
+      let terms = ref [] in
+      for p = t.r_start.(i + 1) - 1 downto t.r_start.(i) do
+        terms := (t.r_var.(p), t.r_coef.(p)) :: !terms
+      done;
+      { terms = !terms; cmp = t.r_cmp.(i); rhs = t.r_rhs.(i) })
 
+(* Counting-sort transpose of the flat rows: rows in insertion order,
+   a row's terms in its own order, duplicates kept (the factor load
+   sums them). *)
 let build_csc t =
   let nv = t.nv and nr = t.nr and nnz = t.nnz in
-  let rows = Array.of_list (List.rev t.row_list) in
-  let counts = Array.make (nv + 1) 0 in
-  Array.iter
-    (fun r -> List.iter (fun (v, _) -> counts.(v) <- counts.(v) + 1) r.terms)
-    rows;
   let col_ptr = Array.make (nv + 1) 0 in
+  for p = 0 to nnz - 1 do
+    let v = t.r_var.(p) in
+    col_ptr.(v + 1) <- col_ptr.(v + 1) + 1
+  done;
   for v = 0 to nv - 1 do
-    col_ptr.(v + 1) <- col_ptr.(v) + counts.(v)
+    col_ptr.(v + 1) <- col_ptr.(v) + col_ptr.(v + 1)
   done;
   let row_ind = Array.make (max 1 nnz) 0 in
   let values = Array.make (max 1 nnz) 0.0 in
   let cursor = Array.copy col_ptr in
   let row_cmp = Array.make (max 1 nr) Le in
   let row_rhs = Array.make (max 1 nr) 0.0 in
-  Array.iteri
-    (fun i r ->
-      row_cmp.(i) <- r.cmp;
-      row_rhs.(i) <- r.rhs;
-      List.iter
-        (fun (v, c) ->
-          let p = cursor.(v) in
-          row_ind.(p) <- i;
-          values.(p) <- c;
-          cursor.(v) <- p + 1)
-        r.terms)
-    rows;
+  Array.blit t.r_cmp 0 row_cmp 0 nr;
+  Array.blit t.r_rhs 0 row_rhs 0 nr;
+  for i = 0 to nr - 1 do
+    for p = t.r_start.(i) to t.r_start.(i + 1) - 1 do
+      let v = t.r_var.(p) in
+      let q = cursor.(v) in
+      row_ind.(q) <- i;
+      values.(q) <- t.r_coef.(p);
+      cursor.(v) <- q + 1
+    done
+  done;
   { c_nv = nv; c_nr = nr; col_ptr; row_ind; values; row_cmp; row_rhs }
 
 let csc t =
@@ -172,8 +234,12 @@ let eval_objective t x =
   done;
   !acc
 
-let row_value row x =
-  List.fold_left (fun acc (v, coeff) -> acc +. (coeff *. x.(v))) 0.0 row.terms
+let row_value t i x =
+  let acc = ref 0.0 in
+  for p = t.r_start.(i) to t.r_start.(i + 1) - 1 do
+    acc := !acc +. (t.r_coef.(p) *. x.(t.r_var.(p)))
+  done;
+  !acc
 
 let check_feasible ?(eps = 1e-6) t x =
   let bounds_ok = ref true in
@@ -183,15 +249,18 @@ let check_feasible ?(eps = 1e-6) t x =
     | Some u when x.(i) > u +. eps -> bounds_ok := false
     | Some _ | None -> ())
   done;
-  !bounds_ok
-  && List.for_all
-       (fun row ->
-         let v = row_value row x in
-         match row.cmp with
-         | Le -> v <= row.rhs +. eps
-         | Ge -> v >= row.rhs -. eps
-         | Eq -> Float.abs (v -. row.rhs) <= eps)
-       t.row_list
+  let rows_ok = ref true in
+  for i = 0 to t.nr - 1 do
+    let v = row_value t i x and rhs = t.r_rhs.(i) in
+    let ok =
+      match t.r_cmp.(i) with
+      | Le -> v <= rhs +. eps
+      | Ge -> v >= rhs -. eps
+      | Eq -> Float.abs (v -. rhs) <= eps
+    in
+    if not ok then rows_ok := false
+  done;
+  !bounds_ok && !rows_ok
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>max ";
@@ -200,14 +269,13 @@ let pp ppf t =
       Format.fprintf ppf "%+g %s " t.objs.(i) (var_name t i)
   done;
   Format.fprintf ppf "@,subject to:@,";
-  List.iter
-    (fun row ->
-      List.iter
-        (fun (v, coeff) -> Format.fprintf ppf "%+g %s " coeff (var_name t v))
-        row.terms;
-      let op = match row.cmp with Le -> "<=" | Ge -> ">=" | Eq -> "=" in
-      Format.fprintf ppf "%s %g@," op row.rhs)
-    (List.rev t.row_list);
+  for i = 0 to t.nr - 1 do
+    for p = t.r_start.(i) to t.r_start.(i + 1) - 1 do
+      Format.fprintf ppf "%+g %s " t.r_coef.(p) (var_name t t.r_var.(p))
+    done;
+    let op = match t.r_cmp.(i) with Le -> "<=" | Ge -> ">=" | Eq -> "=" in
+    Format.fprintf ppf "%s %g@," op t.r_rhs.(i)
+  done;
   for i = 0 to t.nv - 1 do
     match (t.lowers.(i), t.uppers.(i)) with
     | l, Some u -> Format.fprintf ppf "%g <= %s <= %g@," l (var_name t i) u

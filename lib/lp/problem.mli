@@ -3,12 +3,17 @@
 
     Conventions: every variable carries a finite lower bound (default
     0) and an optional finite upper bound, and the objective is always
-    *maximized*. Constraint rows are sparse lists of
-    (variable, coefficient) terms. *)
+    *maximized*. A constraint row is a sparse list of (variable,
+    coefficient) terms when it goes in ({!add_row}) and comes out
+    ({!rows}); in between, rows are stored in growable flat arrays (row
+    starts, variables, coefficients, senses, right-hand sides) in
+    insertion order, so a program holds no boxed term per nonzero. *)
 
 type cmp = Le | Ge | Eq
 
 type row = { terms : (int * float) list; cmp : cmp; rhs : float }
+(** One row as {!rows} returns it: its terms in insertion order,
+    duplicates kept. *)
 
 type csc = {
   c_nv : int;  (** column (variable) count at build time *)
@@ -35,14 +40,18 @@ val add_var : t -> ?name:string -> ?upper:float -> obj:float -> unit -> int
     lazily. *)
 
 val add_row : t -> (int * float) list -> cmp -> float -> unit
-(** Adds a constraint row. Raises [Invalid_argument] if a term
-    references an unknown variable. *)
+(** Adds a constraint row (terms copied into the flat row arrays; a
+    variable may appear more than once, and its coefficients add up).
+    Raises [Invalid_argument] if a term references an unknown variable,
+    leaving the program unchanged. *)
 
 val clone : t -> t
-(** Independent copy of the bounds and objective; the row structure
-    (and the cached CSC view) is shared. Branch-and-bound uses this to
-    apply node-local bound fixings without disturbing the base
-    program. *)
+(** Independent copy of the bounds and objective; the rows (and the
+    cached CSC view) are shared. Branch-and-bound uses this to apply
+    node-local bound fixings without disturbing the base program. The
+    shared rows are copied on write: a later {!add_row} on either the
+    clone or the original copies them first, so neither sees the
+    other's new rows. *)
 
 val set_upper : t -> int -> float option -> unit
 (** Replaces a variable's upper bound (fixing a binary to 0 is
@@ -78,13 +87,17 @@ val bounds_into : t -> lo:float array -> up:float array -> unit
 
 val var_name : t -> int -> string
 val rows : t -> row array
-(** All rows (copy of the internal order). *)
+(** All rows in insertion order, rebuilt as term lists from the flat
+    arrays (for oracles, tests and debugging; the solvers read
+    {!csc}). *)
 
 val csc : t -> csc
 (** Sparse column view of the rows, built on first use and cached
     until the next [add_var] / [add_row]. Bound and objective edits do
     not invalidate it, and {!clone} shares the cache, so a
-    branch-and-bound tree builds it exactly once. *)
+    branch-and-bound tree builds it exactly once. Within a column the
+    entries follow row insertion order; duplicate terms stay separate
+    entries. *)
 
 val eval_objective : t -> float array -> float
 (** Objective value of a point (no feasibility check). *)

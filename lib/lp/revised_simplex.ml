@@ -28,7 +28,14 @@
    refactorization, and only if a *fresh* factorization still produces
    garbage does the solve escalate through the recovery ladder
    (cold restart under Bland's rule, then one perturbed-objective
-   retry) before giving up. *)
+   retry) before giving up.
+
+   Allocation discipline: a solve's working arrays and its [Factor.t]
+   come from a per-domain workspace (see [workspace] below), so a
+   domain that solves many small programs — a serving tick re-solving
+   its touched shards — reuses one set of arrays instead of promoting
+   a fresh set per solve into the major heap. What a solve returns is
+   always freshly allocated at the program's exact size. *)
 
 module Supervise = Svgic_util.Supervise
 
@@ -74,6 +81,9 @@ let dtol = 1e-9 (* reduced-cost (dual) tolerance *)
 let ztol = 1e-9 (* pivot-element tolerance *)
 let ftol = 1e-7 (* primal feasibility classification tolerance *)
 
+(* Per-attempt view of a workspace: the arrays may be longer than the
+   program (the workspace is sized to the largest program its domain
+   has solved); only the first [m] / [ncols] cells are used. *)
 type state = {
   m : int; (* rows = basis size *)
   nv : int; (* structural columns *)
@@ -94,6 +104,94 @@ type state = {
   y : float array; (* BTRAN scratch *)
   cb : float array; (* basic-cost scratch *)
 }
+
+(* ---------------- workspace --------------------------------------- *)
+
+(* The arrays behind [state], plus the factor, owned by one domain and
+   reused by every solve that runs there. A solve takes it for its
+   whole duration (every rung of the recovery ladder) and releases it
+   on every exit, exceptions included; a solve that finds it taken — a
+   re-entrant solve in the same domain — works on private arrays
+   instead. Each attempt re-arms it in O(program): only the first [m]
+   rows and [nv + m] columns are rewritten, and every invariant the
+   pivot loop relies on (the all-zero [w], the factor's pattern marks,
+   its per-solve counters) is restored there. *)
+type workspace = {
+  mutable busy : bool;
+  mutable ws_lo : float array;
+  mutable ws_up : float array;
+  mutable ws_cost : float array;
+  mutable ws_stat : int array;
+  mutable ws_pos : int array;
+  mutable ws_basis : int array;
+  mutable ws_xb : float array;
+  mutable ws_row_of : int array;
+  mutable ws_tmpb : int array;
+  mutable ws_w : float array;
+  mutable ws_wnz : int array;
+  mutable ws_y : float array;
+  mutable ws_cb : float array;
+  ws_f : Factor.t;
+}
+
+let new_workspace ~m ~ncols =
+  let mm = max 1 m in
+  {
+    busy = false;
+    ws_lo = Array.make ncols 0.0;
+    ws_up = Array.make ncols 0.0;
+    ws_cost = Array.make ncols 0.0;
+    ws_stat = Array.make ncols 0;
+    ws_pos = Array.make ncols 0;
+    ws_basis = Array.make mm 0;
+    ws_xb = Array.make mm 0.0;
+    ws_row_of = Array.make mm 0;
+    ws_tmpb = Array.make mm 0;
+    ws_w = Array.make mm 0.0;
+    ws_wnz = Array.make mm 0;
+    ws_y = Array.make mm 0.0;
+    ws_cb = Array.make mm 0.0;
+    ws_f = Factor.create ~m;
+  }
+
+(* Grow to hold [m] rows and [ncols] columns (geometrically, so a
+   domain whose programs creep upward reallocates rarely). *)
+let reserve ws ~m ~ncols =
+  if ncols > Array.length ws.ws_lo then begin
+    let cap = max ncols (2 * Array.length ws.ws_lo) in
+    ws.ws_lo <- Array.make cap 0.0;
+    ws.ws_up <- Array.make cap 0.0;
+    ws.ws_cost <- Array.make cap 0.0;
+    ws.ws_stat <- Array.make cap 0;
+    ws.ws_pos <- Array.make cap 0
+  end;
+  if m > Array.length ws.ws_basis then begin
+    let cap = max m (2 * Array.length ws.ws_basis) in
+    ws.ws_basis <- Array.make cap 0;
+    ws.ws_xb <- Array.make cap 0.0;
+    ws.ws_row_of <- Array.make cap 0;
+    ws.ws_tmpb <- Array.make cap 0;
+    ws.ws_w <- Array.make cap 0.0;
+    ws.ws_wnz <- Array.make cap 0;
+    ws.ws_y <- Array.make cap 0.0;
+    ws.ws_cb <- Array.make cap 0.0
+  end
+
+let domain_workspace =
+  Domain.DLS.new_key (fun () -> new_workspace ~m:0 ~ncols:0)
+
+(* Run [f] on this domain's workspace, or on private arrays sized to
+   [problem] when a solve in this domain already holds it. *)
+let with_workspace problem f =
+  let ws = Domain.DLS.get domain_workspace in
+  if ws.busy then
+    f
+      (new_workspace ~m:(Problem.num_rows problem)
+         ~ncols:(Problem.num_vars problem + Problem.num_rows problem))
+  else begin
+    ws.busy <- true;
+    Fun.protect ~finally:(fun () -> ws.busy <- false) (fun () -> f ws)
+  end
 
 (* ---------------- factorization ----------------------------------- *)
 
@@ -165,7 +263,10 @@ let scatter_col_pattern st j w wnz =
     1
   end
 
-let dot_col st j y =
+(* Pricing calls this once per column per pivot. It is inlined so its
+   float result stays unboxed: out of line, every call boxed it, two
+   words per priced column per pivot. *)
+let[@inline] dot_col st j y =
   if j < st.nv then begin
     let c = st.csc in
     let acc = ref 0.0 in
@@ -177,8 +278,9 @@ let dot_col st j y =
   else y.(j - st.nv)
 
 (* Resting value of a nonbasic column: the bound its status names,
-   falling back to the finite one (every column has at least one). *)
-let nbval st j =
+   falling back to the finite one (every column has at least one).
+   Inlined for the same reason as [dot_col]. *)
+let[@inline] nbval st j =
   if st.stat.(j) = 2 then
     if st.up.(j) < infinity then st.up.(j) else st.lo.(j)
   else if st.lo.(j) > neg_infinity then st.lo.(j)
@@ -216,18 +318,21 @@ let recompute_xb st =
    as a silently wrong verdict, since NaN compares false against every
    tolerance. Infinities are equally fatal in the matrix, objective
    and rhs; bounds are allowed their usual infinities but not NaN. *)
+let all_finite a =
+  let ok = ref true in
+  for i = 0 to Array.length a - 1 do
+    if not (Float.is_finite a.(i)) then ok := false
+  done;
+  !ok
+
 let screen_problem problem =
   let csc = Problem.csc problem in
-  let ok = ref true in
-  Array.iter
-    (fun c -> if not (Float.is_finite c) then ok := false)
-    (Problem.objective problem);
-  Array.iter
-    (fun v -> if not (Float.is_finite v) then ok := false)
-    csc.Problem.values;
-  Array.iter
-    (fun b -> if not (Float.is_finite b) then ok := false)
-    csc.Problem.row_rhs;
+  let ok =
+    ref
+      (all_finite (Problem.objective problem)
+      && all_finite csc.Problem.values
+      && all_finite csc.Problem.row_rhs)
+  in
   for j = 0 to Problem.num_vars problem - 1 do
     if Float.is_nan (Problem.lower_bound problem j) then ok := false;
     match Problem.upper_bound problem j with
@@ -236,27 +341,38 @@ let screen_problem problem =
   done;
   if not !ok then failwith "Revised_simplex.solve: non-finite problem data"
 
-let build ?refactor_every problem =
+(* Re-arm [ws] for [problem]. Bounds and costs are written for every
+   column; basis, status and positions are written by the install
+   that follows, whose [recompute_xb] also zeroes [w] (an attempt that
+   ended in an exception may have left an FTRANed column there). *)
+let build ws ?refactor_every problem =
   let nv = Problem.num_vars problem in
   let csc = Problem.csc problem in
   let m = csc.Problem.c_nr in
   let ncols = nv + m in
-  let lo = Array.make ncols 0.0 in
-  let up = Array.make ncols infinity in
-  let cost = Array.make ncols 0.0 in
+  reserve ws ~m ~ncols;
+  let lo = ws.ws_lo and up = ws.ws_up and cost = ws.ws_cost in
   let objs = Problem.objective problem in
   Array.blit objs 0 cost 0 nv;
   Problem.bounds_into problem ~lo ~up;
   for r = 0 to m - 1 do
+    let j = nv + r in
+    cost.(j) <- 0.0;
     match csc.Problem.row_cmp.(r) with
-    | Problem.Le -> () (* [0, inf) *)
+    | Problem.Le ->
+        (* [0, inf) *)
+        lo.(j) <- 0.0;
+        up.(j) <- infinity
     | Problem.Ge ->
-        lo.(nv + r) <- neg_infinity;
-        up.(nv + r) <- 0.0
-    | Problem.Eq -> up.(nv + r) <- 0.0 (* [0, 0] *)
+        lo.(j) <- neg_infinity;
+        up.(j) <- 0.0
+    | Problem.Eq ->
+        (* [0, 0] *)
+        lo.(j) <- 0.0;
+        up.(j) <- 0.0
   done;
-  let f = Factor.create ~m in
-  Factor.set_refactor_every f refactor_every;
+  Factor.reset ws.ws_f ~m;
+  Factor.set_refactor_every ws.ws_f refactor_every;
   {
     m;
     nv;
@@ -265,17 +381,17 @@ let build ?refactor_every problem =
     lo;
     up;
     cost;
-    basis = Array.make (max 1 m) (-1);
-    stat = Array.make ncols 1;
-    pos = Array.make ncols (-1);
-    xb = Array.make (max 1 m) 0.0;
-    f;
-    row_of = Array.make (max 1 m) 0;
-    tmpb = Array.make (max 1 m) (-1);
-    w = Array.make (max 1 m) 0.0;
-    wnz = Array.make (max 1 m) 0;
-    y = Array.make (max 1 m) 0.0;
-    cb = Array.make (max 1 m) 0.0;
+    basis = ws.ws_basis;
+    stat = ws.ws_stat;
+    pos = ws.ws_pos;
+    xb = ws.ws_xb;
+    f = ws.ws_f;
+    row_of = ws.ws_row_of;
+    tmpb = ws.ws_tmpb;
+    w = ws.ws_w;
+    wnz = ws.ws_wnz;
+    y = ws.ws_y;
+    cb = ws.ws_cb;
   }
 
 let solver_stats st =
@@ -309,16 +425,20 @@ let install_cold st =
 let install_warm st (b : vbasis) =
   if Array.length b.stat0 <> st.ncols then (install_cold st; false)
   else begin
-    let basic = ref [] and nbasic = ref 0 in
-    for j = st.ncols - 1 downto 0 do
-      if b.stat0.(j) = 0 then begin
-        basic := j :: !basic;
-        incr nbasic
-      end
+    let nbasic = ref 0 in
+    for j = 0 to st.ncols - 1 do
+      if b.stat0.(j) = 0 then incr nbasic
     done;
     if !nbasic <> st.m then (install_cold st; false)
     else begin
-      List.iteri (fun r j -> st.basis.(r) <- j) !basic;
+      (* Basic columns in ascending order fill positions 0..m-1. *)
+      let r = ref 0 in
+      for j = 0 to st.ncols - 1 do
+        if b.stat0.(j) = 0 then begin
+          st.basis.(!r) <- j;
+          incr r
+        end
+      done;
       for j = 0 to st.ncols - 1 do
         st.pos.(j) <- -1;
         st.stat.(j) <-
@@ -361,9 +481,9 @@ let extract_x st =
    fresh factorization repairs — the retry ladder in [solve] owns
    recovery. [force_bland] pins pricing and the ratio test to Bland's
    rule from the first pivot (the anti-cycling restart rung). *)
-let attempt ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
+let attempt ws ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
     problem =
-  let st = build ?refactor_every problem in
+  let st = build ws ?refactor_every problem in
   (* Bound sanity: an empty box is infeasible before any algebra. *)
   let box_ok = ref true in
   for j = 0 to st.ncols - 1 do
@@ -651,7 +771,7 @@ let attempt ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
             x;
             objective = Problem.eval_objective problem x;
             pivots = !pivots;
-            basis = { stat0 = Array.copy st.stat };
+            basis = { stat0 = Array.sub st.stat 0 st.ncols };
             stats = solver_stats st;
           }
     | Some (V_timeout feasible) ->
@@ -661,7 +781,7 @@ let attempt ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
             x;
             objective = Problem.eval_objective problem x;
             pivots = !pivots;
-            basis = { stat0 = Array.copy st.stat };
+            basis = { stat0 = Array.sub st.stat 0 st.ncols };
             feasible;
             stats = solver_stats st;
           }
@@ -685,14 +805,15 @@ let solve ?(max_pivots = 500_000) ?basis ?token ?refactor_every problem =
     match token with Some t -> t | None -> Supervise.unlimited ()
   in
   screen_problem problem;
-  match attempt ?basis ?refactor_every ~max_pivots ~token problem with
+  with_workspace problem @@ fun ws ->
+  match attempt ws ?basis ?refactor_every ~max_pivots ~token problem with
   | result -> result
   | exception Breakdown -> (
       (* Rung 2: cold restart under Bland's rule. Slower but immune to
          cycling, and the cold install discards whatever basis drove
          the numerics into the ground. *)
       match
-        attempt ~force_bland:true ?refactor_every ~max_pivots ~token problem
+        attempt ws ~force_bland:true ?refactor_every ~max_pivots ~token problem
       with
       | result -> result
       | exception Breakdown -> (
@@ -716,13 +837,13 @@ let solve ?(max_pivots = 500_000) ?basis ?token ?refactor_every problem =
                Bland restart and perturbed retry"
           in
           match
-            attempt ~force_bland:true ?refactor_every ~max_pivots ~token
+            attempt ws ~force_bland:true ?refactor_every ~max_pivots ~token
               perturbed
           with
           | exception Breakdown -> fail ()
           | Optimal { basis = pb; _ } -> (
               match
-                attempt ~basis:pb ~force_bland:true ?refactor_every
+                attempt ws ~basis:pb ~force_bland:true ?refactor_every
                   ~max_pivots ~token problem
               with
               | result -> result

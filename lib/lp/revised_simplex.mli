@@ -20,6 +20,17 @@
     deadline or cancellation surfaces as {!Timeout} within one
     iteration, carrying the best iterate reached.
 
+    Memory: a solve works on its domain's workspace — the state arrays
+    and a {!Factor.t}, kept in [Domain.DLS] and sized to the largest
+    program the domain has solved — instead of allocating them per
+    solve. It holds the workspace for its whole recovery ladder and
+    releases it on every exit, exceptions included; a solve that
+    starts while its domain's workspace is held (re-entry) allocates
+    private arrays. Everything a solve returns ([x], the [vbasis]) is
+    freshly allocated at the program's exact size. None of this is
+    visible in results: a solve gives the same pivots, basis and
+    objective bits whatever ran in the domain before it.
+
     This is the repository's only exact LP engine, standing in for the
     commercial solver (Gurobi) the paper uses. A dense tableau kept
     under [test/oracles/] solves the same class of programs; the

@@ -22,6 +22,15 @@ let random_instance ?(lambda = 0.5) rng ~n ~m ~k =
   in
   Instance.create ~graph:g ~m ~k ~lambda ~pref ~tau
 
+(* Uniform utilities on flat arenas over a generated graph, as the
+   serving and plan workloads draw them: p ~ U(0,1), τ ~ U(0,0.5). *)
+let arenas_instance rng g ~m ~k =
+  let pref = Float.Array.init (Graph.n g * m) (fun _ -> Rng.float rng 1.0) in
+  let tau =
+    Float.Array.init (Graph.num_edges g * m) (fun _ -> Rng.float rng 0.5)
+  in
+  Instance.of_flat ~graph:g ~m ~k ~lambda:0.5 ~pref ~tau
+
 let paper_instance ?lambda () = Svgic.Example_paper.instance ?lambda ()
 
 (* Paper-scaled utility (λ = 1/2, scaled by 2). *)

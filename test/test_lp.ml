@@ -313,6 +313,116 @@ let test_fw_objective_function () =
   let x = [| [| 0.75; 0.25 |]; [| 0.5; 0.5 |] |] in
   Alcotest.(check (float 1e-9)) "objective" 1.0 (Pairwise_fw.objective fw x)
 
+(* ------------------------- flat rows ------------------------------ *)
+
+let row_list p =
+  Array.to_list
+    (Array.map
+       (fun (r : Problem.row) -> (r.terms, r.cmp, r.rhs))
+       (Problem.rows p))
+
+(* The CSC view read back row by row: (row, var, coef) triples in
+   column order. *)
+let csc_triples p =
+  let c = Problem.csc p in
+  let acc = ref [] in
+  for v = c.Problem.c_nv - 1 downto 0 do
+    for q = c.Problem.col_ptr.(v + 1) - 1 downto c.Problem.col_ptr.(v) do
+      acc := (c.Problem.row_ind.(q), v, c.Problem.values.(q)) :: !acc
+    done
+  done;
+  !acc
+
+(* What the CSC must hold for a list of rows: every term, grouped by
+   column, rows ascending, a row's duplicates in their own order. *)
+let expected_triples nv rows =
+  List.concat_map
+    (fun v ->
+      List.concat
+        (List.mapi
+           (fun i (terms, _, _) ->
+             List.filter_map
+               (fun (u, c) -> if u = v then Some (i, v, c) else None)
+               terms)
+           rows))
+    (List.init nv (fun v -> v))
+
+let test_flat_rows_round_trip () =
+  let p = Problem.create () in
+  let vs = Array.init 4 (fun i -> Problem.add_var p ~obj:(float_of_int i) ()) in
+  let rows =
+    [
+      ([ (vs.(0), 1.0); (vs.(2), -2.0) ], Problem.Le, 3.0);
+      ([], Problem.Ge, -1.0);
+      ([ (vs.(1), 0.5); (vs.(1), 0.25); (vs.(3), 4.0); (vs.(1), -1.0) ],
+        Problem.Eq, 2.0);
+      ([ (vs.(3), 1.0) ], Problem.Ge, 0.0);
+    ]
+  in
+  List.iter (fun (terms, cmp, rhs) -> Problem.add_row p terms cmp rhs) rows;
+  Alcotest.(check int) "row count" 4 (Problem.num_rows p);
+  Alcotest.(check int) "nonzeros" 7 (Problem.num_nonzeros p);
+  Alcotest.(check bool) "rows in insertion order" true (row_list p = rows);
+  Alcotest.(check bool)
+    "csc keeps every term, duplicates in row order" true
+    (csc_triples p = expected_triples 4 rows);
+  let c = Problem.csc p in
+  Alcotest.(check bool)
+    "csc senses and right-hand sides" true
+    (Array.to_list c.Problem.row_cmp = List.map (fun (_, k, _) -> k) rows
+    && Array.to_list c.Problem.row_rhs = List.map (fun (_, _, b) -> b) rows);
+  (* Feasibility reads the same rows, duplicates summed: row 2 is
+     -0.25 x1 + 4 x3 = 2, which x1 = 4, x3 = 0.75 meets only if all
+     three x1 terms count. *)
+  let x = [| 1.0; 4.0; 0.0; 0.75 |] in
+  Alcotest.(check bool) "feasible point" true (Problem.check_feasible p x);
+  x.(3) <- 0.5;
+  Alcotest.(check bool) "Eq row violated" false (Problem.check_feasible p x)
+
+let test_flat_rows_clone_copy_on_write () =
+  let base = Problem.create () in
+  let a = Problem.add_var base ~obj:1.0 () in
+  let b = Problem.add_var base ~obj:2.0 () in
+  Problem.add_row base [ (a, 1.0); (b, 1.0) ] Problem.Le 4.0;
+  let base_rows = row_list base and base_csc = csc_triples base in
+  let clone = Problem.clone base in
+  Problem.add_row clone [ (b, 3.0) ] Problem.Le 5.0;
+  Alcotest.(check bool) "base rows untouched by clone" true
+    (row_list base = base_rows);
+  Alcotest.(check bool) "base csc untouched by clone" true
+    (csc_triples base = base_csc);
+  Alcotest.(check int) "clone has its row" 2 (Problem.num_rows clone);
+  (* And the reverse: a row added to the base after cloning stays out
+     of a clone, even one that has not written yet. *)
+  let clone2 = Problem.clone base in
+  let clone2_rows = row_list clone2 in
+  Problem.add_row base [ (a, 2.0) ] Problem.Ge 1.0;
+  Problem.add_row base [ (b, -1.0) ] Problem.Ge (-3.0);
+  Alcotest.(check bool) "clone rows untouched by base" true
+    (row_list clone2 = clone2_rows);
+  Alcotest.(check bool) "first clone untouched by base" true
+    (row_list clone
+    = base_rows @ [ ([ (b, 3.0) ], Problem.Le, 5.0) ]);
+  Alcotest.(check int) "base grew" 3 (Problem.num_rows base);
+  Problem.add_row clone2 [ (a, 1.0); (a, 1.0) ] Problem.Eq 1.0;
+  Alcotest.(check bool) "base untouched by second clone" true
+    (List.length (row_list base) = 3
+    && csc_triples base = expected_triples 2 (row_list base))
+
+let test_flat_rows_unknown_variable () =
+  let p = Problem.create () in
+  let x = Problem.add_var p ~obj:1.0 () in
+  Problem.add_row p [ (x, 1.0) ] Problem.Le 1.0;
+  let before = row_list p in
+  List.iter
+    (fun terms ->
+      match Problem.add_row p terms Problem.Le 1.0 with
+      | () -> Alcotest.fail "unknown variable accepted"
+      | exception Invalid_argument _ -> ())
+    [ [ (x, 1.0); (1, 2.0) ]; [ (-1, 1.0) ] ];
+  Alcotest.(check bool) "rejected rows leave no trace" true
+    (row_list p = before && Problem.num_nonzeros p = 1)
+
 let suite =
   [
     Alcotest.test_case "simplex textbook" `Quick test_simplex_textbook;
@@ -329,6 +439,12 @@ let suite =
     Alcotest.test_case "fw feasibility" `Quick test_fw_feasibility;
     Alcotest.test_case "fw near optimal" `Quick test_fw_near_optimal;
     Alcotest.test_case "fw objective" `Quick test_fw_objective_function;
+    Alcotest.test_case "flat rows round trip (rows, csc, duplicates, empty)"
+      `Quick test_flat_rows_round_trip;
+    Alcotest.test_case "flat rows: clone copies on write" `Quick
+      test_flat_rows_clone_copy_on_write;
+    Alcotest.test_case "flat rows: unknown variable raises" `Quick
+      test_flat_rows_unknown_variable;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
       [ qcheck_simplex_random; qcheck_bb_random_knapsack ]

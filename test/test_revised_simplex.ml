@@ -581,6 +581,319 @@ let test_relaxation_exact_on_medium () =
     (exact.Svgic.Relaxation.scaled_objective
     >= fw.Svgic.Relaxation.scaled_objective -. 1e-6)
 
+(* ------------------ golden digests -------------------------------- *)
+
+(* LP_SIMP programs of the shapes the exact path solves in production,
+   pinned bit for bit: the objective in hex, the pivot, rebuild and
+   update counts, the base fill, a CRC-32 of the IEEE bits of [x] and
+   one of the returned basis entries. The constants were captured
+   before the solver's allocation work (the per-domain workspace, flat
+   [Problem] rows, small working-matrix arrays, inlined float helpers);
+   none of it may change a pivot. *)
+
+let crc_floats a =
+  let buf = Bytes.create (8 * Array.length a) in
+  Array.iteri
+    (fun i v -> Bytes.set_int64_le buf (8 * i) (Int64.bits_of_float v))
+    a;
+  Svgic_util.Crc32.update_bytes 0 buf ~pos:0 ~len:(Bytes.length buf)
+
+let crc_ints a =
+  let buf = Bytes.create (8 * Array.length a) in
+  Array.iteri (fun i v -> Bytes.set_int64_le buf (8 * i) (Int64.of_int v)) a;
+  Svgic_util.Crc32.update_bytes 0 buf ~pos:0 ~len:(Bytes.length buf)
+
+let lp_digest = function
+  | Revised.Optimal s ->
+      Printf.sprintf "opt %h piv %d refac %d etas %d fill %d x %08x basis %08x"
+        s.Revised.objective s.Revised.pivots s.Revised.stats.refactorizations
+        s.Revised.stats.eta_appends s.Revised.stats.fill_nnz (crc_floats s.x)
+        (crc_ints (Revised.vbasis_entries s.basis))
+  | Revised.Timeout p ->
+      Printf.sprintf "timeout %h piv %d feasible %b x %08x basis %08x"
+        p.Revised.objective p.Revised.pivots p.Revised.feasible
+        (crc_floats p.Revised.x)
+        (crc_ints (Revised.vbasis_entries p.Revised.basis))
+  | Revised.Infeasible -> "infeasible"
+  | Revised.Unbounded -> "unbounded"
+
+(* One 30-user Timik-like serving shard (m = 6, k = 4). *)
+let timik_shard_lp seed =
+  let rng = Rng.create seed in
+  let g, _ =
+    Svgic_graph.Generate.timik_like rng ~n:30 ~communities:1 ~attach:2
+      ~cross_frac:0.0
+  in
+  fst (Svgic.Lp_build.simp_lp (Helpers.arenas_instance rng g ~m:6 ~k:4))
+
+(* One planted community the size of a plan_unlabelled shard: 30 users
+   at p_in = 0.2, about 1,050 rows. *)
+let planted_shard_lp seed =
+  let rng = Rng.create seed in
+  let g, _ =
+    Svgic_graph.Generate.planted_partition rng ~n:30 ~communities:1 ~p_in:0.2
+      ~p_out:0.0
+  in
+  fst (Svgic.Lp_build.simp_lp (Helpers.arenas_instance rng g ~m:6 ~k:4))
+
+(* The serving warm path: every seventh objective coefficient drifts,
+   the rows stay, and the re-solve starts from the old optimal basis. *)
+let drifted p =
+  let q = Problem.clone p in
+  let objs = Problem.objective p in
+  Array.iteri
+    (fun j c -> if j mod 7 = 3 then Problem.set_obj q j ((0.5 *. c) +. 0.125))
+    objs;
+  q
+
+(* A serving tick's usual drift: three preference coefficients. *)
+let nudged p =
+  let q = Problem.clone p in
+  List.iter
+    (fun (j, c) -> Problem.set_obj q j c)
+    [ (5, 0.9); (17, 0.05); (101, 0.7) ];
+  q
+
+(* A branch-and-bound child: pure bound fixings on the root program. *)
+let fixed_node p =
+  let q = Problem.clone p in
+  Problem.set_upper q 2 (Some 0.0);
+  Problem.set_upper q 9 (Some 0.0);
+  Problem.set_lower q 13 1.0;
+  Problem.set_lower q 40 1.0;
+  q
+
+let root_basis p =
+  match Revised.solve p with
+  | Revised.Optimal s -> s.Revised.basis
+  | Revised.Infeasible | Revised.Unbounded | Revised.Timeout _ ->
+      Alcotest.fail "golden root program must solve"
+
+(* (name, solve) pairs; each thunk builds its program afresh. *)
+let golden_programs =
+  [
+    ("timik30 cold", fun () -> Revised.solve (timik_shard_lp 3));
+    ( "timik30 warm after objective drift",
+      fun () ->
+        let p = timik_shard_lp 3 in
+        Revised.solve ~basis:(root_basis p) (drifted p) );
+    ( "timik30 bnb node",
+      fun () ->
+        let p = timik_shard_lp 3 in
+        Revised.solve ~basis:(root_basis p) (fixed_node p) );
+    ( "timik30 warm after three coefficients",
+      fun () ->
+        let p = timik_shard_lp 3 in
+        Revised.solve ~basis:(root_basis p) (nudged p) );
+    ("timik30 seed 8 cold", fun () -> Revised.solve (timik_shard_lp 8));
+    ("planted30 cold", fun () -> Revised.solve (planted_shard_lp 5));
+    ( "planted30 warm after objective drift",
+      fun () ->
+        let p = planted_shard_lp 5 in
+        Revised.solve ~basis:(root_basis p) (drifted p) );
+  ]
+
+let golden_lp =
+  [
+    ( "timik30 cold",
+      "opt 0x1.d5e65fb00830bp+6 piv 690 refac 29 etas 690 fill 1412 x b1130a6d basis 751d4fd5" );
+    ( "timik30 warm after objective drift",
+      "opt 0x1.ce7a32e29aff8p+6 piv 92 refac 12 etas 92 fill 1398 x 84835d9d basis e8eb759e" );
+    ( "timik30 bnb node",
+      "opt 0x1.d2af2bd00d7c8p+6 piv 322 refac 46 etas 322 fill 1378 x ef6a2378 basis 25b57261" );
+    ( "timik30 warm after three coefficients",
+      "opt 0x1.d79d409d471f8p+6 piv 36 refac 5 etas 36 fill 1353 x 3bd96b76 basis f16100f1" );
+    ( "timik30 seed 8 cold",
+      "opt 0x1.fe40a116913cdp+6 piv 742 refac 30 etas 742 fill 1550 x f4f98bb3 basis 79da3595" );
+    ( "planted30 cold",
+      "opt 0x1.bd06608819b18p+7 piv 1491 refac 121 etas 1491 fill 2517 x 094c966e basis de35f8f5" );
+    ( "planted30 warm after objective drift",
+      "opt 0x1.ada5e8d348d9ap+7 piv 88 refac 18 etas 88 fill 2412 x 17b79e88 basis d181b129" );
+  ]
+
+let golden_bnb =
+  "obj 0x1.9f48a70a8af5cp+5 bound 0x1.9f48a70a8af5cp+5 nodes 61 piv 234 refac 119 x 605824ba"
+
+(* Every mismatch is reported, not just the first, so a drift shows
+   its whole extent. *)
+let test_golden_lp_digests () =
+  let bad = ref [] in
+  let check name got want =
+    if got <> want then
+      bad := Printf.sprintf "%s: digest %S, want %S" name got want :: !bad
+  in
+  List.iter
+    (fun (name, solve) ->
+      check name (lp_digest (solve ())) (List.assoc name golden_lp))
+    golden_programs;
+  (* The branch-and-bound tree over the knapsack: every node re-solve
+     warm starts from its parent. *)
+  let problem, binaries = make_bb_problem () in
+  let r = Branch_bound.solve problem ~binary:binaries in
+  check "bnb knapsack"
+    (Printf.sprintf "obj %h bound %h nodes %d piv %d refac %d x %08x"
+       r.Branch_bound.objective r.Branch_bound.bound r.Branch_bound.nodes
+       r.Branch_bound.pivots r.Branch_bound.refactorizations
+       (crc_floats (Option.get r.Branch_bound.incumbent)))
+    golden_bnb;
+  if !bad <> [] then Alcotest.fail (String.concat "\n" (List.rev !bad))
+
+(* ------------------ workspace isolation --------------------------- *)
+
+(* A solve takes its working arrays and its factor from a per-domain
+   workspace. Nothing a solve leaves there may leak into the next one:
+   programs of different shapes run through one domain, interleaved
+   with solves that end early — an expired token, non-finite data, an
+   unbounded program (which exits with an FTRANed column still in the
+   scratch), a pivot limit hit inside the pivot loop and a fault-
+   injected sharded round — must each give exactly what the same
+   program gives solved alone in a fresh domain, and what a parallel
+   fan-out gives. *)
+let isolation_programs =
+  [
+    ("random 11", fun () -> Revised.solve (fst (random_problem 11)));
+    ("timik30", fun () -> Revised.solve (timik_shard_lp 3));
+    ("random 4", fun () -> Revised.solve (fst (random_problem 4)));
+    ( "timik30 warm after objective drift",
+      fun () ->
+        let p = timik_shard_lp 8 in
+        Revised.solve ~basis:(root_basis p) (drifted p) );
+    ( "knapsack node",
+      fun () ->
+        let p, _ = make_bb_problem () in
+        let q = Problem.clone p in
+        Problem.set_upper q 1 (Some 0.0);
+        Problem.set_lower q 4 1.0;
+        Revised.solve ~basis:(root_basis p) q );
+    ("random 2", fun () -> Revised.solve (fst (random_problem 2)));
+  ]
+
+let unbounded_problem () =
+  let p = Problem.create () in
+  let x = Problem.add_var p ~obj:1.0 () in
+  let y = Problem.add_var p ~obj:0.0 () in
+  Problem.add_row p [ (x, 1.0); (y, -1.0) ] Problem.Le 1.0;
+  Problem.add_row p [ (x, -1.0); (y, 1.0) ] Problem.Le 2.0;
+  p
+
+let disturbances =
+  [|
+    (fun () ->
+      match
+        Revised.solve ~token:(Supervise.expired_token ()) (planted_shard_lp 5)
+      with
+      | Revised.Timeout _ -> ()
+      | _ -> Alcotest.fail "expired token: expected Timeout");
+    (fun () ->
+      let p = timik_shard_lp 3 in
+      Problem.set_obj p 7 Float.infinity;
+      match Revised.solve p with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "non-finite objective: expected Failure");
+    (fun () ->
+      match Revised.solve (unbounded_problem ()) with
+      | Revised.Unbounded -> ()
+      | _ -> Alcotest.fail "expected Unbounded");
+    (fun () ->
+      match Revised.solve ~max_pivots:3 (timik_shard_lp 8) with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "pivot limit: expected Failure");
+    (fun () ->
+      let module Fault = Svgic_util.Fault in
+      let module Shard = Svgic.Shard in
+      let inst =
+        Svgic_data.Datasets.make Svgic_data.Datasets.Timik (Rng.create 4242)
+          ~n:24 ~m:8 ~k:2 ~lambda:0.5
+      in
+      let part =
+        Shard.partition ~rng:(Rng.create 0) ~labelling:(Shard.Balanced 4) inst
+      in
+      Fault.configure ~seed:5 ~rate:0.5
+        ~kinds:[ Fault.Timeout; Fault.Nan; Fault.Crash ];
+      Fun.protect ~finally:Fault.clear (fun () ->
+          ignore
+            (Shard.solve_round ~domains:1
+               ~rounding:(Shard.Avg_d { r = None })
+               (Rng.create 5) part)));
+  |]
+
+let digests_alone () =
+  List.map
+    (fun (name, solve) ->
+      (name, Domain.join (Domain.spawn (fun () -> lp_digest (solve ())))))
+    isolation_programs
+
+let test_workspace_isolation () =
+  let alone = digests_alone () in
+  let interleaved =
+    List.mapi
+      (fun i (name, solve) ->
+        disturbances.(i mod Array.length disturbances) ();
+        (name, lp_digest (solve ())))
+      isolation_programs
+  in
+  List.iter2
+    (fun (name, want) (_, got) ->
+      if got <> want then
+        Alcotest.failf "%s interleaved: digest %S, alone %S" name got want)
+    alone interleaved;
+  let progs = Array.of_list isolation_programs in
+  List.iter
+    (fun domains ->
+      let par =
+        Svgic_util.Pool.parallel_map ~domains (Array.length progs) (fun i ->
+            lp_digest ((snd progs.(i)) ()))
+      in
+      List.iteri
+        (fun i (name, want) ->
+          if par.(i) <> want then
+            Alcotest.failf "%s on %d domains: digest %S, alone %S" name domains
+              par.(i) want)
+        alone)
+    [ 2; 3; 4 ]
+
+(* The busy rule: a solve that starts while its domain's workspace is
+   held works on private arrays. A SIGALRM handler runs at the pivot
+   loop's poll points, so a solve inside it re-enters while the outer
+   solve holds the workspace; both must still give the alone
+   digests. *)
+let test_workspace_reentry () =
+  let outer = planted_shard_lp 5 and inner = fst (random_problem 11) in
+  let want_outer = lp_digest (Revised.solve outer) in
+  let want_inner = lp_digest (Revised.solve inner) in
+  let in_outer = ref false and reentered = ref 0 and inner_bad = ref [] in
+  let handler _ =
+    if !in_outer then begin
+      incr reentered;
+      let got = lp_digest (Revised.solve inner) in
+      if got <> want_inner then inner_bad := got :: !inner_bad
+    end
+  in
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle handler) in
+  let tick = { Unix.it_interval = 0.002; it_value = 0.002 } in
+  let off = { Unix.it_interval = 0.0; it_value = 0.0 } in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL off);
+      Sys.set_signal Sys.sigalrm old)
+    (fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL tick);
+      let attempts = ref 0 in
+      while !reentered = 0 && !attempts < 20 do
+        incr attempts;
+        in_outer := true;
+        let got = lp_digest (Revised.solve outer) in
+        in_outer := false;
+        if got <> want_outer then
+          Alcotest.failf "outer solve under re-entry: digest %S, want %S" got
+            want_outer
+      done);
+  Alcotest.(check bool) "a solve re-entered mid-solve" true (!reentered > 0);
+  match !inner_bad with
+  | [] -> ()
+  | got :: _ ->
+      Alcotest.failf "re-entrant solve: digest %S, want %S" got want_inner
+
 let suite =
   [
     Alcotest.test_case "revised textbook" `Quick test_textbook;
@@ -622,4 +935,9 @@ let suite =
       test_relaxation_exact_on_example;
     Alcotest.test_case "relaxation exact beyond old budget" `Quick
       test_relaxation_exact_on_medium;
+    Alcotest.test_case "golden LP digests" `Quick test_golden_lp_digests;
+    Alcotest.test_case "workspace isolation: interleaved = alone = parallel"
+      `Quick test_workspace_isolation;
+    Alcotest.test_case "workspace busy rule: re-entrant solve" `Quick
+      test_workspace_reentry;
   ]

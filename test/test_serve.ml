@@ -447,9 +447,73 @@ let test_mclock_monotone () =
   done;
   Alcotest.(check bool) "timer elapsed >= 0" true (Timer.elapsed_s tm >= 0.0)
 
+(* ---------------- golden fingerprints ----------------------------- *)
+
+(* A small serve_drift: 300 Timik-like users in 10 labelled shards,
+   six ticks of preference and tau drift, then a tick with a leave and
+   a join. [Serve.fingerprint] after every tick is pinned to constants
+   captured before the exact solves took their state from a per-domain
+   workspace and the cut repair moved in place; the serving state must
+   not change by a bit, on one domain or two. *)
+let golden_trace domains =
+  let rng = Rng.create 77 in
+  let g, labels =
+    Svgic_graph.Generate.timik_like rng ~n:300 ~communities:10 ~attach:2
+      ~cross_frac:0.02
+  in
+  let m = 6 in
+  let inst = Helpers.arenas_instance rng g ~m ~k:4 in
+  let edges = Graph.edges g in
+  let t =
+    Serve.create ~labelling:(Shard.Labels labels) ~domains (Rng.create 5) inst
+  in
+  let prints = ref [ Serve.fingerprint t ] in
+  let tr = Rng.create 99 in
+  for _ = 1 to 6 do
+    for _ = 1 to 12 do
+      let ev =
+        if Rng.bernoulli tr 0.8 then
+          Serve.Pref_delta
+            {
+              user = Rng.int tr 300;
+              item = Rng.int tr m;
+              value = Rng.uniform tr;
+            }
+        else
+          let u, v = Rng.pick tr edges in
+          Serve.Tau_delta
+            { u; v; item = Rng.int tr m; value = 0.5 *. Rng.uniform tr }
+      in
+      ignore (Serve.submit t ev)
+    done;
+    ignore (Serve.tick t);
+    prints := Serve.fingerprint t :: !prints
+  done;
+  ignore (Serve.submit t (Serve.Leave 17));
+  ignore (Serve.submit t (Serve.Join (profile ~m ~seed:6 ~friends:[ 20; 21 ])));
+  ignore (Serve.tick t);
+  List.rev (Serve.fingerprint t :: !prints)
+
+let golden_fingerprints =
+  [
+    0xb3823fa8; 0xb0938ea8; 0x5c54c933; 0x1684b0d3; 0x8073592f; 0xc6d89172;
+    0x25792150; 0x675de53d;
+  ]
+
+let test_golden_fingerprints () =
+  List.iter
+    (fun domains ->
+      let got = golden_trace domains in
+      if got <> golden_fingerprints then
+        Alcotest.failf "domains=%d: fingerprints [%s]" domains
+          (String.concat "; " (List.map (Printf.sprintf "0x%08x") got)))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "initial bracket" `Quick test_initial_bracket;
+    Alcotest.test_case "golden fingerprints per tick (1 and 2 domains)" `Quick
+      test_golden_fingerprints;
     Alcotest.test_case "delta tick + LWW coalescing" `Quick test_delta_tick;
     Alcotest.test_case "tau deltas and drops" `Quick test_tau_delta_and_drops;
     Alcotest.test_case "join/leave structural tick" `Quick test_join_leave;
