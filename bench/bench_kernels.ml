@@ -65,6 +65,15 @@ let mk ?domains ?note ?(alloc = 0.0) kernel variant size ns_per_op =
     note;
   }
 
+(* The note of a row fanned out over [domains] workers. On a
+   single-domain box the row measures fan-out overhead, not scaling.
+   On more, its words/op omit what the workers allocated: on OCaml 5.1
+   [Gc.minor_words] and [Gc.counters] count the calling domain only. *)
+let fanout_note domains =
+  if domains <= 1 then
+    "single-domain host: row measures fan-out overhead, not scaling"
+  else "words/op count the calling domain only"
+
 (* The minor term comes from [Gc.minor_words], which counts the
    current minor heap's fill exactly; on OCaml 5.1 the minor term of
    [Gc.counters] adds only an eighth of it, so a window that triggers
@@ -87,8 +96,10 @@ let window_start () =
    minimum is the standard noise-robust estimator for single-threaded
    kernels (the pool rows use a single round: they measure wall-clock
    speedup, not a noise floor). Returns (ns/op, words/op); allocation
-   is read off the first round — it is deterministic per op, so one
-   round suffices and later rounds stay untouched by counter reads. *)
+   is read off the last round — it is deterministic per op once
+   one-time costs (the growth of a domain's solver workspace, starting
+   the pool's workers) have landed on the first round, so a row reads
+   the same whichever rows ran before it. *)
 let time_kernel ?(rounds = 3) ~ops f =
   let best = ref infinity and alloc = ref 0.0 in
   for r = 1 to rounds do
@@ -98,7 +109,7 @@ let time_kernel ?(rounds = 3) ~ops f =
       f ()
     done;
     let dt = Timer.elapsed_s t in
-    if r = 1 then alloc := (words_now () -. w0) /. float_of_int ops;
+    if r = rounds then alloc := (words_now () -. w0) /. float_of_int ops;
     if dt < !best then best := dt
   done;
   (!best *. 1e9 /. float_of_int ops, !alloc)
@@ -107,7 +118,11 @@ let time_kernel ?(rounds = 3) ~ops f =
    measures both sides back to back, alternating which goes first, and
    each side keeps its best round. Two sequential best-of blocks are
    vulnerable to background-load shifts between the blocks, which at
-   the small AVG-D shapes dwarfs the effect being measured. *)
+   the small AVG-D shapes dwarfs the effect being measured. An untimed
+   warm-up round of each side comes first: one-time costs (a fresh
+   program's CSC, the growth of a domain's solver workspace, starting
+   the pool's workers) would otherwise land on whichever side runs
+   first, so identical work would read as different words/op. *)
 let time_pair ?(rounds = 5) ~ops f g =
   let measure h =
     let w0 = window_start () in
@@ -117,6 +132,8 @@ let time_pair ?(rounds = 5) ~ops f g =
     done;
     (Timer.elapsed_s t, (words_now () -. w0) /. float_of_int ops)
   in
+  ignore (measure f);
+  ignore (measure g);
   let best_f = ref infinity and best_g = ref infinity in
   let alloc_f = ref 0.0 and alloc_g = ref 0.0 in
   for r = 1 to rounds do
@@ -431,8 +448,83 @@ let pool_records ~repeats ~shape:(n, m, k) =
   in
   [
     mk ~domains:1 ~alloc:serial_w "pool_best_of" "serial" repeats serial;
-    mk ~domains:avail ~alloc:parallel_w "pool_best_of" "parallel" repeats
-      parallel;
+    mk ~domains:avail ~note:(fanout_note avail) ~alloc:parallel_w
+      "pool_best_of" "parallel" repeats parallel;
+  ]
+
+(* What a fan-out costs before any block runs: an empty
+   [parallel_for ~domains:2 2], whose block 1 runs on a resident
+   worker. Timed after a warm-up call; the first call after
+   [Pool.shutdown] starts the worker, and its cost is the note. *)
+let pool_fanout_records () =
+  let fanout () = Pool.parallel_for ~domains:2 2 ignore in
+  Pool.shutdown ();
+  let t = Timer.start () in
+  fanout ();
+  let first_us = Timer.elapsed_s t *. 1e6 in
+  let ns, w = time_kernel ~rounds:3 ~ops:200 fanout in
+  [
+    mk ~domains:2 ~alloc:w
+      ~note:
+        (Printf.sprintf
+           "first call %.0f us, starting the worker; %s" first_us
+           (fanout_note 2))
+      "pool_fanout" "empty" 2 ns;
+  ]
+
+(* The tax idle resident workers put on serial code: OCaml 5's minor
+   collection stops every domain, and an idle worker answers through
+   its backup thread. The same allocation-bound loop runs after
+   [Pool.shutdown] ([alone]) and with one resident worker started and
+   idle ([idle_workers]); rounds alternate which goes first, after an
+   untimed warm-up of each. The note turns the difference into
+   microseconds per minor collection of the loop. *)
+let pool_idle_gc_records () =
+  let blocks = 400_000 in
+  let loop () =
+    for _ = 1 to blocks do
+      ignore (Sys.opaque_identity (Bytes.create 2000))
+    done
+  in
+  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+  let measure idle =
+    if idle then Pool.parallel_for ~domains:2 2 ignore else Pool.shutdown ();
+    let c0 = minors () in
+    let w0 = window_start () in
+    let t = Timer.start () in
+    loop ();
+    let dt = Timer.elapsed_s t in
+    (dt, words_now () -. w0, minors () - c0)
+  in
+  ignore (measure false);
+  ignore (measure true);
+  let best = [| infinity; infinity |] and words = [| 0.0; 0.0 |] in
+  let collections = ref 0 in
+  for r = 1 to 5 do
+    List.iter
+      (fun idle ->
+        let dt, w, c = measure idle in
+        let i = Bool.to_int idle in
+        if dt < best.(i) then best.(i) <- dt;
+        if r = 1 then begin
+          words.(i) <- w;
+          if not idle then collections := c
+        end)
+      (if r land 1 = 1 then [ false; true ] else [ true; false ])
+  done;
+  let extra_us =
+    (best.(1) -. best.(0)) *. 1e6 /. float_of_int (max 1 !collections)
+  in
+  [
+    mk ~domains:1 ~alloc:words.(0) "pool_idle_gc" "alone" blocks
+      (best.(0) *. 1e9);
+    mk ~domains:2 ~alloc:words.(1)
+      ~note:
+        (Printf.sprintf
+           "%d minor collections; %+.1f us per minor collection with one \
+            idle worker"
+           !collections extra_us)
+      "pool_idle_gc" "idle_workers" blocks (best.(1) *. 1e9);
   ]
 
 (* ---------------- Frank-Wolfe engine ------------------------------ *)
@@ -477,33 +569,38 @@ let fw_solve_records ~shapes =
       mk ~alloc:sparse_w "fw_solve" "sparse" (m * k) sparse)
     shapes
 
-(* Sparse engine serial vs fanned out over every available domain.
-   The [domains] field records what the parallel side actually ran
-   with: on a single-domain box the row measures fan-out overhead, not
+(* Frank-Wolfe serial vs fanned out over every available domain, on
+   Timik-like instances at m = 12 (plan_large's shards are the 300-user
+   row) and a fixed 300-iteration schedule. [size] is n·m, the quantity
+   [Pairwise_fw]'s default fan-out rule reads; the full-scale sizes
+   bracket the crossover where two domains start to pay. The [domains]
+   field records what the parallel side actually ran with: on a
+   single-domain box the row measures fan-out overhead, not
    parallelism, and the speedup derivation skips it. *)
-let fw_mc_records ~shape:(n, m, k) =
-  let p =
-    fw_sparse_problem (5200 + n + m + k) ~n ~m ~k ~edges:(4 * n) ~density:0.1
-  in
-  let iterations = 40 in
+let fw_mc_crossover_users = [ 25; 50; 100; 200; 300; 600; 1200; 2400; 6000 ]
+
+let fw_mc_records ~users =
+  let m = 12 and k = 4 and iterations = 300 in
   let avail = Pool.available_domains () in
-  let (serial, serial_w), (parallel, parallel_w) =
-    time_pair ~rounds:3 ~ops:1
-      (fun () -> ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:1 p))
-      (fun () ->
-        ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:avail p))
-  in
-  let size = m * k in
-  let note =
-    if avail <= 1 then
-      Some "single-domain host: row measures fan-out overhead, not scaling"
-    else None
-  in
-  [
-    mk ~domains:1 ~alloc:serial_w "fw_solve_mc" "serial" size serial;
-    mk ~domains:avail ?note ~alloc:parallel_w "fw_solve_mc" "parallel" size
-      parallel;
-  ]
+  List.concat_map
+    (fun n ->
+      let rng = Rng.create (5200 + n) in
+      let inst = Datasets.make Datasets.Timik rng ~n ~m ~k ~lambda:0.5 in
+      let p = Svgic.Lp_build.fw_problem inst in
+      let (serial, serial_w), (parallel, parallel_w) =
+        time_pair ~rounds:5 ~ops:1
+          (fun () ->
+            ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:1 p))
+          (fun () ->
+            ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:avail p))
+      in
+      let size = n * m in
+      [
+        mk ~domains:1 ~alloc:serial_w "fw_solve_mc" "serial" size serial;
+        mk ~domains:avail ~note:(fanout_note avail) ~alloc:parallel_w
+          "fw_solve_mc" "parallel" size parallel;
+      ])
+    users
 
 (* The full relaxation (scaled Timik instance) through the exact
    revised simplex and through the first-order engine, at a scale past
@@ -568,24 +665,27 @@ let fw_vs_exact_records ~shapes =
    at < 2% of the clean path. *)
 let fault_ladder_records ~lp_shapes ~fw_shapes =
   let module Supervise = Svgic_util.Supervise in
-  List.concat_map
-    (fun shape ->
-      let problem = simp_lp_of shape in
-      let size = Svgic_lp.Problem.num_vars problem in
-      let (bare, bare_w), (supervised, supervised_w) =
-        time_pair ~rounds:5 ~ops:1
-          (fun () -> ignore (Svgic_lp.Revised_simplex.solve problem))
-          (fun () ->
-            ignore
-              (Svgic_lp.Revised_simplex.solve
-                 ~token:(Supervise.unlimited ())
-                 problem))
-      in
-      [
-        mk ~alloc:bare_w "fault_ladder" "lp_bare" size bare;
-        mk ~alloc:supervised_w "fault_ladder" "lp_supervised" size supervised;
-      ])
-    lp_shapes
+  let lp_rows =
+    List.concat_map
+      (fun shape ->
+        let problem = simp_lp_of shape in
+        let size = Svgic_lp.Problem.num_vars problem in
+        let (bare, bare_w), (supervised, supervised_w) =
+          time_pair ~rounds:5 ~ops:1
+            (fun () -> ignore (Svgic_lp.Revised_simplex.solve problem))
+            (fun () ->
+              ignore
+                (Svgic_lp.Revised_simplex.solve
+                   ~token:(Supervise.unlimited ())
+                   problem))
+        in
+        [
+          mk ~alloc:bare_w "fault_ladder" "lp_bare" size bare;
+          mk ~alloc:supervised_w "fault_ladder" "lp_supervised" size supervised;
+        ])
+      lp_shapes
+  in
+  lp_rows
   @ List.concat_map
       (fun (n, m, k) ->
         let p =
@@ -853,15 +953,10 @@ let pipeline_mc_records ~shape:(blobs, blob_size, m, k) =
       (run_sharded_pipeline ~domains:1 inst)
       (run_sharded_pipeline ~domains:avail inst)
   in
-  let note =
-    if avail <= 1 then
-      Some "single-domain host: row measures fan-out overhead, not scaling"
-    else None
-  in
   [
     mk ~domains:1 ~alloc:serial_w "pipeline_mc" "serial" size serial;
-    mk ~domains:avail ?note ~alloc:parallel_w "pipeline_mc" "parallel" size
-      parallel;
+    mk ~domains:avail ~note:(fanout_note avail) ~alloc:parallel_w
+      "pipeline_mc" "parallel" size parallel;
   ]
 
 (* ---------------- zero-copy shard views --------------------------- *)
@@ -1364,7 +1459,7 @@ let run () =
   let fw_shapes =
     if smoke then [ (16, 12, 2) ] else [ (96, 64, 6); (256, 128, 8) ]
   in
-  let fw_mc_shape = if smoke then (16, 12, 2) else (256, 128, 8) in
+  let fw_mc_users = if smoke then [ 16 ] else fw_mc_crossover_users in
   let fw_exact_shapes = if smoke then [] else [ (50, 80, 4) ] in
   (* (n, m, k, edges): matched sizes both trees prove within seconds;
      the oversized shape is FW-only, >= 2x the largest matched ILP. *)
@@ -1395,29 +1490,40 @@ let run () =
     if smoke then (5_000, 10, 6, 2) else (200_000, 200, 8, 4)
   in
   let community_timik_users = if smoke then 10_000 else 100_000 in
+  (* The builders run in the order listed (an [@] chain would evaluate
+     them right to left): the first fan-out of the process starts the
+     pool's workers, so the order decides which row pays for that. *)
   let records =
-    weighted_draw_records ~sizes:sampler_sizes
-    @ avg_d_select_records ~sizes:sampler_sizes
-    @ avg_d_end_to_end_records ~shapes:avg_d_shapes
-    @ lp_solve_records ~shapes:lp_shapes
-    @ lp_refactor_records ~shapes:lp_refactor_shapes
-    @ lp_resolve_records ()
-    @ lp_phase_records ~shapes:lp_phase_shapes
-    @ pool_records ~repeats:pool_repeats ~shape:pool_shape
-    @ fw_solve_records ~shapes:fw_shapes
-    @ fw_mc_records ~shape:fw_mc_shape
-    @ fw_vs_exact_records ~shapes:fw_exact_shapes
-    @ bnb_fw_records ~shapes:bnb_shapes ~oversize:bnb_oversize
-    @ bnb_warm_records ~shapes:bnb_warm_shapes
-    @ fault_ladder_records ~lp_shapes:ladder_lp_shapes
-        ~fw_shapes:ladder_fw_shapes
-    @ st_total_utility_records ~shapes:st_shapes
-    @ community_detect_records ~timik_users:community_timik_users
-    @ subgraph_records ~users:community_timik_users
-    @ pipeline_records ~shape:pipeline_shape
-    @ pipeline_mc_records ~shape:pipeline_shape
-    @ shard_partition_records ~shape:shard_partition_shape
-    @ zero_alloc_records ~fw_shape:za_fw_shape ~csf_shape:za_csf_shape
+    List.concat_map
+      (fun build -> build ())
+      [
+        (fun () -> weighted_draw_records ~sizes:sampler_sizes);
+        (fun () -> avg_d_select_records ~sizes:sampler_sizes);
+        (fun () -> avg_d_end_to_end_records ~shapes:avg_d_shapes);
+        (fun () -> lp_solve_records ~shapes:lp_shapes);
+        (fun () -> lp_refactor_records ~shapes:lp_refactor_shapes);
+        lp_resolve_records;
+        (fun () -> lp_phase_records ~shapes:lp_phase_shapes);
+        (fun () -> pool_records ~repeats:pool_repeats ~shape:pool_shape);
+        pool_fanout_records;
+        pool_idle_gc_records;
+        (fun () -> fw_solve_records ~shapes:fw_shapes);
+        (fun () -> fw_mc_records ~users:fw_mc_users);
+        (fun () -> fw_vs_exact_records ~shapes:fw_exact_shapes);
+        (fun () -> bnb_fw_records ~shapes:bnb_shapes ~oversize:bnb_oversize);
+        (fun () -> bnb_warm_records ~shapes:bnb_warm_shapes);
+        (fun () ->
+          fault_ladder_records ~lp_shapes:ladder_lp_shapes
+            ~fw_shapes:ladder_fw_shapes);
+        (fun () -> st_total_utility_records ~shapes:st_shapes);
+        (fun () -> community_detect_records ~timik_users:community_timik_users);
+        (fun () -> subgraph_records ~users:community_timik_users);
+        (fun () -> pipeline_records ~shape:pipeline_shape);
+        (fun () -> pipeline_mc_records ~shape:pipeline_shape);
+        (fun () -> shard_partition_records ~shape:shard_partition_shape);
+        (fun () ->
+          zero_alloc_records ~fw_shape:za_fw_shape ~csf_shape:za_csf_shape);
+      ]
   in
   print_records records;
   let path = "BENCH_kernels.json" in

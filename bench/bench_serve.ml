@@ -136,20 +136,44 @@ let serve_records ~smoke =
     Serve.create ~labelling:(Shard.Labels labels) (Rng.create 11) inst
   in
   Printf.printf "  tick 0 (cold start): %.1f s\n%!" (Timer.elapsed_s t0);
+  (* A serial twin on its own copy of the instance (an engine adopts
+     and mutates its arenas) replays the same events: the
+     incremental_serial row. Ticks alternate which engine goes first. *)
+  let twin_inst, _ = serving_instance (9500 + n) ~n ~communities ~m ~k in
+  let twin =
+    Serve.create ~domains:1 ~labelling:(Shard.Labels labels) (Rng.create 11)
+      twin_inst
+  in
   let tr = make_traffic 4711 ~labels ~hot_shards ~hot_frac:0.9 ~rate inst in
-  let stats = ref [] in
+  let stats = ref [] and twin_times = ref [] in
   (* Words per tick, read around each [Serve.tick] alone: the event
      submissions between ticks are not the tick's allocation. *)
-  let tick_words = ref 0.0 in
-  for i = 1 to ticks do
-    submit_batch srv tr (poisson tr.gen rate);
+  let tick_words = ref 0.0 and twin_words = ref 0.0 in
+  let timed_tick engine batch words =
+    List.iter (fun e -> ignore (Serve.submit engine e : int option)) batch;
     let w0 = Bench_kernels.window_start () in
-    let s = Serve.tick srv in
-    tick_words := !tick_words +. (Bench_kernels.words_now () -. w0);
+    let s = Serve.tick engine in
+    words := !words +. (Bench_kernels.words_now () -. w0);
+    s
+  in
+  for i = 1 to ticks do
+    let batch = List.init (poisson tr.gen rate) (fun _ -> next_event tr) in
+    let s, s1 =
+      if i land 1 = 1 then
+        let s = timed_tick srv batch tick_words in
+        (s, timed_tick twin batch twin_words)
+      else
+        let s1 = timed_tick twin batch twin_words in
+        (timed_tick srv batch tick_words, s1)
+    in
     stats := s :: !stats;
-    Printf.printf "  tick %d: %.2f s, %d shards (%d warm)\n%!" i
-      s.Serve.elapsed_s s.Serve.shards_touched s.Serve.warm_hits
+    twin_times := s1.Serve.elapsed_s :: !twin_times;
+    Printf.printf "  tick %d: %.2f s, %d shards (%d warm); serial %.2f s\n%!"
+      i s.Serve.elapsed_s s.Serve.shards_touched s.Serve.warm_hits
+      s1.Serve.elapsed_s
   done;
+  if Serve.fingerprint twin <> Serve.fingerprint srv then
+    failwith "serve: the serial twin's state differs from the engine's";
   let stats = Array.of_list (List.rev !stats) in
   let sumf f = Array.fold_left (fun a s -> a +. f s) 0.0 stats in
   let sumi f = Array.fold_left (fun a s -> a + f s) 0 stats in
@@ -194,6 +218,20 @@ let serve_records ~smoke =
   let cold_note = "full partition + solve_round on the drifted instance" in
   let mk = Bench_kernels.mk in
   let avail = Pool.available_domains () in
+  let inc_note =
+    if avail > 1 then inc_note ^ "; " ^ Bench_kernels.fanout_note avail
+    else inc_note
+  in
+  let twin_times = Array.of_list !twin_times in
+  Array.sort compare twin_times;
+  let twin_note =
+    Printf.sprintf
+      "same %d ticks at domains 1; tick p50 %.1f ms p99 %.1f ms; fingerprint \
+       identical to incremental"
+      ticks
+      (1e3 *. percentile twin_times 0.50)
+      (1e3 *. percentile twin_times 0.99)
+  in
   let tick_rows =
     [
       mk ~alloc:cold_w ~domains:avail ~note:cold_note "serve_tick" "cold" n
@@ -201,6 +239,10 @@ let serve_records ~smoke =
       mk
         ~alloc:(!tick_words /. float_of_int ticks)
         ~domains:avail ~note:inc_note "serve_tick" "incremental" n inc_ns;
+      mk
+        ~alloc:(!twin_words /. float_of_int ticks)
+        ~domains:1 ~note:twin_note "serve_tick" "incremental_serial" n
+        (Array.fold_left ( +. ) 0.0 twin_times *. 1e9 /. float_of_int ticks);
     ]
   in
   let throughput_rows =
@@ -487,11 +529,16 @@ let run () =
   let smoke = Bench_kernels.smoke () in
   let inst, labels, tr, srv, cold_ns, serve_rows = serve_records ~smoke in
   let append_ns, fsync_ns, append_rows = wal_append_records () in
+  (* Each phase serves the state the one before it left, so they run
+     in sequence here rather than as operands of one [@] chain, which
+     OCaml evaluates right to left. *)
+  let coalesce_rows = coalesce_records srv tr in
+  let wal_rows = wal_records ~smoke srv tr ~append_ns ~fsync_ns in
+  let recover_rows = recover_records ~smoke ~cold_ns srv tr in
+  let deadline_rows = deadline_records ~smoke inst labels tr in
   let records =
-    serve_rows @ coalesce_records srv tr @ append_rows
-    @ wal_records ~smoke srv tr ~append_ns ~fsync_ns
-    @ recover_records ~smoke ~cold_ns srv tr
-    @ deadline_records ~smoke inst labels tr
+    serve_rows @ coalesce_rows @ append_rows @ wal_rows @ recover_rows
+    @ deadline_rows
   in
   Bench_kernels.print_records records;
   let path = "BENCH_kernels.json" in

@@ -42,6 +42,16 @@ let experiments : (string * string * (unit -> unit)) list =
     ("kernels", "bechamel kernel micro-benchmarks", Bench_kernels.run);
     ("xl", "million-user sharded pipeline + peak-RSS gate", Bench_xl.run);
     ("serve", "online serving: incremental vs cold per tick", Bench_serve.run);
+    (* Full scale even under SVGIC_BENCH_SMOKE=1: every smoke size sits
+       far below the crossover these rows calibrate. *)
+    ( "fw_mc",
+      "Frank-Wolfe serial vs all domains at the crossover sizes",
+      fun () ->
+        let records =
+          Bench_kernels.fw_mc_records ~users:Bench_kernels.fw_mc_crossover_users
+        in
+        Bench_kernels.print_records records;
+        Bench_xl.merge_into_json ~path:"BENCH_kernels.json" records );
   ]
 
 let list_experiments () =

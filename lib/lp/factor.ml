@@ -522,26 +522,25 @@ let hp_pop_max f =
   end;
   top
 
+(* Appends row [i] to the pattern [idx] of length [np] unless it is
+   already marked; returns the new length. A top-level function rather
+   than a closure over a counter, so FTRAN allocates nothing per
+   pivot. *)
+let[@inline] mark_row in_pat idx np i =
+  if in_pat.(i) then np
+  else begin
+    in_pat.(i) <- true;
+    idx.(np) <- i;
+    np + 1
+  end
+
 let ftran_pattern f w idx n =
   let in_pat = f.in_pat in
   (* Dedup the incoming pattern in place while marking it. *)
-  let n0 = ref 0 in
+  let np = ref 0 in
   for k = 0 to n - 1 do
-    let i = idx.(k) in
-    if not in_pat.(i) then begin
-      in_pat.(i) <- true;
-      idx.(!n0) <- i;
-      incr n0
-    end
+    np := mark_row in_pat idx !np idx.(k)
   done;
-  let np = ref !n0 in
-  let add i =
-    if not in_pat.(i) then begin
-      in_pat.(i) <- true;
-      idx.(!np) <- i;
-      incr np
-    end
-  in
   if f.nsteps > 0 then begin
     (* L forward pass: a step fires only once its pivot row is
        nonzero, and firing scatters into later-pivoted rows, so
@@ -557,7 +556,7 @@ let ftran_pattern f w idx n =
       if wp <> 0.0 then
         for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
           let j = f.l_idx.(i) in
-          add j;
+          np := mark_row in_pat idx !np j;
           w.(j) <- w.(j) -. (FA.get f.l_val i *. wp);
           hp_push_min f f.step_of_row.(j)
         done
@@ -580,7 +579,7 @@ let ftran_pattern f w idx n =
         for i = f.ut_start.(s) to f.ut_start.(s + 1) - 1 do
           let t = f.ut_t.(i) in
           let rt = f.p_row.(t) in
-          add rt;
+          np := mark_row in_pat idx !np rt;
           w.(rt) <- w.(rt) -. (FA.get f.ut_v i *. z);
           hp_push_max f t
         done
@@ -595,7 +594,7 @@ let ftran_pattern f w idx n =
       w.(f.e_piv.(t)) <- z;
       for i = f.e_start.(t) to f.e_start.(t + 1) - 1 do
         let j = f.e_idx.(i) in
-        add j;
+        np := mark_row in_pat idx !np j;
         w.(j) <- w.(j) -. (FA.get f.e_val i *. z)
       done
     end

@@ -409,10 +409,12 @@ let gradient ?(smoothing = 0.05) p x =
       gather_gradient st g u;
       g)
 
-(* Default fan-out: parallel only when the per-sweep work can amortize
-   the per-iteration domain spawns. *)
+(* Default fan-out: parallel only when the per-sweep work amortizes the
+   two fan-outs per iteration. Calibrated on the committed fw_solve_mc
+   rows (Timik-like, m = 12, 2-vCPU VM): two domains read slower than
+   serial up to n·m = 1,200 and faster from 2,400 up. *)
 let auto_domains p =
-  if p.n > 1 && p.n * p.m >= 16_384 then Pool.available_domains () else 1
+  if p.n > 1 && p.n * p.m >= 2_000 then Pool.available_domains () else 1
 
 (* Input-data health screen: a poisoned preference or pair weight
    would propagate NaN through every gradient and silently zero the

@@ -169,8 +169,9 @@ val solve :
     finite iterate seen" instead of returning garbage.
 
     [domains] caps the [Pool] fan-out (default: all available domains
-    once [n·m] is large enough to amortize the per-iteration spawns,
-    serial below that). Results are bit-identical for every value.
+    once [n·m] reaches 2,000, where the sweep amortizes its two
+    fan-outs per iteration; serial below that). Results are
+    bit-identical for every value.
 
     [swap_steps] (default false) enables a pairwise-style move: when
     swapping mass from the user's worst loaded coordinate onto its

@@ -387,6 +387,93 @@ let test_pool_propagates_exceptions () =
   Alcotest.check_raises "serial fallback re-raises unwrapped" Exit (fun () ->
       Pool.parallel_for ~domains:1 9 (fun i -> if i = 7 then raise Exit))
 
+(* Which domain ran each of [workers] one-index blocks. *)
+let block_domains workers =
+  Pool.parallel_map ~domains:workers workers (fun _ ->
+      (Domain.self () :> int))
+
+let test_pool_workers_persist () =
+  (* Blocks other than block 0 run on resident workers, so two
+     consecutive fan-outs see the same domains there. *)
+  let first = block_domains 3 and second = block_domains 3 in
+  let self = (Domain.self () :> int) in
+  Alcotest.(check int) "block 0 runs on the caller" self first.(0);
+  Alcotest.(check (array int)) "same worker domains" first second;
+  Array.iteri
+    (fun i d ->
+      if i > 0 && d = self then Alcotest.fail "a worker block ran on the caller")
+    first
+
+let test_pool_nested_fanout () =
+  (* A fan-out inside a block finds the workers held and spawns its
+     own domains; it must terminate and equal the serial result. *)
+  let run domains =
+    Pool.parallel_map ~domains 4 (fun i ->
+        Array.fold_left ( + ) 0
+          (Pool.parallel_map ~domains 8 (fun j -> (10 * i) + j)))
+  in
+  Alcotest.(check (array int)) "nested = serial" (run 1) (run 2)
+
+let test_pool_concurrent_callers () =
+  (* Two domains fan out at the same time: one holds the resident
+     workers, the other falls back to spawned domains. *)
+  let expected = Array.init 100 (fun i -> i * i) in
+  let caller () =
+    let ok = ref true in
+    for _ = 1 to 50 do
+      if Pool.parallel_map ~domains:2 100 (fun i -> i * i) <> expected then
+        ok := false
+    done;
+    !ok
+  in
+  let callers = Array.init 2 (fun _ -> Domain.spawn caller) in
+  Array.iteri
+    (fun c d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "caller %d: all results correct" c)
+        true (Domain.join d))
+    callers
+
+let test_pool_recovers_after_failure () =
+  (match Pool.parallel_for ~domains:2 2 (fun i -> if i = 1 then raise Exit) with
+  | () -> Alcotest.fail "expected Worker_failure"
+  | exception Pool.Worker_failure { worker; exn; _ } ->
+      Alcotest.(check int) "failing worker" 1 worker;
+      Alcotest.(check bool) "original exception preserved" true (exn = Exit));
+  Alcotest.(check (array int))
+    "next fan-out is correct"
+    (Array.init 40 (fun i -> i + 1))
+    (Pool.parallel_map ~domains:2 40 (fun i -> i + 1))
+
+let test_pool_waits_for_every_block () =
+  (* Block 0 fails at once while block 1 is still running: the call
+     must not raise before block 1 has finished. *)
+  let finished = Atomic.make false in
+  (match
+     Pool.parallel_for ~domains:2 2 (fun i ->
+         if i = 0 then raise Exit
+         else begin
+           Unix.sleepf 0.02;
+           Atomic.set finished true
+         end)
+   with
+  | () -> Alcotest.fail "expected Worker_failure"
+  | exception Pool.Worker_failure { worker = 0; _ } -> ()
+  | exception e -> raise e);
+  Alcotest.(check bool) "block 1 finished before the raise" true
+    (Atomic.get finished)
+
+let test_pool_shutdown_restarts () =
+  let before = block_domains 2 in
+  let squares = Pool.parallel_map ~domains:2 64 (fun i -> i * i) in
+  Pool.shutdown ();
+  let after = block_domains 2 in
+  Alcotest.(check bool) "a fresh worker after shutdown" true
+    (before.(1) <> after.(1));
+  Alcotest.(check (array int))
+    "same results after restart" squares
+    (Pool.parallel_map ~domains:2 64 (fun i -> i * i))
+
 (* ------------------------ qcheck properties ----------------------- *)
 
 let qcheck_props =
@@ -508,6 +595,14 @@ let suite =
     Alcotest.test_case "pool local scratch" `Quick test_pool_local_scratch_private;
     Alcotest.test_case "pool for-local scratch" `Quick test_pool_for_local_scratch;
     Alcotest.test_case "pool exception propagation" `Quick test_pool_propagates_exceptions;
+    Alcotest.test_case "pool workers persist" `Quick test_pool_workers_persist;
+    Alcotest.test_case "pool nested fan-out" `Quick test_pool_nested_fanout;
+    Alcotest.test_case "pool concurrent callers" `Quick test_pool_concurrent_callers;
+    Alcotest.test_case "pool usable after failure" `Quick
+      test_pool_recovers_after_failure;
+    Alcotest.test_case "pool waits for every block" `Quick
+      test_pool_waits_for_every_block;
+    Alcotest.test_case "pool shutdown restarts" `Quick test_pool_shutdown_restarts;
     Alcotest.test_case "stats basics" `Quick test_stats_basic;
     Alcotest.test_case "stats cdf" `Quick test_stats_cdf;
     Alcotest.test_case "stats histogram" `Quick test_stats_histogram;
