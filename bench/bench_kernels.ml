@@ -373,6 +373,54 @@ let lp_resolve_records () =
   let size = (n + Svgic.Instance.num_pairs inst) * m in
   [ mk ~alloc:w ~note "lp_resolve" "warm" size ns ]
 
+(* Cold exact solves of the two shard shapes the repository benchmark
+   solves most, LP_SIMP at m = 6, k = 4 from the all-logical basis: a
+   30-user Timik-like serving shard (serve_drift's shards) and a
+   30-user planted community at p_in = 0.2 (a plan_unlabelled shard,
+   about 1,050 rows). Each op solves the same program, so the note's
+   pivot and rebuild counts are deterministic. The size field is the
+   LP variable count. *)
+let lp_cold_records ~smoke =
+  let shard_lp variant ~ops graph =
+    let rng = Rng.create 3131 in
+    let g = graph rng in
+    let m = 6 in
+    let pref =
+      Float.Array.init (Svgic_graph.Graph.n g * m) (fun _ -> Rng.float rng 1.0)
+    in
+    let tau =
+      Float.Array.init
+        (Svgic_graph.Graph.num_edges g * m)
+        (fun _ -> Rng.float rng 0.5)
+    in
+    let inst = Svgic.Instance.of_flat ~graph:g ~m ~k:4 ~lambda:0.5 ~pref ~tau in
+    let problem, _ = Svgic.Lp_build.simp_lp inst in
+    let module RS = Svgic_lp.Revised_simplex in
+    let note =
+      match RS.solve problem with
+      | RS.Optimal s ->
+          Printf.sprintf "%d pivots, %d refactorizations per cold solve"
+            s.RS.pivots s.RS.stats.RS.refactorizations
+      | RS.Infeasible | RS.Unbounded | RS.Timeout _ ->
+          failwith "lp_cold: the shard must solve"
+    in
+    let ns, w =
+      time_kernel ~rounds:(if smoke then 2 else 3) ~ops (fun () ->
+          ignore (RS.solve problem))
+    in
+    mk ~alloc:w ~note "lp_cold" variant (Svgic_lp.Problem.num_vars problem) ns
+  in
+  [
+    shard_lp "timik30" ~ops:10 (fun rng ->
+        fst
+          (Svgic_graph.Generate.timik_like rng ~n:30 ~communities:1 ~attach:2
+             ~cross_frac:0.0));
+    shard_lp "planted30" ~ops:1 (fun rng ->
+        fst
+          (Svgic_graph.Generate.planted_partition rng ~n:30 ~communities:1
+             ~p_in:0.2 ~p_out:0.0));
+  ]
+
 (* Characterizes the LU rebuild itself, off the counters of a normal
    solve: ns_per_op is factor time per rebuild, and the note
    carries the fill ratio (factor nonzeros over basis-column nonzeros
@@ -1503,6 +1551,7 @@ let run () =
         (fun () -> lp_solve_records ~shapes:lp_shapes);
         (fun () -> lp_refactor_records ~shapes:lp_refactor_shapes);
         lp_resolve_records;
+        (fun () -> lp_cold_records ~smoke);
         (fun () -> lp_phase_records ~shapes:lp_phase_shapes);
         (fun () -> pool_records ~repeats:pool_repeats ~shape:pool_shape);
         pool_fanout_records;

@@ -177,13 +177,6 @@ type integer_result = {
           diagnostics); [None] only on the uncertified greedy floor *)
 }
 
-val integer_engine_of : Instance.t -> integer_engine
-(** The rung {!solve_integer} starts at, from the instance shape and
-    the current {!backend_budget}: exact B&B needs 3x headroom inside
-    the single-solve envelope (the tree solves an LP per node),
-    Frank–Wolfe B&B stretches to 4x past it, everything larger gets
-    the certified fractional solve. *)
-
 val solve_integer :
   ?time_budget_s:float ->
   ?node_budget:int ->
@@ -192,7 +185,11 @@ val solve_integer :
   integer_result
 (** Certified integer selection solve, descending the ladder
     exact B&B → Frank–Wolfe B&B → certified fractional Frank–Wolfe →
-    greedy floor only on failure. [time_budget_s] (and/or the
+    greedy floor only on failure. The first rung comes from the
+    instance shape and the current {!backend_budget}: exact B&B needs
+    3x headroom inside the single-solve envelope (the tree solves an
+    LP per node), Frank–Wolfe B&B stretches to 4x past it, everything
+    larger starts at the certified fractional solve. [time_budget_s] (and/or the
     remaining time of [token]) caps the tree; on expiry the incumbent
     and a sound [int_bound] come back with [proved = false] — the
     anytime behaviour {!Svgic_lp.Branch_bound.solve_fw} guarantees.

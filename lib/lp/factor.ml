@@ -106,6 +106,7 @@ type t = {
   mutable hp : int array; (* binary heap of step indices *)
   mutable in_hp : bool array;
   mutable hp_n : int;
+  mutable last_np : int; (* pattern size of the last [ftran_pattern] result *)
   (* Update etas (product-form updates on top of the base factors). *)
   mutable e_piv : int array;
   mutable e_pv : FA.t;
@@ -147,6 +148,7 @@ let create ~m =
     hp = Array.make mm 0;
     in_hp = Array.make mm false;
     hp_n = 0;
+    last_np = 0;
     e_piv = [||];
     e_pv = FA.create 0;
     e_start = Array.make 1 0;
@@ -291,6 +293,7 @@ let reset f ~m =
   end;
   f.m <- m;
   reset_identity f;
+  f.last_np <- 0;
   f.force_every <- None;
   f.refactorizations <- 0;
   f.eta_appends <- 0;
@@ -534,6 +537,90 @@ let[@inline] mark_row in_pat idx np i =
     np + 1
   end
 
+(* The base-factor passes of [ftran_pattern], in two orders that do the
+   same floating-point operations in the same sequence and mark rows in
+   the same sequence. Both take and return the pattern length.
+
+   Heap order: the L forward pass fires a step only once its pivot row
+   is nonzero, and firing scatters into later-pivoted rows, so the
+   min-heap pops steps in ascending order and visits only the steps the
+   pattern reaches. The U back substitution runs in scatter form off
+   the transposed view: finalizing a step divides by its diagonal and
+   pushes its value into the earlier-pivoted rows that reference it,
+   so the max-heap pops in descending order. *)
+let ftran_lu_heap f w idx np =
+  let in_pat = f.in_pat in
+  let np = ref np in
+  f.hp_n <- 0;
+  for k = 0 to !np - 1 do
+    hp_push_min f f.step_of_row.(idx.(k))
+  done;
+  while f.hp_n > 0 do
+    let t = hp_pop_min f in
+    let wp = w.(f.p_row.(t)) in
+    if wp <> 0.0 then
+      for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
+        let j = f.l_idx.(i) in
+        np := mark_row in_pat idx !np j;
+        w.(j) <- w.(j) -. (FA.get f.l_val i *. wp);
+        hp_push_min f f.step_of_row.(j)
+      done
+  done;
+  f.hp_n <- 0;
+  for k = 0 to !np - 1 do
+    hp_push_max f f.step_of_row.(idx.(k))
+  done;
+  while f.hp_n > 0 do
+    let s = hp_pop_max f in
+    let r = f.p_row.(s) in
+    let v = w.(r) in
+    if v <> 0.0 then begin
+      let z = v /. FA.get f.diag s in
+      w.(r) <- z;
+      for i = f.ut_start.(s) to f.ut_start.(s + 1) - 1 do
+        let t = f.ut_t.(i) in
+        let rt = f.p_row.(t) in
+        np := mark_row in_pat idx !np rt;
+        w.(rt) <- w.(rt) -. (FA.get f.ut_v i *. z);
+        hp_push_max f t
+      done
+    end
+  done;
+  !np
+
+(* Dense order: every step in plain loops, ascending for L and
+   descending for U. A row outside the pattern holds an exact zero, so
+   its step does nothing here and is never popped in heap order; every
+   other step fires in the order the heaps would pop it. U stays the
+   scatter over the transposed view: the gather form of [ftran] sums
+   each row's terms in another order. *)
+let ftran_lu_dense f w idx np =
+  let in_pat = f.in_pat in
+  let np = ref np in
+  for t = 0 to f.nsteps - 1 do
+    let wp = w.(f.p_row.(t)) in
+    if wp <> 0.0 then
+      for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
+        let j = f.l_idx.(i) in
+        np := mark_row in_pat idx !np j;
+        w.(j) <- w.(j) -. (FA.get f.l_val i *. wp)
+      done
+  done;
+  for s = f.nsteps - 1 downto 0 do
+    let r = f.p_row.(s) in
+    let v = w.(r) in
+    if v <> 0.0 then begin
+      let z = v /. FA.get f.diag s in
+      w.(r) <- z;
+      for i = f.ut_start.(s) to f.ut_start.(s + 1) - 1 do
+        let rt = f.p_row.(f.ut_t.(i)) in
+        np := mark_row in_pat idx !np rt;
+        w.(rt) <- w.(rt) -. (FA.get f.ut_v i *. z)
+      done
+    end
+  done;
+  !np
+
 let ftran_pattern f w idx n =
   let in_pat = f.in_pat in
   (* Dedup the incoming pattern in place while marking it. *)
@@ -541,51 +628,14 @@ let ftran_pattern f w idx n =
   for k = 0 to n - 1 do
     np := mark_row in_pat idx !np idx.(k)
   done;
-  if f.nsteps > 0 then begin
-    (* L forward pass: a step fires only once its pivot row is
-       nonzero, and firing scatters into later-pivoted rows, so
-       the min-heap pops steps in dependency order and visits only
-       the steps the pattern actually reaches. *)
-    f.hp_n <- 0;
-    for k = 0 to !np - 1 do
-      hp_push_min f f.step_of_row.(idx.(k))
-    done;
-    while f.hp_n > 0 do
-      let t = hp_pop_min f in
-      let wp = w.(f.p_row.(t)) in
-      if wp <> 0.0 then
-        for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
-          let j = f.l_idx.(i) in
-          np := mark_row in_pat idx !np j;
-          w.(j) <- w.(j) -. (FA.get f.l_val i *. wp);
-          hp_push_min f f.step_of_row.(j)
-        done
-    done;
-    (* U back substitution in scatter form off the transposed
-       view: finalizing a step divides by its diagonal and pushes
-       its value into the earlier-pivoted rows that reference it,
-       so the max-heap pops in reverse dependency order. *)
-    f.hp_n <- 0;
-    for k = 0 to !np - 1 do
-      hp_push_max f f.step_of_row.(idx.(k))
-    done;
-    while f.hp_n > 0 do
-      let s = hp_pop_max f in
-      let r = f.p_row.(s) in
-      let v = w.(r) in
-      if v <> 0.0 then begin
-        let z = v /. FA.get f.diag s in
-        w.(r) <- z;
-        for i = f.ut_start.(s) to f.ut_start.(s + 1) - 1 do
-          let t = f.ut_t.(i) in
-          let rt = f.p_row.(t) in
-          np := mark_row in_pat idx !np rt;
-          w.(rt) <- w.(rt) -. (FA.get f.ut_v i *. z);
-          hp_push_max f t
-        done
-      end
-    done
-  end;
+  (* The heaps pay a log factor per reached step; once results fill
+     more than a tenth of the rows, the plain loops are cheaper. The
+     previous result predicts this one (consecutive entering columns
+     of one basis fill alike), and either order gives the same bits. *)
+  if f.nsteps > 0 then
+    np :=
+      if 10 * f.last_np > f.m then ftran_lu_dense f w idx !np
+      else ftran_lu_heap f w idx !np;
   (* Update etas, pattern-tracked. *)
   for t = 0 to f.ne - 1 do
     let wp = w.(f.e_piv.(t)) in
@@ -602,6 +652,7 @@ let ftran_pattern f w idx n =
   for k = 0 to !np - 1 do
     in_pat.(idx.(k)) <- false
   done;
+  f.last_np <- !np;
   !np
 
 (* ---------------- Markowitz LU refactorization -------------------- *)

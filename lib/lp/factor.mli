@@ -100,10 +100,13 @@ val ftran_pattern : t -> float array -> int array -> int -> int
     tolerated). Tracks fill through the factors and returns the output
     pattern size, rewriting [idx] in place (duplicate-free; an entry
     may hold an exact zero after cancellation, so consumers re-check
-    values). The cost is proportional to the entries actually touched,
-    not to [m] — worklist heaps walk only the reached steps of L and of
-    the transposed U — which is what makes the solver's per-iteration
-    FTRAN cheap on hypersparse entering columns. *)
+    values). While the previous call's result held at most a tenth of
+    the rows, worklist heaps walk only the reached steps of L and of
+    the transposed U, so the cost follows the entries touched, not
+    [m]; past that, plain loops walk every step. Both orders do the
+    same floating-point operations in the same sequence and list the
+    pattern in the same order, so the result never depends on which
+    one ran. *)
 
 val should_refactor : t -> bool
 (** Whether the update file has outgrown the base factorization

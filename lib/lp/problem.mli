@@ -35,9 +35,8 @@ val create : unit -> t
 
 val add_var : t -> ?name:string -> ?upper:float -> obj:float -> unit -> int
 (** [add_var t ?name ?upper ~obj ()] registers a variable and returns
-    its index. [name] is used only for debugging output; when omitted
-    no string is allocated and {!var_name} falls back to ["v<idx>"]
-    lazily. *)
+    its index. [name] is used only by {!pp}; when omitted no string is
+    allocated and {!pp} prints ["v<idx>"] instead. *)
 
 val add_row : t -> (int * float) list -> cmp -> float -> unit
 (** Adds a constraint row (terms copied into the flat row arrays; a
@@ -85,7 +84,6 @@ val bounds_into : t -> lo:float array -> up:float array -> unit
     Allocation-free, unlike reading {!upper_bound} per variable — used
     by the revised-simplex build path. *)
 
-val var_name : t -> int -> string
 val rows : t -> row array
 (** All rows in insertion order, rebuilt as term lists from the flat
     arrays (for oracles, tests and debugging; the solvers read

@@ -14,17 +14,22 @@
    bounded eta-append updates, and [Factor.should_refactor] decides
    when the update file has outgrown the base factors. Phase 1 is the
    composite method: minimize the total bound violation of the basic
-   variables, with piecewise costs recomputed from the current
-   iterate, so it works unchanged from any (possibly warm-started,
-   possibly infeasible) basis.
+   variables, with piecewise costs that follow the current iterate, so
+   it works unchanged from any (possibly warm-started, possibly
+   infeasible) basis. An iteration does only the work its inputs
+   require: rows are reclassified only where a basic value or column
+   moved, phase costs are patched rather than rewritten, and the duals
+   are reused across a bound flip that changed no phase cost (see
+   "feasibility classes" below). None of it changes a floating-point
+   operation or its order.
 
    Supervision (DESIGN.md §5): the caller may pass a [Supervise.token];
-   it is polled once per iteration, right after the feasibility scan,
-   so a deadline is honoured within one pivot and the [Timeout]
-   partial's [feasible] flag reflects the iterate actually returned.
-   Numerical health is guarded at two levels — problem data is
-   screened for NaN/Inf before any algebra, and the basic values are
-   re-screened every iteration; a non-finite iterate triggers a
+   it is polled once per iteration, right after the feasibility
+   classification, so a deadline is honoured within one pivot and the
+   [Timeout] partial's [feasible] flag reflects the iterate actually
+   returned. Numerical health is guarded at two levels — problem data
+   is screened for NaN/Inf before any algebra, and every basic value
+   is re-screened whenever it moves; a non-finite iterate triggers a
    refactorization, and only if a *fresh* factorization still produces
    garbage does the solve escalate through the recovery ladder
    (cold restart under Bland's rule, then one perturbed-objective
@@ -81,6 +86,42 @@ let dtol = 1e-9 (* reduced-cost (dual) tolerance *)
 let ztol = 1e-9 (* pivot-element tolerance *)
 let ftol = 1e-7 (* primal feasibility classification tolerance *)
 
+(* ---------------- workspace --------------------------------------- *)
+
+(* The arrays behind [state], plus the factor, owned by one domain and
+   reused by every solve that runs there. A solve takes it for its
+   whole duration (every rung of the recovery ladder) and releases it
+   on every exit, exceptions included; a solve that finds it taken — a
+   re-entrant solve in the same domain — works on private arrays
+   instead. Each attempt re-arms it in O(program): only the first [m]
+   rows and [nv + m] columns are rewritten, and every invariant the
+   pivot loop relies on (the all-zero [w], the factor's pattern marks,
+   its per-solve counters, the classification flags below) is restored
+   there. *)
+type workspace = {
+  mutable busy : bool;
+  mutable ws_lo : float array;
+  mutable ws_up : float array;
+  mutable ws_cost : float array;
+  mutable ws_stat : int array;
+  mutable ws_pos : int array;
+  mutable ws_basis : int array;
+  mutable ws_xb : float array;
+  mutable ws_row_of : int array;
+  mutable ws_tmpb : int array;
+  mutable ws_w : float array;
+  mutable ws_wnz : int array;
+  mutable ws_y : float array;
+  mutable ws_cb : float array;
+  mutable ws_cls : int array;
+  ws_f : Factor.t;
+  (* Per-attempt classification state (see "feasibility classes"). *)
+  mutable ninf : int; (* rows with a nonzero class *)
+  mutable healthy : bool; (* every basic value finite when last read *)
+  mutable cb_phase1 : bool; (* [cb] holds phase-1 classes, not costs *)
+  mutable y_ok : bool; (* [y] solves the current basis and [cb] *)
+}
+
 (* Per-attempt view of a workspace: the arrays may be longer than the
    program (the workspace is sized to the largest program its domain
    has solved); only the first [m] / [ncols] cells are used. *)
@@ -97,41 +138,12 @@ type state = {
   pos : int array; (* column -> basis position, -1 when nonbasic *)
   xb : float array; (* basic value per position *)
   f : Factor.t; (* the basis inverse *)
-  row_of : int array; (* refactorization out: slot -> pivot row *)
-  tmpb : int array; (* basis remap scratch *)
   w : float array; (* FTRAN scratch; kept all-zero between pivots *)
   wnz : int array; (* nonzero pattern of [w] *)
-  y : float array; (* BTRAN scratch *)
-  cb : float array; (* basic-cost scratch *)
-}
-
-(* ---------------- workspace --------------------------------------- *)
-
-(* The arrays behind [state], plus the factor, owned by one domain and
-   reused by every solve that runs there. A solve takes it for its
-   whole duration (every rung of the recovery ladder) and releases it
-   on every exit, exceptions included; a solve that finds it taken — a
-   re-entrant solve in the same domain — works on private arrays
-   instead. Each attempt re-arms it in O(program): only the first [m]
-   rows and [nv + m] columns are rewritten, and every invariant the
-   pivot loop relies on (the all-zero [w], the factor's pattern marks,
-   its per-solve counters) is restored there. *)
-type workspace = {
-  mutable busy : bool;
-  mutable ws_lo : float array;
-  mutable ws_up : float array;
-  mutable ws_cost : float array;
-  mutable ws_stat : int array;
-  mutable ws_pos : int array;
-  mutable ws_basis : int array;
-  mutable ws_xb : float array;
-  mutable ws_row_of : int array;
-  mutable ws_tmpb : int array;
-  mutable ws_w : float array;
-  mutable ws_wnz : int array;
-  mutable ws_y : float array;
-  mutable ws_cb : float array;
-  ws_f : Factor.t;
+  y : float array; (* duals B^-T cb, valid while [y_ok] *)
+  cb : float array; (* phase cost per basis row *)
+  cls : int array; (* phase-1 class per row: +1 below, -1 above, 0 inside *)
+  ws : workspace; (* owner of the arrays, and of the per-attempt flags *)
 }
 
 let new_workspace ~m ~ncols =
@@ -151,7 +163,12 @@ let new_workspace ~m ~ncols =
     ws_wnz = Array.make mm 0;
     ws_y = Array.make mm 0.0;
     ws_cb = Array.make mm 0.0;
+    ws_cls = Array.make mm 0;
     ws_f = Factor.create ~m;
+    ninf = 0;
+    healthy = true;
+    cb_phase1 = true;
+    y_ok = false;
   }
 
 (* Grow to hold [m] rows and [ncols] columns (geometrically, so a
@@ -174,7 +191,8 @@ let reserve ws ~m ~ncols =
     ws.ws_w <- Array.make cap 0.0;
     ws.ws_wnz <- Array.make cap 0;
     ws.ws_y <- Array.make cap 0.0;
-    ws.ws_cb <- Array.make cap 0.0
+    ws.ws_cb <- Array.make cap 0.0;
+    ws.ws_cls <- Array.make cap 0
   end
 
 let domain_workspace =
@@ -200,6 +218,7 @@ let with_workspace problem f =
    pivot order. Raises [Factor.Singular] if the set is not a basis. *)
 let refactor st =
   let c = st.csc in
+  let row_of = st.ws.ws_row_of and tmpb = st.ws.ws_tmpb in
   Factor.refactorize st.f
     ~nnz:(fun slot ->
       let j = st.basis.(slot) in
@@ -221,10 +240,10 @@ let refactor st =
         vals.(0) <- 1.0;
         1
       end)
-    ~row_of:st.row_of;
-  Array.blit st.basis 0 st.tmpb 0 st.m;
+    ~row_of;
+  Array.blit st.basis 0 tmpb 0 st.m;
   for slot = 0 to st.m - 1 do
-    st.basis.(st.row_of.(slot)) <- st.tmpb.(slot)
+    st.basis.(row_of.(slot)) <- tmpb.(slot)
   done;
   for r = 0 to st.m - 1 do
     st.pos.(st.basis.(r)) <- r
@@ -386,12 +405,12 @@ let build ws ?refactor_every problem =
     pos = ws.ws_pos;
     xb = ws.ws_xb;
     f = ws.ws_f;
-    row_of = ws.ws_row_of;
-    tmpb = ws.ws_tmpb;
     w = ws.ws_w;
     wnz = ws.ws_wnz;
     y = ws.ws_y;
     cb = ws.ws_cb;
+    cls = ws.ws_cls;
+    ws;
   }
 
 let solver_stats st =
@@ -459,6 +478,88 @@ let install_warm st (b : vbasis) =
     end
   end
 
+(* ---------------- feasibility classes ----------------------------- *)
+
+(* A row's class reads only its basic value and its basic column's
+   bounds, so the pivot loop keeps [cls], [ninf] and [cb] up to date by
+   reclassifying just the rows whose value or column moved: the FTRAN
+   pattern rows with a nonzero entry (the pivot row is one of them).
+   Install and refresh recompute [xb] and permute the basis positions,
+   so they run the full pass instead. *)
+
+(* +1 below the lower bound, -1 above the upper bound, 0 inside (a NaN
+   reads as inside; the health guard catches it). *)
+let[@inline] row_class st r =
+  let j = st.basis.(r) in
+  let v = st.xb.(r) in
+  if v < st.lo.(j) -. ftol then 1 else if v > st.up.(j) +. ftol then -1 else 0
+
+(* Rewrite every row's phase cost: the class in phase 1 (the gradient
+   of the total bound violation), the column cost in phase 2. *)
+let fill_phase_costs st phase1 =
+  if phase1 then
+    for r = 0 to st.m - 1 do
+      st.cb.(r) <- Float.of_int st.cls.(r)
+    done
+  else
+    for r = 0 to st.m - 1 do
+      st.cb.(r) <- st.cost.(st.basis.(r))
+    done;
+  st.ws.cb_phase1 <- phase1;
+  st.ws.y_ok <- false
+
+(* The full pass: health, classes and phase costs of every row. *)
+let rescan st =
+  let ninf = ref 0 in
+  st.ws.healthy <- true;
+  for r = 0 to st.m - 1 do
+    let v = st.xb.(r) in
+    if v -. v <> 0.0 then st.ws.healthy <- false;
+    let c = row_class st r in
+    st.cls.(r) <- c;
+    if c <> 0 then incr ninf
+  done;
+  st.ws.ninf <- !ninf;
+  fill_phase_costs st (!ninf > 0)
+
+(* Row [r]'s basic value or column moved. A class change moves [cb]
+   in phase 1 and the phase itself in phase 2; either way [y] is
+   stale. *)
+let[@inline] reclassify st r =
+  let v = st.xb.(r) in
+  if v -. v <> 0.0 then st.ws.healthy <- false
+  else begin
+    let c = row_class st r in
+    let old = st.cls.(r) in
+    if c <> old then begin
+      st.cls.(r) <- c;
+      st.ws.ninf <- st.ws.ninf + abs c - abs old;
+      if st.ws.cb_phase1 then st.cb.(r) <- Float.of_int c;
+      st.ws.y_ok <- false
+    end
+  end
+
+(* After a flip or a pivot: reclassify the rows it moved, the first
+   [nw] pattern rows with a nonzero [w] entry (after a pivot the pivot
+   row is one of them, [|w_r| > ztol]), and restore the all-zero [w]
+   before any refresh can reuse it densely. *)
+let settle st nw =
+  for k = 0 to nw - 1 do
+    let r = st.wnz.(k) in
+    if st.w.(r) <> 0.0 then reclassify st r;
+    st.w.(r) <- 0.0
+  done
+
+(* Rebuild the factorization from the current basis; a (rare,
+   numerical) singular rebuild restarts from the all-logical basis —
+   progress is lost but phase 1 recovers correctness. *)
+let refresh st =
+  (try
+     refactor st;
+     recompute_xb st
+   with Factor.Singular -> install_cold st);
+  rescan st
+
 (* ---------------- main loop --------------------------------------- *)
 
 exception Unbounded_exn
@@ -494,16 +595,8 @@ let attempt ws ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
     (match basis with
     | Some b -> ignore (install_warm st b)
     | None -> install_cold st);
+    rescan st;
     let pivots = ref 0 in
-    (* Rebuild the factorization from the current basis; a (rare,
-       numerical) singular rebuild restarts from the all-logical
-       basis — progress is lost but phase 1 recovers correctness. *)
-    let refresh st =
-      try
-        refactor st;
-        recompute_xb st
-      with Factor.Singular -> install_cold st
-    in
     (* [clean] = the factorization and xb were just rebuilt exactly; a
        terminal verdict (optimal / infeasible) is only trusted when
        clean, otherwise we refresh and re-examine. *)
@@ -529,45 +622,26 @@ let attempt ws ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
     let verdict : verdict option ref = ref None in
     (try
        while !verdict = None do
-         (* Fused health + feasibility scan. The health guard: a
-            non-finite basic value (the [v -. v <> 0.0] test catches
-            NaN and both infinities in one branch) means the
-            factorization has drifted into garbage. A refresh usually
-            repairs it; if a *clean* factorization still produces
-            non-finite values the program itself is numerically
-            hostile and the retry ladder takes over. The same pass
-            classifies feasibility and writes the phase-1 costs ([cb]
-            doubles as scratch). *)
-         let healthy = ref true in
-         let infeas = ref 0.0 in
-         for r = 0 to st.m - 1 do
-           let j = st.basis.(r) in
-           let v = st.xb.(r) in
-           if v -. v <> 0.0 then healthy := false
-           else if v < st.lo.(j) -. ftol then begin
-             st.cb.(r) <- 1.0;
-             infeas := !infeas +. (st.lo.(j) -. v)
-           end
-           else if v > st.up.(j) +. ftol then begin
-             st.cb.(r) <- -1.0;
-             infeas := !infeas +. (v -. st.up.(j))
-           end
-           else st.cb.(r) <- 0.0
-         done;
-         if not !healthy then begin
+         (* The health guard: a non-finite basic value (the
+            [v -. v <> 0.0] test catches NaN and both infinities in one
+            branch) means the factorization has drifted into garbage.
+            A refresh usually repairs it; if a *clean* factorization
+            still produces non-finite values the program itself is
+            numerically hostile and the retry ladder takes over. Only
+            the rows that moved are re-read: the others were finite
+            when last read and have not changed since. *)
+         if not st.ws.healthy then begin
            if !clean then raise Breakdown;
            refresh st;
            clean := true
          end
          else begin
-           let phase1 = !infeas > 0.0 in
-           (* Deadline poll: after the scan, so the [feasible] flag of
-              the partial describes the iterate we actually return. *)
+           let phase1 = st.ws.ninf > 0 in
+           (* Deadline poll: after the classification, so the
+              [feasible] flag of the partial describes the iterate we
+              actually return. *)
            if Supervise.expired token then raise (Timeout_exn (not phase1));
-           if not phase1 then
-             for r = 0 to st.m - 1 do
-               st.cb.(r) <- st.cost.(st.basis.(r))
-             done;
+           if phase1 <> st.ws.cb_phase1 then fill_phase_costs st phase1;
            if phase1 <> !prev_phase1 then begin
              (* Phase switch changes the objective; give the new phase
                 a fresh stall budget. *)
@@ -575,9 +649,14 @@ let attempt ws ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
              stall := 0
            end;
            let bland = force_bland || !stall > stall_limit in
-           (* BTRAN + pricing. *)
-           Array.blit st.cb 0 st.y 0 st.m;
-           btran st st.y;
+           (* BTRAN + pricing. A bound flip that moved no phase cost
+              leaves the basis, the factor and [cb] as they were, so
+              the duals of the last BTRAN are still exact. *)
+           if not st.ws.y_ok then begin
+             Array.blit st.cb 0 st.y 0 st.m;
+             btran st st.y;
+             st.ws.y_ok <- true
+           end;
            let enter = ref (-1) and enter_d = ref 0.0 in
            if bland then
              (* Bland's rule: lowest favorable index, in index order —
@@ -714,9 +793,7 @@ let attempt ws ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
                clean := false;
                if flip_t *. Float.abs !enter_d > 1e-12 then stall := 0
                else incr stall;
-               for k = 0 to !nw - 1 do
-                 w.(wnz.(k)) <- 0.0
-               done
+               settle st !nw
              end
              else begin
                let r = !best_r in
@@ -733,17 +810,15 @@ let attempt ws ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
                st.stat.(q) <- 0;
                st.pos.(q) <- r;
                st.basis.(r) <- q;
+               if not st.ws.cb_phase1 then st.cb.(r) <- st.cost.(q);
+               st.ws.y_ok <- false;
                (* Absorb the basis change into the factorization. *)
                Factor.update_pattern st.f ~pivot_row:r w wnz !nw;
                incr pivots;
                clean := false;
                if t *. Float.abs !enter_d > 1e-12 then stall := 0
                else incr stall;
-               (* Restore the all-zero scratch invariant before any
-                  refresh can reuse [w] densely. *)
-               for k = 0 to !nw - 1 do
-                 w.(wnz.(k)) <- 0.0
-               done;
+               settle st !nw;
                if !pivots > max_pivots then
                  failwith
                    (Printf.sprintf

@@ -217,6 +217,97 @@ let test_updates () =
       && (Factor.stats f).eta_appends = Factor.updates_since_refactor f)
   done
 
+(* ------------------ FTRAN orders ---------------------------------- *)
+
+(* [ftran_pattern] walks the factor steps through worklist heaps while
+   its previous result was sparse, and in plain loops once that result
+   passed a tenth of the rows. The two orders must give the same bits
+   and the same pattern, order included: the pattern order feeds the
+   eta entries and the simplex's ratio-test tie-breaks. Two factors are
+   built and updated identically; before each compared column one is
+   primed with a dense column (its next call takes the plain loops) and
+   the other with a sparse one (its next call takes the heaps). *)
+let test_ftran_orders () =
+  let rng = Rng.create 515 in
+  let m = 60 in
+  let a = random_basis rng m in
+  let fd = Factor.create ~m and fh = Factor.create ~m in
+  let row_of = Array.make m 0 in
+  refactor_dense fd a row_of;
+  refactor_dense fh a row_of;
+  let wd = Array.make m 0.0 and wh = Array.make m 0.0 in
+  let pd = Array.make m 0 and ph = Array.make m 0 in
+  let ftran f w pat col =
+    List.iteri
+      (fun k (i, v) ->
+        w.(i) <- v;
+        pat.(k) <- i)
+      col;
+    Factor.ftran_pattern f w pat (List.length col)
+  in
+  let clear w pat n =
+    for k = 0 to n - 1 do
+      w.(pat.(k)) <- 0.0
+    done
+  in
+  let dense_col = List.init m (fun i -> (i, 1.0 +. float_of_int i)) in
+  (* A unit column of the basis: its image is one unit entry. *)
+  let unit_slot =
+    let rec find j =
+      if j >= m then Alcotest.fail "random basis has no unit column"
+      else if
+        Array.for_all Fun.id
+          (Array.init m (fun i -> a.(i).(j) = if i = j then 1.0 else 0.0))
+      then j
+      else find (j + 1)
+    in
+    find 0
+  in
+  let sparse_col = [ (unit_slot, 1.0) ] in
+  let bits w pat n =
+    List.init n (fun k -> (pat.(k), Int64.bits_of_float w.(pat.(k))))
+  in
+  let pivots = ref 0 in
+  for step = 1 to 60 do
+    let nd = ftran fd wd pd dense_col in
+    Alcotest.(check bool) "dense primer passes a tenth of m" true (10 * nd > m);
+    clear wd pd nd;
+    let nh = ftran fh wh ph sparse_col in
+    Alcotest.(check bool) "sparse primer within a tenth of m" true
+      (10 * nh <= m);
+    clear wh ph nh;
+    let col =
+      List.sort_uniq compare
+        (List.init (1 + Rng.int rng 5) (fun _ -> Rng.int rng m))
+      |> List.map (fun i -> (i, Rng.float rng 4.0 -. 2.0))
+    in
+    let nd = ftran fd wd pd col and nh = ftran fh wh ph col in
+    if bits wd pd nd <> bits wh ph nh then
+      Alcotest.failf "column %d: plain-loop FTRAN differs from heap FTRAN" step;
+    (* Every fifth column enters the basis on both factors through an
+       update eta, at its largest entry outside the unit column's row
+       (which keeps the sparse primer's image a unit entry). *)
+    if step mod 5 = 0 then begin
+      let r = ref (-1) in
+      for k = 0 to nd - 1 do
+        let i = pd.(k) in
+        if
+          i <> row_of.(unit_slot)
+          && (!r < 0 || Float.abs wd.(i) > Float.abs wd.(!r))
+        then r := i
+      done;
+      if !r >= 0 && Float.abs wd.(!r) > 1e-6 then begin
+        Factor.update_pattern fd ~pivot_row:!r wd pd nd;
+        Factor.update_pattern fh ~pivot_row:!r wh ph nh;
+        incr pivots
+      end
+    end;
+    clear wd pd nd;
+    clear wh ph nh
+  done;
+  Alcotest.(check bool) "update etas absorbed" true
+    (!pivots >= 8 && Factor.updates_since_refactor fd = !pivots)
+
 (* ------------------ singularity ----------------------------------- *)
 
 let test_singular () =
@@ -288,6 +379,8 @@ let suite =
       test_oracle_lu;
     Alcotest.test_case "update etas = fresh refactorization" `Quick
       test_updates;
+    Alcotest.test_case "ftran: plain loops = heaps, bit for bit" `Quick
+      test_ftran_orders;
     Alcotest.test_case "singular bases detected, identity after" `Quick
       test_singular;
     Alcotest.test_case "refactor policy + stats counters" `Quick test_policy;

@@ -738,6 +738,28 @@ let test_golden_lp_digests () =
     golden_bnb;
   if !bad <> [] then Alcotest.fail (String.concat "\n" (List.rev !bad))
 
+(* The general path, pinned by one CRC-32 over the digests of all 120
+   [random_problem] solves and of their [~refactor_every:1] twins.
+   Unlike the LP_SIMP goldens above, these programs have [Ge] and [Eq]
+   logicals (a lower bound of -inf, or a zero range), positive lower
+   bounds and duplicated rows, so they reach the phase-1 classification
+   and the bound-flip paths that LP_SIMP never does. *)
+let golden_random_crc = 0x6e559e32
+
+let test_golden_random_digests () =
+  let digests = Buffer.create 16384 in
+  for seed = 0 to 119 do
+    let p, _ = random_problem seed in
+    Buffer.add_string digests (lp_digest (Revised.solve p));
+    Buffer.add_char digests '\n';
+    Buffer.add_string digests (lp_digest (Revised.solve ~refactor_every:1 p));
+    Buffer.add_char digests '\n'
+  done;
+  Alcotest.(check string)
+    "CRC of 240 random-program digests"
+    (Printf.sprintf "%08x" golden_random_crc)
+    (Printf.sprintf "%08x" (Svgic_util.Crc32.of_string (Buffer.contents digests)))
+
 (* ------------------ workspace isolation --------------------------- *)
 
 (* A solve takes its working arrays and its factor from a per-domain
@@ -936,6 +958,8 @@ let suite =
     Alcotest.test_case "relaxation exact beyond old budget" `Quick
       test_relaxation_exact_on_medium;
     Alcotest.test_case "golden LP digests" `Quick test_golden_lp_digests;
+    Alcotest.test_case "golden random-program digests (240 solves)" `Quick
+      test_golden_random_digests;
     Alcotest.test_case "workspace isolation: interleaved = alone = parallel"
       `Quick test_workspace_isolation;
     Alcotest.test_case "workspace busy rule: re-entrant solve" `Quick
