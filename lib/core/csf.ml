@@ -71,7 +71,6 @@ let factors t = t.prep.factor_table
 let remaining t = t.empty_cells
 let complete t = t.empty_cells = 0
 
-let slot_empty t ~user ~slot = t.assign.(user).(slot) = -1
 let item_used t ~user ~item = t.used.(user).(item)
 
 let fill_slot_empty t ~slot out =

@@ -45,15 +45,15 @@ val remaining : t -> int
 
 val complete : t -> bool
 val eligible : t -> user:int -> item:int -> slot:int -> bool
-val slot_empty : t -> user:int -> slot:int -> bool
 
 val item_used : t -> user:int -> item:int -> bool
 (** Whether [item] is already displayed to [user] at some slot. *)
 
 val fill_slot_empty : t -> slot:int -> bool array -> unit
-(** Writes [slot_empty ~user:u ~slot] into index [u] of the array (one
-    flag per user). Lets a caller evaluating many items of one slot
-    hoist the per-user emptiness lookups out of its inner loops. *)
+(** Writes whether user [u]'s [slot] is still empty into index [u] of
+    the array (one flag per user). Lets a caller evaluating many items
+    of one slot hoist the per-user emptiness lookups out of its inner
+    loops. *)
 
 val group_size : t -> item:int -> slot:int -> int
 (** Users currently co-displayed [item] at [slot]. *)

@@ -45,7 +45,6 @@ let instance t = t.inst
 let config t = t.cfg
 let relaxation t = t.relax
 let total_utility t = Config.total_utility t.inst t.cfg
-let external_of t u = t.ext_of.(u)
 
 let internal_of t ext =
   if ext < 0 || ext >= Array.length t.slot then None

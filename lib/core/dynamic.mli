@@ -25,8 +25,8 @@
       {e reuses} that external id, or mints the next fresh integer
       when the list is empty. A caller holding an id across a
       leave/join pair should expect the id to name the new occupant.
-    - [internal_of]/[external_of] expose the remap for callers that
-      need to index instance/config arrays (which are always in
+    - [internal_of] and [user_ids] expose the remap for callers
+      that need to index instance/config arrays (which are always in
       internal order). Internal ids are only valid until the next
       [leave]. *)
 
@@ -55,9 +55,6 @@ val relaxation : t -> Relaxation.t
     its [basis] is what {!resolve} warm starts from. *)
 
 val total_utility : t -> float
-
-val external_of : t -> int -> int
-(** External id of a current internal (instance) index. *)
 
 val internal_of : t -> int -> int option
 (** Current internal index of an external id; [None] when the id was

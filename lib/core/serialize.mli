@@ -31,18 +31,15 @@ val instance_of_source :
 
 val emit_instance : (string -> unit) -> Instance.t -> unit
 (** Stream the instance text through [emit], one line at a time —
-    the building block behind {!write_instance} and the embedded
+    the building block behind {!save_instance} and the embedded
     instance block of {!Svgic.Checkpoint} (whose writer threads every
     emitted string through a running CRC). *)
 
-val write_instance : out_channel -> Instance.t -> unit
-(** Streams the instance to the channel one line at a time, straight
-    from the flat arenas — the writer's live state never exceeds a
-    single formatted row, so saving a million-user instance does not
-    build the whole text in memory ([instance_to_string] does). *)
-
 val save_instance : string -> Instance.t -> unit
-(** [save_instance path inst] = [write_instance] into [path]. *)
+(** [save_instance path inst] streams the instance into [path] line
+    by line from the flat arenas: the writer never holds more than one
+    formatted row, so saving a million-user instance does not build
+    the whole text in memory ([instance_to_string] does). *)
 
 val load_instance : string -> (Instance.t, string) result
 (** Streaming loader: reads the file line by line, parses the

@@ -3,7 +3,6 @@ module Rng = Svgic_util.Rng
 module Pool = Svgic_util.Pool
 module Supervise = Svgic_util.Supervise
 module Mclock = Svgic_util.Mclock
-module Fault = Svgic_util.Fault
 module FA = Float.Array
 
 type event =
@@ -157,6 +156,23 @@ let cut_realized t =
   done;
   !acc
 
+(* The cut mass from the labels and the arenas alone, without the
+   incremental tables (so [audit] can check them against it). *)
+let cut_mass_recompute t =
+  let inst = t.inst in
+  let g = Instance.graph inst in
+  let m = Instance.m inst in
+  let mass = ref 0.0 in
+  Instance.iter_pairs inst (fun _ u v ->
+      if t.label.(u) <> t.label.(v) then begin
+        let e1 = Graph.edge_index g u v and e2 = Graph.edge_index g v u in
+        for c = 0 to m - 1 do
+          if e1 >= 0 then mass := !mass +. Instance.tau_edge inst e1 c;
+          if e2 >= 0 then mass := !mass +. Instance.tau_edge inst e2 c
+        done
+      end);
+  Instance.lambda inst *. !mass
+
 (* Full recomputation of the cut tables after a structural rebuild.
    Non-structural ticks never call this: value deltas adjust
    [cut_mass] incrementally from the old cell value [set_tau]
@@ -164,8 +180,6 @@ let cut_realized t =
 let rebuild_cut t =
   let inst = t.inst in
   let g = Instance.graph inst in
-  let m = Instance.m inst in
-  let lambda = Instance.lambda inst in
   let count = ref 0 in
   Instance.iter_pairs inst (fun _ u v ->
       if t.label.(u) <> t.label.(v) then incr count);
@@ -173,47 +187,48 @@ let rebuild_cut t =
   and cv = Array.make !count 0
   and ce1 = Array.make !count (-1)
   and ce2 = Array.make !count (-1) in
-  let w = ref 0 and mass = ref 0.0 in
+  let w = ref 0 in
   Instance.iter_pairs inst (fun _ u v ->
       if t.label.(u) <> t.label.(v) then begin
         cu.(!w) <- u;
         cv.(!w) <- v;
-        let e1 = Graph.edge_index g u v and e2 = Graph.edge_index g v u in
-        ce1.(!w) <- e1;
-        ce2.(!w) <- e2;
-        for c = 0 to m - 1 do
-          if e1 >= 0 then mass := !mass +. Instance.tau_edge inst e1 c;
-          if e2 >= 0 then mass := !mass +. Instance.tau_edge inst e2 c
-        done;
+        ce1.(!w) <- Graph.edge_index g u v;
+        ce2.(!w) <- Graph.edge_index g v u;
         incr w
       end);
   t.cut_u <- cu;
   t.cut_v <- cv;
   t.cut_euv <- ce1;
   t.cut_evu <- ce2;
-  t.cut_mass <- lambda *. !mass
+  t.cut_mass <- cut_mass_recompute t
 
-(* A newcomer's placeholder row (her k preferred items, ties to the
-   smaller id): valid immediately, and overwritten by her shard's
-   re-solve unless the tick deadline already expired. *)
-let top_k_row inst u =
-  let m = Instance.m inst and k = Instance.k inst in
-  let idx = Array.init m (fun c -> c) in
-  Array.sort
-    (fun a b ->
-      let pa = Instance.pref inst u a and pb = Instance.pref inst u b in
-      if pa = pb then compare a b else compare pb pa)
-    idx;
-  Array.sub idx 0 k
+(* Members of every shard from the labels, in increasing internal-id
+   order (= the local id order of the sub-instance [solve_shard]
+   builds, so warm bases and incumbent rows line up across ticks). *)
+let members_by_label nshards label =
+  let cnt = Array.make nshards 0 in
+  Array.iter (fun l -> cnt.(l) <- cnt.(l) + 1) label;
+  let fill = Array.init nshards (fun s -> Array.make cnt.(s) 0) in
+  let pos = Array.make nshards 0 in
+  Array.iteri
+    (fun u l ->
+      fill.(l).(pos.(l)) <- u;
+      pos.(l) <- pos.(l) + 1)
+    label;
+  fill
 
-(* Inner parallelism must not nest inside the shard fan-out (same rule
-   as [Shard.solve_round]): pin an unresolved FW backend to one
-   domain. *)
-let serial_backend inst =
-  match Relaxation.choose_backend inst with
-  | Relaxation.Frank_wolfe ({ domains = None; _ } as fw) ->
-      Relaxation.Frank_wolfe { fw with domains = Some 1 }
-  | b -> b
+(* A shard that has never been solved: no certificate, no warm basis. *)
+let fresh_shard members =
+  {
+    members;
+    warm = None;
+    warm_n = -1;
+    warm_pairs = -1;
+    obj = 0.0;
+    upper_b = infinity;
+    degraded = false;
+    freshened = true;
+  }
 
 (* ---- event intake ------------------------------------------------ *)
 
@@ -517,9 +532,13 @@ let apply_structural t ~applied ~dropped =
   t.inst <- inst';
   t.assign <- assign';
   t.ext_of <- ext_of;
-  for j = 0 to njoin - 1 do
-    assign'.(nsurv + j) <- top_k_row inst' (nsurv + j)
-  done;
+  (* A newcomer's placeholder row (their k preferred items, ties to the
+     smaller id): valid immediately, and overwritten by their shard's
+     re-solve unless the tick deadline already expired. *)
+  Array.iteri
+    (fun j (_, p) ->
+      assign'.(nsurv + j) <- Svgic_util.Select.top_k kk p.Dynamic.pref)
+    joins;
   (* Sticky labels for newcomers: majority vote over already-labelled
      friends, ties to the smallest label. *)
   let husks = ref [] in
@@ -545,18 +564,7 @@ let apply_structural t ~applied ~dropped =
     else begin
       label'.(nj) <- !nsh;
       incr nsh;
-      husks :=
-        {
-          members = [||];
-          warm = None;
-          warm_n = -1;
-          warm_pairs = -1;
-          obj = 0.0;
-          upper_b = infinity;
-          degraded = false;
-          freshened = true;
-        }
-        :: !husks
+      husks := fresh_shard [||] :: !husks
     end;
     touched := label'.(nj) :: !touched
   done;
@@ -569,20 +577,11 @@ let apply_structural t ~applied ~dropped =
   (* Rebuild every shard's member array under the new numbering
      (membership sets of untouched shards are unchanged, so their
      stored objectives and warm bases stay valid). *)
-  let nsh = Array.length t.shards in
-  let cnt = Array.make nsh 0 in
-  Array.iter (fun l -> cnt.(l) <- cnt.(l) + 1) label';
-  let fill = Array.init nsh (fun s -> Array.make cnt.(s) 0) in
-  let pos = Array.make nsh 0 in
-  Array.iteri
-    (fun u l ->
-      fill.(l).(pos.(l)) <- u;
-      pos.(l) <- pos.(l) + 1)
-    label';
+  let fill = members_by_label (Array.length t.shards) label' in
   Array.iteri
     (fun s sh ->
       sh.members <- fill.(s);
-      if cnt.(s) = 0 then begin
+      if Array.length fill.(s) = 0 then begin
         sh.obj <- 0.0;
         sh.upper_b <- 0.0;
         sh.degraded <- false;
@@ -596,7 +595,7 @@ let apply_structural t ~applied ~dropped =
 
 (* ---- per-shard solve --------------------------------------------- *)
 
-(* Re-solve one touched shard under the degradation ladder. Returns
+(* Re-solve one touched shard through [Shard.solve_one]. Returns
    (warm_hit, degraded). Runs inside the [Pool] fan-out: it only
    mutates its own [shard_state] and its own members' rows, and only
    reads shared state that is frozen during the fan-out. *)
@@ -605,129 +604,48 @@ let solve_shard t token rng sid =
   let k = Instance.k t.inst in
   let sub, mapping = Instance.restrict_users t.inst sh.members in
   let npairs = Instance.num_pairs sub in
-  let write_rows cfg =
-    Array.iteri
-      (fun lu gu ->
-        let row = t.assign.(gu) in
-        for s = 0 to k - 1 do
-          row.(s) <- Config.item cfg ~user:lu ~slot:s
-        done)
-      mapping
-  in
-  let incumbent_cfg () =
-    Config.make_unchecked (Array.map (fun gu -> t.assign.(gu)) mapping)
-  in
-  let greedy () = Algorithms.top_k_greedy sub in
-  let certificate tok =
-    if not t.certify then infinity
-    else
-      match Relaxation.solve_integer ~token:tok sub with
-      | r -> Instance.objective_scale sub *. r.Relaxation.int_bound
-      | exception _ -> infinity
-  in
-  let injected =
-    if Fault.enabled () then
-      Fault.at ~site:"serve.shard" ~index:((t.tick_no * 8191) + sid)
+  let warm =
+    if sh.warm_n = Array.length sh.members && sh.warm_pairs = npairs then
+      sh.warm
     else None
   in
-  let token =
-    match injected with
-    | Some Fault.Timeout | Some Fault.Nan -> Supervise.expired_token ()
-    | Some Fault.Crash | None -> token
+  (* When the membership survived, the incumbent rows are still
+     feasible: a free floor candidate, and the fall-back on a deadline
+     or fault (re-priced, since utilities may have drifted). A
+     reshaped shard falls back to the greedy floor instead. *)
+  let incumbent =
+    if sh.freshened then None
+    else
+      let rows = Array.map (fun gu -> t.assign.(gu)) mapping in
+      Some (Config.make_unchecked rows)
   in
-  let fallback warm_hit =
-    (* Deadline or fault: when the membership survived, the incumbent
-       rows are still feasible — keep them and re-price (utilities may
-       have drifted); a reshaped shard drops to the greedy floor. *)
-    if sh.freshened then begin
-      let cfg = greedy () in
-      write_rows cfg;
-      sh.obj <- Config.total_utility sub cfg;
-      sh.warm <- None;
-      sh.warm_n <- -1;
-      sh.warm_pairs <- -1
-    end
-    else sh.obj <- Config.total_utility sub (incumbent_cfg ());
-    sh.freshened <- false;
-    sh.degraded <- true;
-    sh.upper_b <- certificate token;
-    (warm_hit, true)
+  let r =
+    Shard.solve_one ?warm ?incumbent ~token ~certify:t.certify
+      ~site:"serve.shard" ~index:((t.tick_no * 8191) + sid)
+      ~rounding:t.rounding rng sub
   in
-  let solve_path () =
-    if npairs = 0 then begin
-      (* No social coupling: top-k greedy is the exact shard optimum
-         and certifies itself. *)
-      let cfg = greedy () in
-      write_rows cfg;
-      sh.obj <- Config.total_utility sub cfg;
-      sh.upper_b <- (if t.certify then sh.obj else infinity);
-      sh.degraded <- false;
-      sh.freshened <- false;
-      sh.warm <- None;
-      sh.warm_n <- Array.length sh.members;
-      sh.warm_pairs <- 0;
-      (false, false)
-    end
-    else begin
-      let warm =
-        if sh.warm_n = Array.length sh.members && sh.warm_pairs = npairs then
-          sh.warm
-        else None
-      in
-      let warm_hit = warm <> None in
-      let relax =
-        Relaxation.solve ?warm ~token ~backend:(serial_backend sub) sub
-      in
-      if Supervise.expired token then fallback warm_hit
-      else begin
-        let cfg =
-          match t.rounding with
-          | Shard.Avg { repeats; advanced_sampling } ->
-              Algorithms.avg_best_of ~advanced_sampling ~domains:1 ~repeats rng
-                sub relax
-          | Shard.Avg_d { r } -> Algorithms.avg_d ?r ~domains:1 sub relax
-        in
-        let util = Config.total_utility sub cfg in
-        (* Floors: a degraded relaxation voids the rounding guarantee
-           (greedy floor, as in [Shard.solve_round]); and when the
-           membership survived, the incumbent is a free candidate — a
-           serving tick never publishes a worse configuration than the
-           one it already holds unless the data moved under it. *)
-        let cfg, util =
-          if relax.Relaxation.degraded then begin
-            let gc = greedy () in
-            let gu = Config.total_utility sub gc in
-            if gu > util then (gc, gu) else (cfg, util)
-          end
-          else (cfg, util)
-        in
-        let cfg, util =
-          if not sh.freshened then begin
-            let ic = incumbent_cfg () in
-            let iu = Config.total_utility sub ic in
-            if iu > util then (ic, iu) else (cfg, util)
-          end
-          else (cfg, util)
-        in
-        write_rows cfg;
-        sh.obj <- util;
-        sh.degraded <- relax.Relaxation.degraded;
-        sh.freshened <- false;
-        sh.warm <- relax.Relaxation.basis;
-        sh.warm_n <- Array.length sh.members;
-        sh.warm_pairs <- npairs;
-        sh.upper_b <- certificate token;
-        (warm_hit, relax.Relaxation.degraded)
-      end
-    end
-  in
-  try
-    (match injected with
-    | Some Fault.Crash ->
-        raise (Fault.Injected (Printf.sprintf "serve.shard[%d]" sid))
-    | _ -> ());
-    solve_path ()
-  with Fault.Injected _ | Failure _ -> fallback false
+  Array.iteri
+    (fun lu gu ->
+      let row = t.assign.(gu) in
+      for s = 0 to k - 1 do
+        row.(s) <- Config.item r.Shard.s_config ~user:lu ~slot:s
+      done)
+    mapping;
+  sh.obj <- r.Shard.s_utility;
+  sh.degraded <- r.Shard.s_degraded;
+  sh.upper_b <- r.Shard.s_upper;
+  if not r.Shard.s_fell_back then begin
+    sh.warm <- r.Shard.s_basis;
+    sh.warm_n <- Array.length sh.members;
+    sh.warm_pairs <- npairs
+  end
+  else if sh.freshened then begin
+    sh.warm <- None;
+    sh.warm_n <- -1;
+    sh.warm_pairs <- -1
+  end;
+  sh.freshened <- false;
+  (warm <> None, r.Shard.s_degraded)
 
 (* ---- the tick ---------------------------------------------------- *)
 
@@ -941,41 +859,22 @@ let tick t =
 
 (* ---- construction ------------------------------------------------ *)
 
-let create ?(labelling = Shard.Components)
-    ?(rounding = Shard.Avg_d { r = None }) ?deadline_s ?(certify = false)
-    ?domains ?(repair_passes = 2) rng inst0 =
-  let inst = Instance.materialize inst0 in
-  let t0 = Mclock.now_s () in
-  let part = Shard.partition ~rng:(Rng.split rng) ~labelling inst in
-  let n = Instance.n inst and k = Instance.k inst in
-  let label = Array.make n 0 in
-  Array.iteri
-    (fun i { Shard.users; _ } -> Array.iter (fun u -> label.(u) <- i) users)
-    part.Shard.shards;
-  let shards =
-    Array.map
-      (fun { Shard.users; _ } ->
-        {
-          members = users;
-          warm = None;
-          warm_n = -1;
-          warm_pairs = -1;
-          obj = 0.0;
-          upper_b = infinity;
-          degraded = false;
-          freshened = true;
-        })
-      part.Shard.shards
-  in
+(* The one constructor behind [create] and [restore]: the caller
+   supplies the solve state, everything else (ext map, coalescing
+   tables, cut tables, scratch) is derived here. The bracket terms
+   start empty; [create]'s tick 0 fills them, [restore] copies them. *)
+let make ~inst ~assign ~label ~shards ~ext_of ~next_ext ~tick_no
+    ~events_total ~rng ~rounding ~deadline_s ~certify ~domains ~repair_passes =
+  let n = Instance.n inst in
   let t =
     {
       inst;
-      assign = Array.init n (fun _ -> Array.init k (fun s -> s));
+      assign;
       label;
       shards;
-      ext_of = Array.init n Fun.id;
+      ext_of;
       ext_slot = Hashtbl.create ~random:false ((2 * n) + 16);
-      next_ext = n;
+      next_ext;
       pref_coal = Hashtbl.create ~random:false 4096;
       tau_coal = Hashtbl.create ~random:false 4096;
       structural = [];
@@ -993,18 +892,39 @@ let create ?(labelling = Shard.Components)
       certify;
       domains;
       repair_passes;
-      tick_no = 0;
-      events_total = 0;
+      tick_no;
+      events_total;
       objective_v = 0.0;
       bound_v = 0.0;
       upper_v = infinity;
       dur = None;
     }
   in
-  for u = 0 to n - 1 do
-    Hashtbl.replace t.ext_slot u u
-  done;
+  Array.iteri (fun i ext -> Hashtbl.replace t.ext_slot ext i) ext_of;
   rebuild_cut t;
+  t
+
+let create ?(labelling = Shard.Components)
+    ?(rounding = Shard.Avg_d { r = None }) ?deadline_s ?(certify = false)
+    ?domains ?(repair_passes = 2) rng inst0 =
+  let inst = Instance.materialize inst0 in
+  let t0 = Mclock.now_s () in
+  let part = Shard.partition ~rng:(Rng.split rng) ~labelling inst in
+  let n = Instance.n inst and k = Instance.k inst in
+  let label = Array.make n 0 in
+  Array.iteri
+    (fun i { Shard.users; _ } -> Array.iter (fun u -> label.(u) <- i) users)
+    part.Shard.shards;
+  let shards =
+    Array.map (fun sh -> fresh_shard sh.Shard.users) part.Shard.shards
+  in
+  let t =
+    make ~inst
+      ~assign:(Array.init n (fun _ -> Array.init k (fun s -> s)))
+      ~label ~shards ~ext_of:(Array.init n Fun.id) ~next_ext:n ~tick_no:0
+      ~events_total:0 ~rng ~rounding ~deadline_s ~certify ~domains
+      ~repair_passes
+  in
   (* Tick 0: solve everything (under the same deadline regime as any
      other tick — a tight SLO degrades startup rather than blocking). *)
   Array.iteri (fun s _ -> t.scratch.(s) <- true) t.shards;
@@ -1073,7 +993,6 @@ let disable_durability t =
       Wal.close d.wal;
       t.dur <- None
 
-let durability_dir t = Option.map (fun d -> d.d_opts.dir) t.dur
 let checkpoint_failures t =
   match t.dur with None -> 0 | Some d -> d.ckpt_failures
 let wal_bytes t =
@@ -1093,25 +1012,14 @@ let checkpoint t =
 let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s
     ?(certify = false) ?domains ?(repair_passes = 2)
     (snap : Checkpoint.snapshot) =
-  let inst = snap.Checkpoint.inst in
-  let n = Instance.n inst in
-  let nshards = Array.length snap.Checkpoint.shards in
-  (* members from labels, increasing internal-id order — the same
-     invariant [apply_structural] maintains *)
-  let cnt = Array.make (max 1 nshards) 0 in
-  Array.iter (fun l -> cnt.(l) <- cnt.(l) + 1) snap.Checkpoint.label;
-  let fill = Array.init nshards (fun s -> Array.make cnt.(s) 0) in
-  let pos = Array.make (max 1 nshards) 0 in
-  Array.iteri
-    (fun u l ->
-      fill.(l).(pos.(l)) <- u;
-      pos.(l) <- pos.(l) + 1)
-    snap.Checkpoint.label;
+  let members =
+    members_by_label (Array.length snap.Checkpoint.shards) snap.Checkpoint.label
+  in
   let shards =
     Array.mapi
       (fun s (ss : Checkpoint.shard_snap) ->
         {
-          members = fill.(s);
+          members = members.(s);
           warm =
             Option.map Svgic_lp.Revised_simplex.vbasis_of_entries
               ss.Checkpoint.s_warm;
@@ -1129,44 +1037,18 @@ let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s
     with Failure _ -> invalid_arg "Serve.restore: corrupt rng blob"
   in
   let t =
-    {
-      inst;
-      assign = snap.Checkpoint.assign;
-      label = snap.Checkpoint.label;
-      shards;
-      ext_of = snap.Checkpoint.ext_of;
-      ext_slot = Hashtbl.create ~random:false ((2 * n) + 16);
-      next_ext = snap.Checkpoint.next_ext;
-      pref_coal = Hashtbl.create ~random:false 4096;
-      tau_coal = Hashtbl.create ~random:false 4096;
-      structural = [];
-      seen = 0;
-      cut_u = [||];
-      cut_v = [||];
-      cut_euv = [||];
-      cut_evu = [||];
-      cut_mass = 0.0;
-      scratch = Array.make (max 1 nshards) false;
-      repair_mark = [||];
-      rng;
-      rounding;
-      deadline_s;
-      certify;
-      domains;
-      repair_passes;
-      tick_no = snap.Checkpoint.tick_no;
-      events_total = snap.Checkpoint.events_total;
-      objective_v = snap.Checkpoint.objective_v;
-      bound_v = snap.Checkpoint.bound_v;
-      upper_v = snap.Checkpoint.upper_v;
-      dur = None;
-    }
+    make ~inst:snap.Checkpoint.inst ~assign:snap.Checkpoint.assign
+      ~label:snap.Checkpoint.label ~shards ~ext_of:snap.Checkpoint.ext_of
+      ~next_ext:snap.Checkpoint.next_ext ~tick_no:snap.Checkpoint.tick_no
+      ~events_total:snap.Checkpoint.events_total ~rng ~rounding ~deadline_s
+      ~certify ~domains ~repair_passes
   in
-  Array.iteri (fun i ext -> Hashtbl.replace t.ext_slot ext i) t.ext_of;
-  rebuild_cut t;
   (* the incremental cut mass is bit-carried; [rebuild_cut] only
      recomputed the structural pair/edge tables *)
   t.cut_mass <- snap.Checkpoint.cut_mass;
+  t.objective_v <- snap.Checkpoint.objective_v;
+  t.bound_v <- snap.Checkpoint.bound_v;
+  t.upper_v <- snap.Checkpoint.upper_v;
   t
 
 (* ---- audit ------------------------------------------------------- *)
@@ -1181,22 +1063,6 @@ type audit_report = {
   repaired : int list;  (** shards demoted to a fresh re-solve *)
 }
 
-(* Recompute the cut mass without touching the incremental tables. *)
-let cut_mass_recompute t =
-  let inst = t.inst in
-  let g = Instance.graph inst in
-  let m = Instance.m inst in
-  let mass = ref 0.0 in
-  Instance.iter_pairs inst (fun _ u v ->
-      if t.label.(u) <> t.label.(v) then begin
-        let e1 = Graph.edge_index g u v and e2 = Graph.edge_index g v u in
-        for c = 0 to m - 1 do
-          if e1 >= 0 then mass := !mass +. Instance.tau_edge inst e1 c;
-          if e2 >= 0 then mass := !mass +. Instance.tau_edge inst e2 c
-        done
-      end);
-  Instance.lambda inst *. !mass
-
 let audit ?(repair = false) ?(tol = 1e-6) t =
   let n = Instance.n t.inst in
   let nshards = Array.length t.shards in
@@ -1207,18 +1073,8 @@ let audit ?(repair = false) ?(tol = 1e-6) t =
     && Array.length t.label = n
     && Array.length t.ext_of = n
     && Array.for_all (fun l -> l >= 0 && l < nshards) t.label
-    && begin
-         let cnt = Array.make (max 1 nshards) 0 in
-         Array.iter (fun l -> cnt.(l) <- cnt.(l) + 1) t.label;
-         Array.for_all Fun.id
-           (Array.mapi
-              (fun s sh ->
-                Array.length sh.members = cnt.(s)
-                && Array.for_all
-                     (fun u -> u >= 0 && u < n && t.label.(u) = s)
-                     sh.members)
-              t.shards)
-       end
+    && members_by_label nshards t.label
+       = Array.map (fun sh -> sh.members) t.shards
     && Array.for_all
          (fun ext ->
            match Hashtbl.find_opt t.ext_slot ext with
@@ -1227,34 +1083,37 @@ let audit ?(repair = false) ?(tol = 1e-6) t =
          t.ext_of
   in
   let close a b = Float.abs (a -. b) <= tol *. (1.0 +. Float.abs a) in
-  let bad_shards = ref [] in
-  Array.iteri
-    (fun s sh ->
-      if Array.length sh.members > 0 || sh.obj <> 0.0 then
-        if not (close sh.obj (shard_obj_of t sh.members)) then
-          bad_shards := s :: !bad_shards)
-    t.shards;
-  let bad_shards0 = List.rev !bad_shards in
-  let cut_drift = Float.abs (t.cut_mass -. cut_mass_recompute t) in
-  let obj_re =
-    Config.total_utility t.inst (Config.make_unchecked t.assign)
+  (* The same check before and after a repair: failing shards, cut and
+     objective drift, and the bracket on recomputed values. *)
+  let check () =
+    let bad = ref [] in
+    Array.iteri
+      (fun s sh ->
+        if Array.length sh.members > 0 || sh.obj <> 0.0 then
+          if not (close sh.obj (shard_obj_of t sh.members)) then
+            bad := s :: !bad)
+      t.shards;
+    let cut_drift = Float.abs (t.cut_mass -. cut_mass_recompute t) in
+    let obj_re = Config.total_utility t.inst (Config.make_unchecked t.assign) in
+    let objective_drift = Float.abs (t.objective_v -. obj_re) in
+    let scale = 1.0 +. Float.abs obj_re in
+    let bracket_ok =
+      t.bound_v <= obj_re +. (tol *. scale)
+      && ((not t.certify) || obj_re <= t.upper_v +. (tol *. scale))
+    in
+    let ok =
+      !bad = []
+      && cut_drift <= tol *. (1.0 +. t.cut_mass)
+      && objective_drift <= tol *. scale
+      && bracket_ok
+    in
+    (List.rev !bad, cut_drift, objective_drift, bracket_ok, ok)
   in
-  let objective_drift = Float.abs (t.objective_v -. obj_re) in
-  let scale = 1.0 +. Float.abs obj_re in
-  let bracket_ok =
-    t.bound_v <= obj_re +. (tol *. scale)
-    && ((not t.certify) || obj_re <= t.upper_v +. (tol *. scale))
-  in
-  let failing =
-    bad_shards0 <> []
-    || cut_drift > tol *. (1.0 +. t.cut_mass)
-    || objective_drift > tol *. scale
-    || not bracket_ok
-  in
-  if (not repair) || not failing then
+  let bad_shards, cut_drift, objective_drift, bracket_ok, ok = check () in
+  if ok || not repair then
     {
-      audit_ok = structure_ok && not failing;
-      bad_shards = bad_shards0;
+      audit_ok = structure_ok && ok;
+      bad_shards;
       cut_drift;
       objective_drift;
       bracket_ok;
@@ -1268,7 +1127,7 @@ let audit ?(repair = false) ?(tol = 1e-6) t =
     rebuild_cut t;
     ensure_scratch t;
     let demoted =
-      if bad_shards0 <> [] then bad_shards0
+      if bad_shards <> [] then bad_shards
       else List.init nshards Fun.id
            |> List.filter (fun s -> Array.length t.shards.(s).members > 0)
     in
@@ -1286,32 +1145,13 @@ let audit ?(repair = false) ?(tol = 1e-6) t =
       finish_tick t ~t0:(Mclock.now_s ()) ~token ~seen:0 ~applied:(ref 0)
         ~dropped:(ref 0) ~structural:false ~repair_extra:[]
     in
-    let bad' = ref [] in
-    Array.iteri
-      (fun s sh ->
-        if Array.length sh.members > 0 || sh.obj <> 0.0 then
-          if not (close sh.obj (shard_obj_of t sh.members)) then
-            bad' := s :: !bad')
-      t.shards;
-    let cut_drift' = Float.abs (t.cut_mass -. cut_mass_recompute t) in
-    let obj_re' =
-      Config.total_utility t.inst (Config.make_unchecked t.assign)
-    in
-    let drift' = Float.abs (t.objective_v -. obj_re') in
-    let scale' = 1.0 +. Float.abs obj_re' in
-    let bracket_ok' =
-      t.bound_v <= obj_re' +. (tol *. scale')
-      && ((not t.certify) || obj_re' <= t.upper_v +. (tol *. scale'))
-    in
+    let _, cut_drift, objective_drift, bracket_ok, ok = check () in
     {
-      audit_ok =
-        structure_ok && !bad' = []
-        && cut_drift' <= tol *. (1.0 +. t.cut_mass)
-        && drift' <= tol *. scale' && bracket_ok';
-      bad_shards = bad_shards0;
-      cut_drift = cut_drift';
-      objective_drift = drift';
-      bracket_ok = bracket_ok';
+      audit_ok = structure_ok && ok;
+      bad_shards;
+      cut_drift;
+      objective_drift;
+      bracket_ok;
       structure_ok;
       repaired = demoted;
     }

@@ -10,9 +10,10 @@
     therefore keeps the partition, the per-shard warm simplex bases and
     the incumbent configuration alive across {e ticks}, and per tick
     re-solves only the touched shards — warm-started, under a per-tick
-    latency deadline with the PR 5 degradation ladder (an overrunning
-    shard degrades to its certified-FW or greedy floor instead of
-    missing the tick).
+    latency deadline, through the same per-shard ladder a plan runs
+    ({!Shard.solve_one}). An overrunning or faulted shard keeps its
+    incumbent when its membership survived and drops to its greedy
+    floor when it was reshaped, instead of missing the tick.
 
     {2 Event model}
 
@@ -41,8 +42,10 @@
     The engine maintains the sharded bracket incrementally:
     [bound = Σ shard_obj − cut_mass <= objective], and with
     [~certify:true] also [objective <= Σ shard_upper + cut_mass]
-    (touched shards re-certify via {!Relaxation.solve_integer};
-    a degraded certificate is an honest [infinity]). Both sides are
+    (touched shards re-certify via {!Relaxation.solve_integer} on the
+    tick's own token, so an injected fault leaves the certificate
+    finite and only a real deadline expiry makes it an honest
+    [infinity]). Both sides are
     recomputed from per-shard state in O(shards + cut) per tick —
     untouched shards contribute their stored values. *)
 
@@ -67,16 +70,22 @@ type tick_stats = {
   events_dropped : int;
       (** dead/unknown targets, non-edges, malformed profiles *)
   shards_touched : int;
-  warm_hits : int;  (** touched shards whose stored basis matched and seeded the re-solve *)
-  degraded : int;  (** touched shards that fell down the degradation ladder *)
+  warm_hits : int;
+      (** touched shards whose stored basis matched their shape and
+          was handed to the re-solve *)
+  degraded : int;
+      (** touched shards that fell down the degradation ladder
+          ({!Shard.solve_one}: deadline expiry, a degraded relaxation,
+          a failure or an injected fault) *)
   structural : bool;  (** the tick rebuilt the instance (joins/leaves) *)
   elapsed_s : float;  (** wall time of the tick ({!Svgic_util.Mclock}) *)
   objective : float;  (** total SAVG utility of the incumbent configuration *)
   bound : float;  (** certified lower bracket [Σ shard_obj − cut_mass] *)
   upper : float option;
       (** certified upper bracket [Σ shard_upper + cut_mass] when the
-          engine was created with [~certify:true]; [infinity] when any
-          shard's certificate is currently degraded *)
+          engine was created with [~certify:true]; [infinity] while any
+          shard has no certificate (its certificate solve ran out of
+          deadline or failed) *)
 }
 
 val create :
@@ -179,7 +188,6 @@ val enable_durability : t -> durability -> unit
 val disable_durability : t -> unit
 (** Close the WAL and stop checkpointing; a no-op when disabled. *)
 
-val durability_dir : t -> string option
 val checkpoint_failures : t -> int
 (** Periodic checkpoints that failed to write (counted, not fatal —
     the engine still has its previous checkpoint plus the WAL). *)

@@ -135,27 +135,148 @@ type result = {
   degraded : bool array;
 }
 
-(* Exact optimum of an edge-free shard — and the bottom rung of the
-   per-shard degradation ladder: no social coupling means each user
-   independently takes her k preferred items (the λ = 0 argument of
-   Section 4.4 applies per shard regardless of λ). *)
-let top_k_pref = Algorithms.top_k_greedy
-
-(* Inner parallelism must not nest inside the shard fan-out: force the
+(* Inner parallelism must not nest inside a shard fan-out: force the
    rounding serial and pin an unresolved FW backend to one domain. *)
-let serial_backend inst = function
-  | Relaxation.Auto -> (
-      match Relaxation.choose_backend inst with
-      | Relaxation.Frank_wolfe ({ domains = None; _ } as fw) ->
-          Relaxation.Frank_wolfe { fw with domains = Some 1 }
-      | b -> b)
+let serial_backend inst backend =
+  let backend =
+    match backend with Relaxation.Auto -> Relaxation.choose_backend inst | b -> b
+  in
+  match backend with
   | Relaxation.Frank_wolfe ({ domains = None; _ } as fw) ->
       Relaxation.Frank_wolfe { fw with domains = Some 1 }
   | b -> b
 
-let solve_round ?(backend = Relaxation.Auto) ?size_cap ?domains
-    ?(repair_passes = 2) ?token ?(on_fault = Isolate)
-    ?(certify_integer = false) ~rounding rng part =
+type solved = {
+  s_config : Config.t;
+  s_utility : float;
+  s_degraded : bool;
+  s_basis : Svgic_lp.Revised_simplex.vbasis option;
+  s_fell_back : bool;
+  s_upper : float;
+}
+
+let solve_one ?(backend = Relaxation.Auto) ?size_cap ?warm ?incumbent ?token
+    ?(on_fault = Isolate) ~certify ~site ~index ~rounding rng inst =
+  (* Exact optimum of an edge-free shard, and the bottom rung of the
+     ladder: with no social coupling each user independently takes their
+     k preferred items (the λ = 0 argument of Section 4.4 applies per
+     shard regardless of λ). *)
+  let greedy =
+    lazy
+      (let cfg = Algorithms.top_k_greedy inst in
+       (cfg, Config.total_utility inst cfg))
+  in
+  let valued cfg = (cfg, Config.total_utility inst cfg) in
+  let better (cfg, util) (c, u) = if u > util then (c, u) else (cfg, util) in
+  let settle ~degraded ~basis ~fell_back (s_config, s_utility) =
+    {
+      s_config;
+      s_utility;
+      s_degraded = degraded;
+      s_basis = basis;
+      s_fell_back = fell_back;
+      s_upper = infinity;
+    }
+  in
+  let injected = Fault.at ~site ~index in
+  (* [None] when the deadline left no clock for rounding. *)
+  let body () =
+    (match injected with
+    | Some Fault.Crash ->
+        raise (Fault.Injected (Printf.sprintf "%s[%d]" site index))
+    | Some _ | None -> ());
+    let token =
+      match injected with
+      | Some Fault.Timeout -> Some (Supervise.expired_token ())
+      | Some _ | None -> token
+    in
+    if Instance.num_pairs inst = 0 && size_cap = None && injected = None then
+      Some
+        (settle ~degraded:false ~basis:None ~fell_back:false
+           (Lazy.force greedy))
+    else begin
+      let relax =
+        Relaxation.solve ?warm ?token ~backend:(serial_backend inst backend)
+          inst
+      in
+      let relax =
+        match injected with
+        | Some Fault.Nan ->
+            (* Poison a *copy* of the iterate: the health screen below
+               has to catch it the same way it would catch a genuinely
+               corrupted solve. *)
+            let xbar = Array.map Array.copy relax.Relaxation.xbar in
+            if Array.length xbar > 0 && Array.length xbar.(0) > 0 then
+              xbar.(0).(0) <- Float.nan;
+            { relax with Relaxation.xbar }
+        | Some _ | None -> relax
+      in
+      (* Iterate health screen: rounding consumes every xbar cell as a
+         utility factor, and a NaN there silently zeroes samples rather
+         than crashing. *)
+      if not (Supervise.finite_mat relax.Relaxation.xbar) then
+        failwith
+          (Printf.sprintf "%s[%d]: non-finite relaxation iterate" site index);
+      if match token with Some t -> Supervise.expired t | None -> false then
+        None
+      else begin
+        let cfg =
+          match rounding with
+          | Avg { repeats; advanced_sampling } ->
+              Algorithms.avg_best_of ~advanced_sampling ?size_cap ~domains:1
+                ~repeats rng inst relax
+          | Avg_d { r } -> Algorithms.avg_d ?r ?size_cap ~domains:1 inst relax
+        in
+        (* Floors: a degraded relaxation voids the rounding guarantee
+           (greedy floor), and an incumbent is a free candidate. *)
+        let best = valued cfg in
+        let best =
+          if relax.Relaxation.degraded then better best (Lazy.force greedy)
+          else best
+        in
+        let best =
+          match incumbent with Some ic -> better best (valued ic) | None -> best
+        in
+        Some
+          (settle ~degraded:relax.Relaxation.degraded
+             ~basis:relax.Relaxation.basis ~fell_back:false best)
+      end
+    end
+  in
+  let outcome =
+    match on_fault with
+    | Raise -> body ()
+    | Isolate -> ( try body () with Fault.Injected _ | Failure _ -> None)
+  in
+  let r =
+    match outcome with
+    | Some r -> r
+    | None ->
+        (* No clock left for rounding, or the solve failed: the
+           incumbent when there is one, else the O(n·m) greedy floor. *)
+        settle ~degraded:true ~basis:None ~fell_back:true
+          (match incumbent with
+          | Some ic -> valued ic
+          | None -> Lazy.force greedy)
+  in
+  (* Optional certified *integer* shard bound: the integer selection
+     optimum dominates every slot-aligned configuration's within-shard
+     utility. It runs after the fault handling, on the caller's token,
+     so an injected fault degrades the primary solve without silently
+     weakening the certificate; a failed certificate is an honest
+     [infinity], never a guess. *)
+  if not certify then r
+  else if Instance.num_pairs inst = 0 then
+    { r with s_upper = snd (Lazy.force greedy) }
+  else
+    match Relaxation.solve_integer ?token inst with
+    | c ->
+        let s_upper = Instance.objective_scale inst *. c.Relaxation.int_bound in
+        { r with s_upper }
+    | exception Failure _ -> r
+
+let solve_round ?backend ?size_cap ?domains ?(repair_passes = 2) ?token
+    ?on_fault ?(certify_integer = false) ~rounding rng part =
   let src = part.source in
   let nshards = Array.length part.shards in
   let n = Instance.n src and k = Instance.k src in
@@ -163,104 +284,15 @@ let solve_round ?(backend = Relaxation.Auto) ?size_cap ?domains
      reduced by index: bit-identical for every [domains] value. *)
   let streams = Rng.split_n rng nshards in
   let assign = Array.make_matrix n k (-1) in
-  (* Per-shard solve + round under the degradation ladder: a failing
-     or timed-out shard degrades to its top-k greedy floor instead of
-     poisoning the whole fan-out. The returned utility is always the
-     utility of the configuration actually stitched — that (and τ
-     non-negativity) is what keeps the certificate
-     [Σ shard_obj − cut_mass <= objective] true for degraded shards
-     with no correction term. *)
+  (* The returned utility is always the utility of the configuration
+     actually stitched — that (and τ non-negativity) is what keeps the
+     certificate [Σ shard_obj − cut_mass <= objective] true for
+     degraded shards with no correction term. *)
   let solve_shard i =
     let inst = part.shards.(i).inst in
-    let greedy () =
-      let cfg = top_k_pref inst in
-      (cfg, Config.total_utility inst cfg, true)
-    in
-    let injected =
-      if Fault.enabled () then Fault.at ~site:"shard.solve" ~index:i else None
-    in
-    let body () =
-      (match injected with
-      | Some Fault.Crash ->
-          raise (Fault.Injected (Printf.sprintf "shard.solve[%d]" i))
-      | Some _ | None -> ());
-      let token =
-        match injected with
-        | Some Fault.Timeout -> Some (Supervise.expired_token ())
-        | Some _ | None -> token
-      in
-      if Instance.num_pairs inst = 0 && size_cap = None && injected = None then
-        let cfg = top_k_pref inst in
-        (cfg, Config.total_utility inst cfg, false)
-      else begin
-        let relax =
-          Relaxation.solve ?token ~backend:(serial_backend inst backend) inst
-        in
-        let relax =
-          match injected with
-          | Some Fault.Nan ->
-              (* Poison a *copy* of the iterate: the health screen
-                 below has to catch it the same way it would catch a
-                 genuinely corrupted solve. *)
-              let xbar = Array.map Array.copy relax.Relaxation.xbar in
-              if Array.length xbar > 0 && Array.length xbar.(0) > 0 then
-                xbar.(0).(0) <- Float.nan;
-              { relax with Relaxation.xbar }
-          | Some _ | None -> relax
-        in
-        (* Iterate health screen: rounding consumes every xbar cell as
-           a utility factor, and a NaN there silently zeroes samples
-           rather than crashing. *)
-        if not (Supervise.finite_mat relax.Relaxation.xbar) then
-          failwith (Printf.sprintf "shard %d: non-finite relaxation iterate" i);
-        let expired =
-          match token with Some t -> Supervise.expired t | None -> false
-        in
-        if expired then
-          (* No clock left for rounding; the greedy floor is O(n·m). *)
-          greedy ()
-        else begin
-          let cfg =
-            match rounding with
-            | Avg { repeats; advanced_sampling } ->
-                Algorithms.avg_best_of ~advanced_sampling ?size_cap ~domains:1
-                  ~repeats streams.(i) inst relax
-            | Avg_d { r } -> Algorithms.avg_d ?r ?size_cap ~domains:1 inst relax
-          in
-          let util = Config.total_utility inst cfg in
-          if relax.Relaxation.degraded then begin
-            (* A degraded relaxation voids the rounding guarantee;
-               floor the shard at the greedy baseline. *)
-            let gcfg, gutil, _ = greedy () in
-            if gutil > util then (gcfg, gutil, true) else (cfg, util, true)
-          end
-          else (cfg, util, false)
-        end
-      end
-    in
-    let cfg, util, degraded =
-      match on_fault with
-      | Raise -> body ()
-      | Isolate -> ( try body () with Fault.Injected _ | Failure _ -> greedy ())
-    in
-    (* Optional certified *integer* shard bound: a branch-and-bound
-       solve of the shard's compact selection objective. The integer
-       selection optimum dominates every slot-aligned configuration's
-       within-shard utility, so Σ shard certificates + cut_mass upper
-       bounds the global optimum. Computed after the fault handling so
-       an injected fault in the primary solve cannot skip (or poison)
-       the certificate; a failed certificate is an honest [infinity],
-       never a guess. *)
-    let upper =
-      if not certify_integer then 0.0
-      else if Instance.num_pairs inst = 0 then
-        (* No social coupling: top-k greedy is the exact shard optimum
-           (the λ = 0 argument per shard), so it certifies itself. *)
-        Config.total_utility inst (top_k_pref inst)
-      else
-        match Relaxation.solve_integer ?token inst with
-        | r -> Instance.objective_scale inst *. r.Relaxation.int_bound
-        | exception Failure _ -> infinity
+    let r =
+      solve_one ?backend ?size_cap ?token ?on_fault ~certify:certify_integer
+        ~site:"shard.solve" ~index:i ~rounding streams.(i) inst
     in
     (* Spill policy: write this shard's rows straight into the shared
        assignment (user rows are disjoint across shards, and the pool
@@ -271,11 +303,11 @@ let solve_round ?(backend = Relaxation.Auto) ?size_cap ?domains
     Array.iteri
       (fun lu g ->
         for s = 0 to k - 1 do
-          assign.(g).(s) <- Config.item cfg ~user:lu ~slot:s
+          assign.(g).(s) <- Config.item r.s_config ~user:lu ~slot:s
         done)
       users;
     Instance.drop_view_caches inst;
-    (util, degraded, upper)
+    (r.s_utility, r.s_degraded, r.s_upper)
   in
   let solved = Pool.parallel_map ?domains nshards solve_shard in
   (* Unchecked wrap: every row was written from a shard config that

@@ -146,22 +146,65 @@ val solve_round :
     disables repair (the pure stitched configuration, which the
     exactness tests compare against the monolith).
 
-    [token] supervises every shard's solve (DESIGN.md §5): it is
-    threaded into [Relaxation.solve], and a shard whose deadline
-    expires before rounding returns its top-k greedy configuration
-    instead. [on_fault] (default [Isolate]) decides whether a shard
-    whose solve raises is degraded in place or allowed to kill the
-    round. When [Svgic_util.Fault] injection is enabled, each shard
-    polls site ["shard.solve"] at its shard index; injected faults
-    follow the same ladder, so chaos tests can assert exactly which
-    shards degrade. The ladder and the fault polls engage only on
-    failure/injection — a clean run is bit-identical to the
-    unsupervised one.
+    Each shard runs {!solve_one} at fault site ["shard.solve"] and
+    its shard index, with no warm basis and no incumbent. [token]
+    supervises every shard's solve (DESIGN.md §5): a shard whose
+    deadline expires before rounding returns its top-k greedy
+    configuration instead. [on_fault] (default [Isolate]) decides
+    whether a shard whose solve raises is degraded in place or allowed
+    to kill the round. Injected faults follow the same ladder, so
+    chaos tests can assert exactly which shards degrade. A clean run
+    is bit-identical to the unsupervised one.
 
-    [certify_integer] (default [false] — the default path is
-    bit-identical to before the flag existed) additionally runs
+    [certify_integer] (default [false]) additionally runs
     {!Relaxation.solve_integer} per shard and fills
     {!result.upper_bound}. Edge-free shards certify themselves (the
     greedy optimum); the certificate solve runs after the shard's
     fault handling, so an injected fault degrades the primary solve
     without silently weakening the certificate. *)
+
+(** {2 The per-shard solve ladder} *)
+
+type solved = {
+  s_config : Config.t;  (** the configuration the ladder settled on *)
+  s_utility : float;  (** its total utility on the shard instance *)
+  s_degraded : bool;  (** a degraded relaxation, or a fall-back *)
+  s_basis : Svgic_lp.Revised_simplex.vbasis option;
+      (** final basis of a completed solve, for the next [?warm] *)
+  s_fell_back : bool;
+      (** no rounding ran (deadline, failure or injected fault):
+          [s_config] is the incumbent, else the greedy floor *)
+  s_upper : float;
+      (** with [~certify:true] the certified integer upper bound
+          ([infinity] when it failed); [infinity] otherwise *)
+}
+
+val solve_one :
+  ?backend:Relaxation.backend ->
+  ?size_cap:int ->
+  ?warm:Svgic_lp.Revised_simplex.vbasis ->
+  ?incumbent:Config.t ->
+  ?token:Svgic_util.Supervise.token ->
+  ?on_fault:on_fault ->
+  certify:bool ->
+  site:string ->
+  index:int ->
+  rounding:rounding ->
+  Svgic_util.Rng.t ->
+  Instance.t ->
+  solved
+(** One shard's solve under the degradation ladder, shared by
+    {!solve_round} and [Serve]'s re-solves (DESIGN.md §5 "Failure
+    handling"). In order: the fault poll at [site] and [index]; an
+    edge-free shard with no [size_cap] and no injected fault takes its
+    exact top-k optimum; {!Relaxation.solve} [?warm ?token] on
+    [backend] (default [Auto]) with inner parallelism on one domain;
+    the iterate health screen, then the deadline check; [rounding]
+    (AVG draws from [rng]); the greedy floor under a degraded
+    relaxation, then the [incumbent] floor, each only when strictly
+    better; on deadline expiry, or on [Failure] or an injected fault
+    under [Isolate] (the default), the fall-back to [incumbent], else
+    to the greedy floor; with [certify], {!Relaxation.solve_integer}
+    on [token] (an edge-free shard certifies itself). Every injected
+    kind degrades the shard and none weakens the certificate. A clean
+    call is bit-identical to an unsupervised one. *)

@@ -65,9 +65,6 @@ val append : writer -> record -> int64
     body write — leaves a torn tail) and ["wal_fsync"] (crash before
     the sync reaches the disk), both indexed by seqno. *)
 
-val sync : writer -> unit
-(** Explicit fsync (polls the ["wal_fsync"] site). *)
-
 val last_seqno : writer -> int64
 (** Seqno of the most recently appended (or recovered) record; [0L]
     for a fresh log. *)

@@ -205,11 +205,6 @@ let iteri_pairs g f =
     f i g.pr_u.(i) g.pr_v.(i)
   done
 
-let iter_out g u f =
-  for e = g.out_off.(u) to g.out_off.(u + 1) - 1 do
-    f g.out_dst.(e)
-  done
-
 let iter_out_edges g u f =
   for e = g.out_off.(u) to g.out_off.(u + 1) - 1 do
     f e g.out_dst.(e)

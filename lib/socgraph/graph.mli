@@ -34,11 +34,11 @@ val num_pairs : t -> int
 (** Unordered friend-pair count; pair indices are
     [0 .. num_pairs - 1], lexicographic. *)
 
-val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
 val out_neighbors : t -> int -> int array
-(** Fresh sorted array per call; prefer {!iter_out} on hot paths. *)
+(** Fresh sorted array per call; prefer {!iter_out_edges} on hot
+    paths. *)
 
 val in_neighbors : t -> int -> int array
 val has_edge : t -> int -> int -> bool
@@ -85,9 +85,6 @@ val iteri_edges : t -> (int -> int -> int -> unit) -> unit
 val iteri_pairs : t -> (int -> int -> int -> unit) -> unit
 (** [iteri_pairs g f] calls [f i u v] for every unordered pair in index
     order. Allocation-free. *)
-
-val iter_out : t -> int -> (int -> unit) -> unit
-(** Out-neighbors of a vertex in sorted order, allocation-free. *)
 
 val iter_out_edges : t -> int -> (int -> int -> unit) -> unit
 (** [iter_out_edges g u f] calls [f e v] for each out-edge of [u] with

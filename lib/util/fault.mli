@@ -1,13 +1,20 @@
 (** Deterministic fault injection for the supervision layer.
 
     The chaos harness behind the robustness tests and the CI chaos
-    job: supervised code paths (the shard ladder, the CLI) consult
-    named injection {e sites}, and a globally configured seed decides
-    — purely as a function of [(seed, site, index)] — whether a fault
-    fires there and of which kind. The same seed therefore replays
-    the exact same fault pattern on every run, worker count, and
-    machine, which is what lets a test assert "exactly the injected
-    shards were degraded".
+    job: supervised code paths consult named injection {e sites}, and
+    a globally configured seed decides — purely as a function of
+    [(seed, site, index)] — whether a fault fires there and of which
+    kind. The same seed therefore replays the exact same fault
+    pattern on every run, worker count, and machine, which is what
+    lets a test assert "exactly the injected shards were degraded".
+
+    The sites: the per-shard ladder [Shard.solve_one], which applies
+    one rule to every kind ({!kind}), polls ["shard.solve"] at the
+    shard index in a plan and ["serve.shard"] at
+    [tick·8191 + shard id] in a serving tick; Frank–Wolfe
+    branch-and-bound polls ["bnb_fw.node"] per node; the WAL polls
+    ["wal_append"] and ["wal_fsync"] by seqno; checkpoints poll
+    ["checkpoint_write"] and ["checkpoint_rename"].
 
     Injection is {e opt-in twice}: nothing fires unless (1) a harness
     calls {!configure} (or {!init_from_env} finds [SVGIC_FAULT_SEED]

@@ -65,11 +65,6 @@ let pop h =
     Some top
   end
 
-let of_seq seq =
-  let h = create () in
-  Seq.iter (fun (k, v) -> push h k v) seq;
-  h
-
 let to_sorted_list h =
   let rec drain acc =
     match pop h with None -> List.rev acc | Some entry -> drain (entry :: acc)

@@ -14,7 +14,6 @@ val peek : 'a t -> (float * 'a) option
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the maximum-key entry. *)
 
-val of_seq : (float * 'a) Seq.t -> 'a t
 val to_sorted_list : 'a t -> (float * 'a) list
 (** Destructive: drains the heap, returning entries in decreasing key
     order. *)

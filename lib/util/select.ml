@@ -9,11 +9,6 @@ let top_k k scores =
     order;
   Array.sub order 0 (min k n)
 
-let top_k_by k key items =
-  let scores = Array.map key items in
-  let idx = top_k k scores in
-  Array.map (fun i -> items.(i)) idx
-
 let argmax scores =
   let n = Array.length scores in
   if n = 0 then invalid_arg "Select.argmax: empty array";

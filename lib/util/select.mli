@@ -7,9 +7,6 @@ val top_k : int -> float array -> int array
     decreasing score order (ties broken by lower index). If
     [k >= length scores] all indices are returned, sorted by score. *)
 
-val top_k_by : int -> ('a -> float) -> 'a array -> 'a array
-(** Generalized [top_k] keyed through a projection. *)
-
 val argmax : float array -> int
 (** Index of the maximum (first on ties). Raises [Invalid_argument] on
     the empty array. *)

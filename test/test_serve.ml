@@ -321,6 +321,51 @@ let test_fault_injection_keeps_certificates () =
         st.Serve.degraded;
       check_bracket t)
 
+(* One fault rule for plans and serving: whatever the injected kind,
+   every touched shard degrades (a friendless newcomer's edge-free
+   shard included), the bracket stays sound, and the certificate is
+   computed after the fault handling on the tick's own token, so it
+   stays finite and is the same for all three kinds. *)
+let test_fault_kinds_share_certificate () =
+  let upper_under kind =
+    let rng = Rng.create 61 in
+    let g, labels =
+      Svgic_graph.Generate.timik_like rng ~n:120 ~communities:4 ~attach:2
+        ~cross_frac:0.02
+    in
+    let inst = Helpers.arenas_instance rng g ~m:6 ~k:4 in
+    let t =
+      Serve.create ~labelling:(Shard.Labels labels) ~certify:true
+        (Rng.create 3) inst
+    in
+    List.iter
+      (fun ev -> ignore (Serve.submit t ev))
+      [
+        Serve.Pref_delta { user = 0; item = 1; value = 0.9 };
+        Serve.Pref_delta { user = 70; item = 2; value = 0.1 };
+        Serve.Join (profile ~m:6 ~seed:9 ~friends:[]);
+      ];
+    let st =
+      Fun.protect ~finally:Fault.clear (fun () ->
+          Fault.configure ~seed:1 ~rate:1.0 ~kinds:[ kind ];
+          Serve.tick t)
+    in
+    Alcotest.(check bool)
+      "several shards touched" true
+      (st.Serve.shards_touched >= 2);
+    Alcotest.(check int) "every touched shard degraded" st.Serve.shards_touched
+      st.Serve.degraded;
+    check_bracket t;
+    let up = Option.get (Serve.upper t) in
+    Alcotest.(check bool) "certificate finite" true (up < infinity);
+    up
+  in
+  match List.map upper_under [ Fault.Timeout; Fault.Nan; Fault.Crash ] with
+  | [ timeout; nan; crash ] ->
+      Alcotest.(check (float 0.0)) "Nan certifies as Timeout" timeout nan;
+      Alcotest.(check (float 0.0)) "Crash certifies as Timeout" timeout crash
+  | _ -> assert false
+
 (* -------------------------- warm reuse ---------------------------- *)
 
 let test_warm_hits_on_drift () =
@@ -454,8 +499,16 @@ let test_mclock_monotone () =
    a join. [Serve.fingerprint] after every tick is pinned to constants
    captured before the exact solves took their state from a per-domain
    workspace and the cut repair moved in place; the serving state must
-   not change by a bit, on one domain or two. *)
-let golden_trace domains =
+   not change by a bit, on one domain or two. The certified and the
+   fault-injected variants were captured before [Serve] re-solved its
+   shards through [Shard.solve_one]. *)
+let golden_trace ?(certify = false) ?fault_seed domains =
+  Fun.protect ~finally:Fault.clear @@ fun () ->
+  (match fault_seed with
+  | None -> Fault.clear ()
+  | Some seed ->
+      Fault.configure ~seed ~rate:0.3
+        ~kinds:[ Fault.Timeout; Fault.Nan; Fault.Crash ]);
   let rng = Rng.create 77 in
   let g, labels =
     Svgic_graph.Generate.timik_like rng ~n:300 ~communities:10 ~attach:2
@@ -465,7 +518,8 @@ let golden_trace domains =
   let inst = Helpers.arenas_instance rng g ~m ~k:4 in
   let edges = Graph.edges g in
   let t =
-    Serve.create ~labelling:(Shard.Labels labels) ~domains (Rng.create 5) inst
+    Serve.create ~labelling:(Shard.Labels labels) ~certify ~domains
+      (Rng.create 5) inst
   in
   let prints = ref [ Serve.fingerprint t ] in
   let tr = Rng.create 99 in
@@ -500,14 +554,31 @@ let golden_fingerprints =
     0x25792150; 0x675de53d;
   ]
 
-let test_golden_fingerprints () =
+let golden_certified =
+  [
+    0xa3ace21a; 0xb54bf029; 0x774dc20c; 0x877085e1; 0xaf208b22; 0x2a5e2e3a;
+    0x09e640e8; 0xe952caa7;
+  ]
+
+let golden_faulted =
+  [
+    0x9211bccf; 0x3ab13984; 0x0ae967c5; 0xdf6fee90; 0x166eae66; 0xc6d89172;
+    0x16d4039e; 0xa1a0e043;
+  ]
+
+let check_golden name run want =
   List.iter
     (fun domains ->
-      let got = golden_trace domains in
-      if got <> golden_fingerprints then
-        Alcotest.failf "domains=%d: fingerprints [%s]" domains
+      let got = run domains in
+      if got <> want then
+        Alcotest.failf "%s, domains=%d: fingerprints [%s]" name domains
           (String.concat "; " (List.map (Printf.sprintf "0x%08x") got)))
     [ 1; 2 ]
+
+let test_golden_fingerprints () =
+  check_golden "plain" golden_trace golden_fingerprints;
+  check_golden "certified" (golden_trace ~certify:true) golden_certified;
+  check_golden "fault seed 1" (golden_trace ~fault_seed:1) golden_faulted
 
 let suite =
   [
@@ -528,6 +599,8 @@ let suite =
       test_deadline_degrades_not_fails;
     Alcotest.test_case "fault injection keeps certificates" `Quick
       test_fault_injection_keeps_certificates;
+    Alcotest.test_case "fault kinds share one certificate" `Quick
+      test_fault_kinds_share_certificate;
     Alcotest.test_case "warm hits on pure drift" `Quick test_warm_hits_on_drift;
     Alcotest.test_case "trace parsing" `Quick test_parse_line;
     Alcotest.test_case "dynamic: stable external ids" `Quick

@@ -1,9 +1,12 @@
 (* Tests for the community-sharded pipeline: partition structure,
    component-sharded exactness against the monolith, bit-identity
-   across domain counts, cut-repair monotonicity and certificate
-   soundness. *)
+   across domain counts, cut-repair monotonicity, certificate
+   soundness, and golden digests of the per-shard solve ladder. *)
 
 module Rng = Svgic_util.Rng
+module Crc32 = Svgic_util.Crc32
+module Fault = Svgic_util.Fault
+module Supervise = Svgic_util.Supervise
 module Graph = Svgic_graph.Graph
 module Instance = Svgic.Instance
 module Config = Svgic.Config
@@ -13,10 +16,10 @@ module Shard = Svgic.Shard
 
 (* Planted-community instance: [blobs] dense blobs of [blob_size]
    users; [p_cross] wires consecutive blobs together (0 leaves the
-   blobs disconnected). *)
-let community_instance ?(p_cross = 0.0) ?(lambda = 0.5) rng ~blobs ~blob_size
-    ~m ~k =
-  let n = blobs * blob_size in
+   blobs disconnected); [isolated] friendless users follow the blobs. *)
+let community_instance ?(p_cross = 0.0) ?(lambda = 0.5) ?(isolated = 0) rng
+    ~blobs ~blob_size ~m ~k =
+  let n = (blobs * blob_size) + isolated in
   let edges = ref [] in
   for b = 0 to blobs - 1 do
     let base = b * blob_size in
@@ -352,6 +355,126 @@ let test_certified_edge_free_exact () =
       Alcotest.(check (float 1e-9)) "greedy optimum certifies itself"
         res.Shard.objective ub
 
+(* Golden digests of the per-shard solve ladder. One CRC per round
+   over every bit [solve_round] reports (objective, bound and upper
+   bits, shard objectives, degraded mask, repair gain, the config),
+   folded per (labelling, fault setting) across every rounding,
+   certify on/off, no/unlimited/expired token and size cap none/3.
+   The fixture's three friendless users give edge-free shards under
+   every labelling but [Balanced]. The constants were captured before
+   [Shard] and [Serve] shared one ladder; a clean or faulted round must
+   not move by a bit, on one domain or two. *)
+let crc_add64 crc v =
+  let buf = Bytes.create 8 in
+  Bytes.set_int64_le buf 0 v;
+  Crc32.update_bytes crc buf ~pos:0 ~len:8
+
+let digest_of (r : Shard.result) =
+  let crc = ref 0 in
+  let add_i v = crc := crc_add64 !crc (Int64.of_int v) in
+  let add_f v = crc := crc_add64 !crc (Int64.bits_of_float v) in
+  add_f r.Shard.objective;
+  add_f r.Shard.bound;
+  (match r.Shard.upper_bound with None -> add_i (-1) | Some u -> add_f u);
+  Array.iter add_f r.Shard.shard_objectives;
+  Array.iter (fun d -> add_i (Bool.to_int d)) r.Shard.degraded;
+  add_f r.Shard.repair_gain;
+  Array.iter (Array.iter add_i) (Config.assignment r.Shard.config);
+  !crc
+
+let ladder_digests domains =
+  let inst =
+    community_instance ~p_cross:0.1 ~isolated:3 (Rng.create 41) ~blobs:3
+      ~blob_size:4 ~m:5 ~k:2
+  in
+  let labels =
+    Array.init (Instance.n inst) (fun u -> if u >= 12 then 3 else u mod 3)
+  in
+  let labellings =
+    [
+      ("components", Shard.Components);
+      ("modularity", Shard.Modularity);
+      ("balanced", Shard.Balanced 4);
+      ("labels", Shard.Labels labels);
+    ]
+  in
+  let roundings =
+    [
+      Shard.Avg { repeats = 2; advanced_sampling = true };
+      Shard.Avg { repeats = 1; advanced_sampling = false };
+      Shard.Avg_d { r = None };
+    ]
+  in
+  let tokens =
+    [
+      (fun () -> None);
+      (fun () -> Some (Supervise.unlimited ()));
+      (fun () -> Some (Supervise.expired_token ()));
+    ]
+  in
+  let product xs ys =
+    List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
+  in
+  let runs =
+    product
+      (product roundings [ false; true ])
+      (product tokens [ None; Some 3 ])
+  in
+  let fold part =
+    List.fold_left
+      (fun acc ((rounding, certify_integer), (token, size_cap)) ->
+        let r =
+          Shard.solve_round ~domains ?size_cap ?token:(token ())
+            ~certify_integer ~rounding (Rng.create 7) part
+        in
+        crc_add64 acc (Int64.of_int (digest_of r)))
+      0 runs
+  in
+  let faults =
+    ("clean", None)
+    :: List.map (fun s -> (Printf.sprintf "seed %d" s, Some s)) [ 1; 2; 3 ]
+  in
+  List.map
+    (fun ((fname, fseed), (lname, labelling)) ->
+      let part = Shard.partition ~rng:(Rng.create 0) ~labelling inst in
+      let crc =
+        Fun.protect ~finally:Fault.clear (fun () ->
+            (match fseed with
+            | None -> Fault.clear ()
+            | Some seed ->
+                Fault.configure ~seed ~rate:0.5
+                  ~kinds:[ Fault.Timeout; Fault.Nan; Fault.Crash ]);
+            fold part)
+      in
+      (fname ^ " " ^ lname, crc))
+    (product faults labellings)
+
+let golden_ladder =
+  [
+    ("clean components", 0xc17b8a08); ("clean modularity", 0x69b934a6);
+    ("clean balanced", 0x7c76f5af); ("clean labels", 0x3f0eeebf);
+    ("seed 1 components", 0x3595c6fd); ("seed 1 modularity", 0xb1f0ccf3);
+    ("seed 1 balanced", 0xfa36e04e); ("seed 1 labels", 0x602ace30);
+    ("seed 2 components", 0xb14b5460); ("seed 2 modularity", 0x6f6d7f5e);
+    ("seed 2 balanced", 0xb50461f7); ("seed 2 labels", 0x73fd93e0);
+    ("seed 3 components", 0xb14b5460); ("seed 3 modularity", 0x0b332317);
+    ("seed 3 balanced", 0xb50461f7); ("seed 3 labels", 0x73fd93e0);
+  ]
+
+let test_golden_ladder_digests () =
+  List.iter
+    (fun domains ->
+      let got = ladder_digests domains in
+      if got <> golden_ladder then
+        Alcotest.failf "domains=%d: digests [%s]" domains
+          (String.concat "; "
+             (List.map2
+                (fun (name, crc) (_, want) ->
+                  Printf.sprintf "(%S, 0x%08x)%s" name crc
+                    (if crc = want then "" else " (* moved *)"))
+                got golden_ladder)))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "partition structure" `Quick test_partition_structure;
@@ -373,4 +496,6 @@ let suite =
       test_certified_integer_bracket;
     Alcotest.test_case "certified edge-free self-certification" `Quick
       test_certified_edge_free_exact;
+    Alcotest.test_case "golden ladder digests (1 and 2 domains)" `Quick
+      test_golden_ladder_digests;
   ]
