@@ -1348,6 +1348,19 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* The file's closing lines: the "speedups" section derived from
+   [records] by [speedups], then the closing brace. *)
+let speedups_json records =
+  let ratios = speedups records in
+  ("  \"speedups\": ["
+  :: List.mapi
+       (fun i (kernel, size, ratio) ->
+         Printf.sprintf "    {\"kernel\": \"%s\", \"size\": %d, \"speedup\": %.2f}%s"
+           (json_escape kernel) size ratio
+           (if i = List.length ratios - 1 then "" else ","))
+       ratios)
+  @ [ "  ]"; "}" ]
+
 let write_json ~path ~smoke records =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -1377,16 +1390,7 @@ let write_json ~path ~smoke records =
         (if i = List.length records - 1 then "" else ","))
     records;
   out "  ],\n";
-  let ratios = speedups records in
-  out "  \"speedups\": [\n";
-  List.iteri
-    (fun i (kernel, size, ratio) ->
-      out "    {\"kernel\": \"%s\", \"size\": %d, \"speedup\": %.2f}%s\n"
-        (json_escape kernel) size ratio
-        (if i = List.length ratios - 1 then "" else ","))
-    ratios;
-  out "  ]\n";
-  out "}\n";
+  List.iter (out "%s\n") (speedups_json records);
   close_out oc
 
 let print_records records =

@@ -464,6 +464,38 @@ let wal_records ~smoke srv tr ~append_ns ~fsync_ns =
          (100.0 *. every_tick_overhead));
   rows
 
+(* ---------------- checkpoint codec -------------------------------- *)
+
+(* One checkpoint of the live engine written (temp file, fsync,
+   rename, directory fsync) and loaded (decode and every validation
+   check), the two halves of the codec a recovery pays once each. The
+   note carries the file size. *)
+let checkpoint_records srv =
+  let dir = fresh_dir "checkpoint" in
+  Serve.enable_durability srv
+    { Serve.dir; fsync = Svgic.Wal.Off; checkpoint_every = 1_000_000; retain = 1 };
+  let path = ref "" in
+  let ops = 5 in
+  let write_ns, write_w =
+    Bench_kernels.time_kernel ~rounds:3 ~ops (fun () -> path := Serve.checkpoint srv)
+  in
+  Serve.disable_durability srv;
+  let bytes = (Unix.stat !path).Unix.st_size in
+  let load_ns, load_w =
+    Bench_kernels.time_kernel ~rounds:3 ~ops (fun () ->
+        match Svgic.Checkpoint.load !path with
+        | Ok _ -> ()
+        | Error e -> failwith ("checkpoint load: " ^ e))
+  in
+  let n = Instance.n (Serve.instance srv) in
+  Printf.printf "  checkpoint: %d bytes, write %.1f ms, load %.1f ms\n%!" bytes
+    (write_ns /. 1e6) (load_ns /. 1e6);
+  let note = Printf.sprintf "%d-byte checkpoint of %d users" bytes n in
+  [
+    Bench_kernels.mk ~alloc:write_w ~note "checkpoint" "write" n write_ns;
+    Bench_kernels.mk ~alloc:load_w ~note "checkpoint" "load" n load_ns;
+  ]
+
 (* ---------------- crash recovery vs cold start -------------------- *)
 
 (* Checkpoint + WAL-suffix recovery against what a stateless redeploy
@@ -534,11 +566,12 @@ let run () =
      OCaml evaluates right to left. *)
   let coalesce_rows = coalesce_records srv tr in
   let wal_rows = wal_records ~smoke srv tr ~append_ns ~fsync_ns in
+  let checkpoint_rows = checkpoint_records srv in
   let recover_rows = recover_records ~smoke ~cold_ns srv tr in
   let deadline_rows = deadline_records ~smoke inst labels tr in
   let records =
-    serve_rows @ coalesce_rows @ append_rows @ wal_rows @ recover_rows
-    @ deadline_rows
+    serve_rows @ coalesce_rows @ append_rows @ wal_rows @ checkpoint_rows
+    @ recover_rows @ deadline_rows
   in
   Bench_kernels.print_records records;
   let path = "BENCH_kernels.json" in

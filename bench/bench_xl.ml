@@ -39,10 +39,23 @@ let phase f =
   let v = f () in
   (v, Timer.elapsed_s t *. 1e9, Bench_kernels.words_now () -. w0)
 
+(* A row line of our own writer back to the fields [speedups] reads
+   (the note is not needed). *)
+let record_of_row l =
+  Scanf.sscanf l
+    " {\"kernel\": %S, \"variant\": %S, \"size\": %d, \"ns_per_op\": %f, \
+     \"allocated_words_per_op\": %f%s@\n"
+    (fun kernel variant size ns alloc rest ->
+      let domains =
+        try Scanf.sscanf rest ", \"domains\": %d" Option.some with _ -> None
+      in
+      Bench_kernels.mk ?domains ~alloc kernel variant size ns)
+
 (* Splice records into BENCH_kernels.json, replacing any previous rows
-   of the same kernels. The file is our own writer's line-per-row
-   format; when it is absent (xl run before kernels) a fresh v3 file is
-   written instead. *)
+   of the same kernels, and derive the speedups section again from the
+   merged rows. The file is our own writer's line-per-row format; when
+   it is absent (xl run before kernels) a fresh v3 file is written
+   instead. *)
 let merge_into_json ~path records =
   if not (Sys.file_exists path) then
     Bench_kernels.write_json ~path ~smoke:(Bench_kernels.smoke ()) records
@@ -142,11 +155,15 @@ let merge_into_json ~path records =
         if i < List.length all_rows - 1 then Buffer.add_char buf ',';
         Buffer.add_char buf '\n')
       all_rows;
+    (* [tail] opens with the line closing the kernels array; the old
+       speedups section after it is replaced *)
     List.iter
       (fun l ->
         Buffer.add_string buf l;
         Buffer.add_char buf '\n')
-      tail;
+      (List.hd tail
+       :: Bench_kernels.speedups_json
+            (List.map (fun l -> record_of_row (String.trim l)) all_rows));
     let oc = open_out path in
     output_string oc (Buffer.contents buf);
     close_out oc

@@ -1,23 +1,17 @@
-(** Checkpointed {!Serve} solve state.
-
-    A checkpoint is a single self-describing text file holding
-    everything a serving engine needs to resume: the arena-backed
-    instance (embedded via the streaming {!Serialize} writer), the
-    incumbent assignment rows, partition labels, per-shard solve state
-    (objective / certified upper bound / warm-basis entries), the
-    external-id map, the bracket terms, the RNG cursor, and the seqno
-    of the last WAL record the state reflects.
-
-    Floats that must survive bit-exactly (objectives, bounds, cut
-    mass) travel as hex float literals ([%h]); the instance arenas go
-    through [Serialize]'s [%.17g], which also round-trips exactly.
-    The file starts with a magic header and ends with a CRC-32 footer
-    over every preceding byte, and {!write} goes through a temp file +
-    [fsync] + atomic rename, so a crash mid-checkpoint can never
-    replace a good checkpoint with a torn one.
+(** Checkpointed {!Serve} solve state, format 2: a magic line
+    [svgic-checkpoint 2\n], then the WAL's frames
+    [[len:u32le][crc:u32le][body]], each body a kind byte and whole
+    little-endian elements of one section (floats as IEEE-754 bits, so
+    every value round-trips bit for bit; bodies of at most 64 KiB,
+    streamed from one reused scratch and decoded straight into the
+    arenas), then an end frame holding the CRC-32 of every earlier
+    byte, so frames spliced from two checkpoints do not load. {!write}
+    goes temp file + [fsync] + atomic rename + directory [fsync], so a
+    crash mid-checkpoint never replaces a good checkpoint with a torn
+    one.
 
     Fault sites (both indexed by the WAL seqno): ["checkpoint_write"]
-    crashes mid-write leaving a partial temp file, and
+    crashes after the magic line, leaving a torn temp file;
     ["checkpoint_rename"] crashes after the temp file is complete but
     before it is renamed into place. *)
 
@@ -29,7 +23,8 @@ type shard_snap = {
   s_warm_n : int;
   s_warm_pairs : int;
   s_warm : int array option;
-      (** warm-basis variable statuses ([Revised_simplex.vbasis_entries]) *)
+      (** warm-basis statuses ([Revised_simplex.vbasis_entries], in
+          [[0, 255]]) *)
 }
 
 type snapshot = {
@@ -48,7 +43,9 @@ type snapshot = {
   objective_v : float;
   bound_v : float;
   upper_v : float;
-  rng_blob : string;  (** marshalled RNG state, opaque bytes *)
+  rng : Svgic_util.Rng.t;
+      (** stored as [Random.State.to_binary_string]; [Serve.restore]
+          adopts it, as it adopts the arrays *)
 }
 
 val ensure_dir : string -> unit
@@ -67,11 +64,15 @@ val list_files : string -> (string * int * int64) list
     first. Ignores foreign and temp files; [] for a missing dir. *)
 
 val load : string -> (snapshot, string) result
-(** Parse and fully validate one checkpoint file: magic, footer CRC,
-    [Instance.validate] on the embedded instance, shape and range
-    checks on every section (assignment rows within [0,m), labels
-    within the shard table, finite bracket terms). No partially
-    validated snapshot ever escapes. *)
+(** Decode and validate one checkpoint file. Never raises: a failure
+    is [Error "byte N: ..."] (an unopenable file gives the system
+    error); another format is refused as ["unsupported checkpoint
+    version V"]. Every frame's length, CRC and kind, and every count
+    against the bytes left before anything is sized by it; then meta
+    ranges, finite bracket terms, [Instance.validate], edges (in range,
+    no self-loop, strictly increasing [(u, v)]), items, labels, unique
+    external ids below [next_ext], shard records and warm lengths, the
+    RNG state, the end frame's CRC and no trailing bytes. *)
 
 val load_latest :
   string -> (string * snapshot * (string * string) list, string) result

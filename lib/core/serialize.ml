@@ -38,13 +38,11 @@ let instance_to_string inst =
   emit_instance (Buffer.add_string buf) inst;
   Buffer.contents buf
 
-let write_instance oc inst = emit_instance (output_string oc) inst
-
 let save_instance path inst =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> write_instance oc inst)
+    (fun () -> emit_instance (output_string oc) inst)
 
 (* ---- readers ----------------------------------------------------- *)
 
@@ -107,10 +105,7 @@ let fill_floats dst off count toks =
   !seen
 
 let parse_instance src =
-  let err msg =
-    let p = src.pos () in
-    if p < 0 then Error msg else Error (Printf.sprintf "byte %d: %s" p msg)
-  in
+  let err msg = Error (Printf.sprintf "byte %d: %s" (src.pos ()) msg) in
   let next = src.next in
   match next () with
   | Some header when String.trim header = "svgic-instance 1" -> (
@@ -250,10 +245,6 @@ let parse_instance src =
 
 let instance_of_string text =
   parse_instance (source_of_lines (String.split_on_char '\n' text))
-
-let instance_of_source ?pos next =
-  parse_instance
-    { next; pos = (match pos with Some p -> p | None -> fun () -> -1) }
 
 let load_instance path =
   let ic = open_in path in

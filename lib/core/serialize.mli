@@ -1,5 +1,7 @@
 (** Plain-text persistence for instances and configurations, so that
-    CLI runs and experiments can be saved, diffed and replayed.
+    CLI runs and experiments can be saved, diffed, hand-edited and
+    replayed. Checkpoints carry their instance in binary instead
+    ({!Checkpoint}).
 
     Format (line-oriented, whitespace-separated):
     {v
@@ -18,22 +20,6 @@ val instance_of_string : string -> (Instance.t, string) result
 (** Decode failures report the byte offset of the offending line
     ([byte N: ...]) and every decoded instance passes
     [Instance.validate] before it is returned. *)
-
-val instance_of_source :
-  ?pos:(unit -> int) -> (unit -> string option) -> (Instance.t, string) result
-(** Parse an instance from a pull-based line source, consuming exactly
-    the lines of the embedded instance block (header through the last
-    edge row) and nothing after it — {!Svgic.Checkpoint} embeds
-    instance text inside a larger file this way. The source must
-    yield non-empty lines (the caller filters blanks). [pos], when
-    given, reports the byte offset of the start of the line most
-    recently returned, for [byte N: ...] error messages. *)
-
-val emit_instance : (string -> unit) -> Instance.t -> unit
-(** Stream the instance text through [emit], one line at a time —
-    the building block behind {!save_instance} and the embedded
-    instance block of {!Svgic.Checkpoint} (whose writer threads every
-    emitted string through a running CRC). *)
 
 val save_instance : string -> Instance.t -> unit
 (** [save_instance path inst] streams the instance into [path] line

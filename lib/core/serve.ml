@@ -745,46 +745,44 @@ let finish_tick t ~t0 ~token ~seen ~applied ~dropped ~structural ~repair_extra
 
 (* ---- checkpointing ----------------------------------------------- *)
 
-let snapshot_of t ~wal_seqno =
-  {
-    Checkpoint.inst = t.inst;
-    assign = t.assign;
-    label = t.label;
-    shards =
-      Array.map
-        (fun sh ->
-          {
-            Checkpoint.s_obj = sh.obj;
-            s_upper = sh.upper_b;
-            s_degraded = sh.degraded;
-            s_freshened = sh.freshened;
-            s_warm_n = sh.warm_n;
-            s_warm_pairs = sh.warm_pairs;
-            s_warm =
-              Option.map Svgic_lp.Revised_simplex.vbasis_entries sh.warm;
-          })
-        t.shards;
-    ext_of = t.ext_of;
-    next_ext = t.next_ext;
-    tick_no = t.tick_no;
-    events_total = t.events_total;
-    wal_seqno;
-    cut_mass = t.cut_mass;
-    objective_v = t.objective_v;
-    bound_v = t.bound_v;
-    upper_v = t.upper_v;
-    rng_blob = Marshal.to_string t.rng [];
-  }
+let write_snapshot t d =
+  Checkpoint.write ~dir:d.d_opts.dir ~retain:d.d_opts.retain
+    {
+      Checkpoint.inst = t.inst;
+      assign = t.assign;
+      label = t.label;
+      shards =
+        Array.map
+          (fun sh ->
+            {
+              Checkpoint.s_obj = sh.obj;
+              s_upper = sh.upper_b;
+              s_degraded = sh.degraded;
+              s_freshened = sh.freshened;
+              s_warm_n = sh.warm_n;
+              s_warm_pairs = sh.warm_pairs;
+              s_warm =
+                Option.map Svgic_lp.Revised_simplex.vbasis_entries sh.warm;
+            })
+          t.shards;
+      ext_of = t.ext_of;
+      next_ext = t.next_ext;
+      tick_no = t.tick_no;
+      events_total = t.events_total;
+      wal_seqno = Wal.last_seqno d.wal;
+      cut_mass = t.cut_mass;
+      objective_v = t.objective_v;
+      bound_v = t.bound_v;
+      upper_v = t.upper_v;
+      rng = t.rng;
+    }
 
 (* Periodic checkpoint at the end of a tick.  A failed checkpoint is
    counted but never kills serving: the engine still has its previous
    checkpoint plus the WAL, which is exactly the recovery story. *)
 let write_checkpoint_now t d =
   try
-    let snap = snapshot_of t ~wal_seqno:(Wal.last_seqno d.wal) in
-    let (_ : string) =
-      Checkpoint.write ~dir:d.d_opts.dir ~retain:d.d_opts.retain snap
-    in
+    ignore (write_snapshot t d : string);
     d.last_ckpt_tick <- t.tick_no
   with _ -> d.ckpt_failures <- d.ckpt_failures + 1
 
@@ -976,9 +974,7 @@ let enable_durability t (opts : durability) =
      unlike the periodic ones, a failure here is fatal — an empty
      durability directory could not be recovered from at all. *)
   let (_ : string) =
-    try
-      Checkpoint.write ~dir:opts.dir ~retain:opts.retain
-        (snapshot_of t ~wal_seqno:(Wal.last_seqno wal))
+    try write_snapshot t d
     with e ->
       t.dur <- None;
       Wal.close wal;
@@ -1001,13 +997,11 @@ let wal_bytes t =
 let checkpoint t =
   match t.dur with
   | None -> invalid_arg "Serve.checkpoint: durability not enabled"
-  | Some d ->
-      Checkpoint.write ~dir:d.d_opts.dir ~retain:d.d_opts.retain
-        (snapshot_of t ~wal_seqno:(Wal.last_seqno d.wal))
+  | Some d -> write_snapshot t d
 
 (* Rebuild a live engine from a validated snapshot.  Mirror image of
-   [snapshot_of]: everything bit-carried (objectives, bounds, cut
-   mass, RNG cursor) is restored verbatim; only the structural cut
+   [write_snapshot]: everything bit-carried (objectives, bounds, cut
+   mass, RNG state) is restored verbatim; only the structural cut
    tables and the ext->internal map are derived. *)
 let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s
     ?(certify = false) ?domains ?(repair_passes = 2)
@@ -1032,16 +1026,12 @@ let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s
         })
       snap.Checkpoint.shards
   in
-  let rng : Rng.t =
-    try Marshal.from_string snap.Checkpoint.rng_blob 0
-    with Failure _ -> invalid_arg "Serve.restore: corrupt rng blob"
-  in
   let t =
     make ~inst:snap.Checkpoint.inst ~assign:snap.Checkpoint.assign
       ~label:snap.Checkpoint.label ~shards ~ext_of:snap.Checkpoint.ext_of
       ~next_ext:snap.Checkpoint.next_ext ~tick_no:snap.Checkpoint.tick_no
-      ~events_total:snap.Checkpoint.events_total ~rng ~rounding ~deadline_s
-      ~certify ~domains ~repair_passes
+      ~events_total:snap.Checkpoint.events_total ~rng:snap.Checkpoint.rng
+      ~rounding ~deadline_s ~certify ~domains ~repair_passes
   in
   (* the incremental cut mass is bit-carried; [rebuild_cut] only
      recomputed the structural pair/edge tables *)
@@ -1179,6 +1169,11 @@ let recover ?rounding ?deadline_s ?certify ?domains ?repair_passes
         restore ?rounding ?deadline_s ?certify ?domains ?repair_passes snap
       in
       let path = wal_file dir in
+      (* WAL lost entirely: seed a fresh header, so the scan replays
+         nothing and [open_append] continues seqnos past the
+         checkpoint. *)
+      if not (Sys.file_exists path) then
+        Wal.close (Wal.create ~path ~m:(Instance.m t.inst) ~policy:fsync);
       let replayed_events = ref 0 and replayed_ticks = ref 0 in
       let replay seq r =
         if Int64.compare seq snap.Checkpoint.wal_seqno > 0 then
@@ -1190,27 +1185,13 @@ let recover ?rounding ?deadline_s ?certify ?domains ?repair_passes
               incr replayed_ticks;
               ignore (tick t : tick_stats)
       in
-      let scan =
-        if Sys.file_exists path then Wal.scan ~f:replay path
-        else
-          Ok
-            {
-              Wal.records = 0; events = 0; ticks = 0;
-              scan_m = Instance.m t.inst; first_seqno = 0L; last_seqno = 0L;
-              valid_end = 0; file_size = 0; torn = None;
-            }
-      in
-      match scan with
+      match Wal.scan ~f:replay path with
       | Error e -> Error ("wal: " ^ e)
       | Ok sc ->
           if sc.Wal.scan_m <> Instance.m t.inst then
             Error "wal: item count mismatch with checkpoint"
           else begin
             let torn_bytes = sc.Wal.file_size - sc.Wal.valid_end in
-            (* WAL lost entirely: seed a fresh header so [open_append]
-               can continue seqnos past the checkpoint. *)
-            if not (Sys.file_exists path) then
-              Wal.close (Wal.create ~path ~m:(Instance.m t.inst) ~policy:fsync);
             match
               Wal.open_append ~path ~policy:fsync
                 ~min_seqno:snap.Checkpoint.wal_seqno ()

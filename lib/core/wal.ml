@@ -1,11 +1,10 @@
-(* Write-ahead log: one text header line, then length-prefixed
-   CRC32-guarded binary records.  See the .mli for the format.  The
-   writer encodes into a reusable scratch buffer so steady-state
-   appends allocate only a few boxed words (seqno / float-bits
-   Int64s). *)
+(* Write-ahead log: one text header line, then records in {!Frame}s.
+   See the .mli for the format.  The writer encodes into a reusable
+   scratch buffer so steady-state appends allocate only a few boxed
+   words (seqno / float-bits Int64s). *)
 
-module Crc32 = Svgic_util.Crc32
 module Fault = Svgic_util.Fault
+open Frame
 
 type fsync_policy = Every_event | Every_tick | Off
 
@@ -21,15 +20,6 @@ type event =
   | Tau of { u : int; v : int; item : int; value : float }
 
 type record = Event of event | Tick of int
-
-(* ---- little-endian accessors (u32 values masked non-negative) ---- *)
-
-let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
-let put_u64 b off v = Bytes.set_int64_le b off v
-let put_f b off v = Bytes.set_int64_le b off (Int64.bits_of_float v)
-let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
-let get_u64 b off = Bytes.get_int64_le b off
-let get_f b off = Int64.float_of_bits (Bytes.get_int64_le b off)
 
 (* ---- writer ------------------------------------------------------ *)
 
@@ -92,7 +82,8 @@ let append w r =
   let bl = body_size w.m r in
   ensure w (8 + bl);
   let b = w.scratch in
-  put_u64 b 8 seq;
+  (* not [put_u64]: a call into another module boxes [seq] once more *)
+  Bytes.set_int64_le b 8 seq;
   (match r with
   | Tick t ->
       Bytes.set_uint8 b 16 0;
@@ -136,8 +127,7 @@ let append w r =
           done)
         j.jfriends;
       assert (!off = 8 + bl));
-  put_u32 b 0 bl;
-  put_u32 b 4 (Crc32.update_bytes 0 b ~pos:8 ~len:bl);
+  ignore (seal b bl : int);
   (match Fault.at ~site:"wal_append"
            ~index:(Int64.to_int seq land max_int) with
   | Some Fault.Crash ->
@@ -188,32 +178,30 @@ let decode m b len =
                            value = get_f b 21 }))
   | 3 -> if len <> 13 then Error "leave: bad length" else Ok (Event (Leave (get_u32 b 9)))
   | 4 ->
+      let np = if len < 17 then 0 else get_u32 b 9 in
+      (* [np] bounds the friend count's offset inside the record; a
+         friend block is checked against the bytes left before [m] or
+         [nf] size anything, so a huge header [m] cannot wrap *)
+      let off = 13 + (8 * np) in
+      let nf = if len < 17 || np > (len - 17) / 8 then 0 else get_u32 b off in
       if len < 17 then Error "join: bad length"
-      else begin
-        let np = get_u32 b 9 in
-        if np > (len - 17) / 8 then Error "join: pref row overruns record"
-        else begin
-          let jpref = Array.init np (fun i -> get_f b (13 + (8 * i))) in
-          let off = 13 + (8 * np) in
-          if off + 4 > len then Error "join: missing friend count"
-          else begin
-            let nf = get_u32 b off in
-            let per = 4 + (16 * m) in
-            if len <> off + 4 + (nf * per) then Error "join: bad friend block"
-            else begin
-              let base = off + 4 in
-              let jfriends =
-                Array.init nf (fun i ->
-                    let o = base + (i * per) in
-                    ( get_u32 b o,
-                      Array.init m (fun c -> get_f b (o + 4 + (8 * c))),
-                      Array.init m (fun c -> get_f b (o + 4 + (8 * m) + (8 * c))) ))
-              in
-              Ok (Event (Join { jpref; jfriends }))
-            end
-          end
-        end
-      end
+      else if np > (len - 17) / 8 then Error "join: pref row overruns record"
+      else if
+        (nf > 0 && (m > len / 16 || nf > len / 4))
+        || len <> off + 4 + (nf * (4 + (16 * m)))
+      then Error "join: bad friend block"
+      else
+        let friend i =
+          let o = off + 4 + (i * (4 + (16 * m))) in
+          ( get_u32 b o,
+            Array.init m (fun c -> get_f b (o + 4 + (8 * c))),
+            Array.init m (fun c -> get_f b (o + 4 + (8 * m) + (8 * c))) )
+        in
+        Ok
+          (Event
+             (Join
+                { jpref = Array.init np (fun i -> get_f b (13 + (8 * i)));
+                  jfriends = Array.init nf friend }))
   | k -> Error (Printf.sprintf "unknown record kind %d" k)
 
 let parse_header line =
@@ -241,42 +229,29 @@ let scan ?f path =
               let stop reason = torn := Some reason in
               let records = ref 0 and events = ref 0 and ticks = ref 0 in
               let first = ref 0L and last = ref 0L in
-              (try
-                 while !torn = None && !pos < size do
-                   if size - !pos < 8 then stop "short frame header"
-                   else begin
-                     really_input ic hdr 0 8;
-                     let len = get_u32 hdr 0 and crc = get_u32 hdr 4 in
-                     if len < 13 || len > 0x0FFFFFFF then
-                       stop "implausible record length"
-                     else if !pos + 8 + len > size then stop "short record body"
-                     else begin
-                       if Bytes.length !buf < len then
-                         buf := Bytes.create (max len (2 * Bytes.length !buf));
-                       really_input ic !buf 0 len;
-                       if Crc32.update_bytes 0 !buf ~pos:0 ~len <> crc then
-                         stop "crc mismatch"
-                       else begin
-                         let seq = get_u64 !buf 0 in
-                         if !last <> 0L && seq <> Int64.add !last 1L then
-                           stop "seqno discontinuity"
-                         else
-                           match decode m !buf len with
-                           | Error e -> stop e
-                           | Ok r ->
-                               if !first = 0L then first := seq;
-                               last := seq;
-                               incr records;
-                               (match r with
-                               | Tick _ -> incr ticks
-                               | Event _ -> incr events);
-                               pos := !pos + 8 + len;
-                               (match f with None -> () | Some f -> f seq r)
-                       end
-                     end
-                   end
-                 done
-               with End_of_file -> stop "truncated record");
+              while !torn = None && !pos < size do
+                match
+                  read ic ~hdr ~buf ~pos:!pos ~size ~min_len:13
+                    ~max_len:0x0FFFFFFF
+                with
+                | Error e -> stop e
+                | Ok len -> (
+                    let seq = get_u64 !buf 0 in
+                    if !last <> 0L && seq <> Int64.add !last 1L then
+                      stop "seqno discontinuity"
+                    else
+                      match decode m !buf len with
+                      | Error e -> stop e
+                      | Ok r ->
+                          if !first = 0L then first := seq;
+                          last := seq;
+                          incr records;
+                          (match r with
+                          | Tick _ -> incr ticks
+                          | Event _ -> incr events);
+                          pos := !pos + 8 + len;
+                          (match f with None -> () | Some f -> f seq r))
+              done;
               Ok
                 { records = !records; events = !events; ticks = !ticks;
                   scan_m = m; first_seqno = !first; last_seqno = !last;

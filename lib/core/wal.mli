@@ -8,21 +8,14 @@
 
     {2 File format}
 
-    One text header line
-
-    {v svgic-wal 1 m <items>\n v}
-
-    followed by binary records, each
-
-    {v [len:u32le] [crc:u32le] [body: seqno:u64le | kind:u8 | payload] v}
-
-    where [len] is the body length, [crc] is the CRC-32 of the body,
-    and all floats travel as IEEE-754 bit patterns ([Int64] little
-    endian) so replay is bit-identical. Seqnos start at 1 and
-    increase by exactly 1 per record. A torn tail — a partial record
-    left by a crash mid-write — fails the length or CRC check and is
-    detected (and, on {!repair} or {!open_append}, truncated) without
-    harming the valid prefix.
+    A text header line [svgic-wal 1 m <items>\n], then one frame per
+    record, [[len:u32le][crc:u32le][seqno:u64le | kind:u8 | payload]]
+    — the frame layer {!Checkpoint} shares — with [crc] the CRC-32 of
+    the [len]-byte body and floats as IEEE-754 bits, so replay is bit
+    identical. Seqnos start at 1 and increase by exactly 1. A torn
+    tail — a partial record left by a crash mid-write — fails the
+    length or CRC check and is detected (and, on {!repair} or
+    {!open_append}, truncated) without harming the valid prefix.
 
     Join events are logged in {e materialized} form: the caller's
     [tau_out]/[tau_in] closures are evaluated once per declared friend

@@ -32,3 +32,24 @@ let update_string crc s ~pos ~len =
   update_bytes crc (Bytes.unsafe_of_string s) ~pos ~len
 
 let of_string s = update_string 0 s ~pos:0 ~len:(String.length s)
+
+(* zlib's [crc32_combine]: the CRC of [a ^ b] is the CRC of [a] times
+   x^(8 len b), plus the CRC of [b], in GF(2)[x] modulo the reflected
+   polynomial ([multmodp]); [x2n.(i)] is x^(2^i), x^1 being bit 30. *)
+let multmodp a b =
+  let p = ref 0 and b = ref b in
+  for i = 31 downto 0 do
+    if (a lsr i) land 1 = 1 then p := !p lxor !b;
+    b := (!b lsr 1) lxor (if !b land 1 = 1 then 0xEDB88320 else 0)
+  done;
+  !p
+
+let x2n = Array.make 32 (1 lsl 30)
+let () = for i = 1 to 31 do x2n.(i) <- multmodp x2n.(i - 1) x2n.(i - 1) done
+
+let combine crc1 crc2 len2 =
+  let p = ref (1 lsl 31) in
+  for i = 0 to 59 do
+    if (len2 lsr i) land 1 = 1 then p := multmodp x2n.((i + 3) land 31) !p
+  done;
+  multmodp !p crc1 lxor crc2

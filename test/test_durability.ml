@@ -1,7 +1,9 @@
-(* Durability tests: CRC-32 check value, WAL round-trips and torn-tail
-   truncation at every byte length, checkpoint round-trips and
-   corruption fallback, fault-injected append/fsync/checkpoint paths,
-   audit detection + repair of a tampered checkpoint, and the
+(* Durability tests: CRC-32 check value and combine, WAL round-trips
+   and torn-tail truncation at every byte length, checkpoint
+   round-trips (every float shape bit for bit, the RNG stream), version
+   refusal and corruption fallback, fault-injected
+   append/fsync/checkpoint paths, audit detection + repair of a
+   frame-level tampered checkpoint, and the
    subprocess kill matrix — SIGKILL a live `svgic serve` at random
    tick offsets and prove the recovered replay bit-identical. *)
 
@@ -352,22 +354,82 @@ let test_fault_checkpoint_write_and_rename () =
       Alcotest.(check int) "bit-identical" fp (Serve.fingerprint r);
       Serve.disable_durability r
 
+(* A lost WAL: recovery rests on the newest checkpoint alone, seeds a
+   fresh log, and its appends continue past the checkpoint's seqno. *)
+let test_recover_without_wal () =
+  let t = mk_engine 27 in
+  let dir = fresh_dir () in
+  Serve.enable_durability t
+    { Serve.dir; fsync = Wal.Every_tick; checkpoint_every = 1; retain = 2 };
+  drive t (Rng.create 10) ~events:5 ~ticks:3;
+  let fp = Serve.fingerprint t in
+  Serve.disable_durability t;
+  let wal = Filename.concat dir "wal.svgic" in
+  Sys.remove wal;
+  match Serve.recover ~certify:true ~fsync:Wal.Every_tick ~dir () with
+  | Error e -> Alcotest.failf "recover: %s" e
+  | Ok (r, rec_) ->
+      Alcotest.(check int) "recovered bit-identical" fp (Serve.fingerprint r);
+      Alcotest.(check (list int)) "nothing replayed or torn" [ 0; 0; 0 ]
+        [ rec_.Serve.replayed_ticks; rec_.Serve.wal_records; rec_.Serve.torn_bytes ];
+      drive r (Rng.create 11) ~events:2 ~ticks:1;
+      Serve.disable_durability r;
+      match Wal.scan wal with
+      | Error e -> Alcotest.failf "scan: %s" e
+      | Ok s ->
+          Alcotest.(check bool) "appends continue past the checkpoint" true
+            (s.Wal.records = 3
+            && Int64.compare s.Wal.first_seqno rec_.Serve.checkpoint_seqno > 0)
+
 (* --------------------- audit detect + repair ---------------------- *)
 
-(* Rewrite a checkpoint body through [f], recomputing the CRC footer
-   so only the tampered semantics — not the framing — are wrong. *)
-let retamper path f =
+(* A checkpoint as its magic line and its frames' bodies (kind byte
+   first, the end frame last), and back: [write_frames] recomputes
+   every frame CRC and the end frame's CRC over the new bytes, so a
+   tamper changes only what the fields say, not the framing. *)
+let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
+
+let read_frames path =
   let s = read_file path in
-  let lines = String.split_on_char '\n' s in
-  let rec strip_footer acc = function
-    | [ _footer; "" ] -> List.rev acc
-    | x :: tl -> strip_footer (x :: acc) tl
-    | _ -> failwith "no footer"
+  let nl = String.index s '\n' in
+  let rec go pos acc =
+    if pos >= String.length s then List.rev acc
+    else
+      let len = u32 (Bytes.unsafe_of_string s) pos in
+      go (pos + 8 + len) (Bytes.of_string (String.sub s (pos + 8) len) :: acc)
   in
-  let body = List.map f (strip_footer [] lines) in
-  let text = String.concat "\n" body ^ "\n" in
-  write_file path
-    (text ^ Printf.sprintf "end %08x\n" (Crc32.of_string text))
+  (String.sub s 0 (nl + 1), go (nl + 1) [])
+
+let frame body =
+  let len = Bytes.length body in
+  let b = Bytes.create (8 + len) in
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set_int32_le b 4 (Int32.of_int (Crc32.update_bytes 0 body ~pos:0 ~len));
+  Bytes.blit body 0 b 8 len;
+  Bytes.to_string b
+
+let write_frames path header bodies =
+  let data = List.filter (fun b -> Bytes.get b 0 <> 'Z') bodies in
+  let prefix = String.concat "" (header :: List.map frame data) in
+  let z = Bytes.create 5 in
+  Bytes.set z 0 'Z';
+  Bytes.set_int32_le z 1 (Int32.of_int (Crc32.of_string prefix));
+  write_file path (prefix ^ frame z)
+
+(* Rewrite the first frame of [kind] in place through [f]; false when
+   the file has no such frame. *)
+let tamper path kind f =
+  let header, bodies = read_frames path in
+  let hit = ref false in
+  List.iter
+    (fun b ->
+      if (not !hit) && Bytes.get b 0 = kind then begin
+        hit := true;
+        f b
+      end)
+    bodies;
+  write_frames path header bodies;
+  !hit
 
 let test_audit_detects_tampered_objective () =
   let t = mk_engine 19 in
@@ -378,17 +440,11 @@ let test_audit_detects_tampered_objective () =
   Serve.disable_durability t;
   let files = Checkpoint.list_files dir in
   let newest, _, _ = List.nth files (List.length files - 1) in
-  (* corrupt the first stored shard objective, CRC kept valid *)
-  let done_ = ref false in
-  retamper newest (fun line ->
-      if (not !done_) && String.length line > 6 && String.sub line 0 6 = "shard "
-      then (
-        done_ := true;
-        match String.split_on_char ' ' line with
-        | "shard" :: _obj :: rest -> String.concat " " ("shard" :: "0x1.8p+5" :: rest)
-        | _ -> line)
-      else line);
-  Alcotest.(check bool) "tampered a shard line" true !done_;
+  (* corrupt the first stored shard objective, CRCs kept valid *)
+  let hit =
+    tamper newest 'S' (fun b -> Bytes.set_int64_le b 1 (Int64.bits_of_float 48.0))
+  in
+  Alcotest.(check bool) "tampered a shard record" true hit;
   match Serve.recover ~certify:true ~fsync:Wal.Off ~dir () with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (r, _) ->
@@ -402,6 +458,11 @@ let test_audit_detects_tampered_objective () =
       let a3 = Serve.audit r in
       Alcotest.(check bool) "stable after repair" true a3.Serve.audit_ok
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_checkpoint_validate_rejects_bad_label () =
   let t = mk_engine 23 in
   let dir = fresh_dir () in
@@ -409,17 +470,162 @@ let test_checkpoint_validate_rejects_bad_label () =
     { Serve.dir; fsync = Wal.Off; checkpoint_every = 1; retain = 1 };
   let path = Serve.checkpoint t in
   Serve.disable_durability t;
-  retamper path (fun line ->
-      if String.length line > 6 && String.sub line 0 6 = "label " then
-        match String.split_on_char ' ' line with
-        | "label" :: _first :: rest -> String.concat " " ("label" :: "999" :: rest)
-        | _ -> line
-      else line);
+  let hit = tamper path 'L' (fun b -> Bytes.set_int32_le b 1 999l) in
+  Alcotest.(check bool) "tampered a label" true hit;
   match Checkpoint.load path with
   | Ok _ -> Alcotest.fail "out-of-range label accepted"
   | Error e ->
       Alcotest.(check bool) "mentions label" true
-        (String.length e > 0)
+        (String.length e > 0);
+      Alcotest.(check bool) (Printf.sprintf "names the label (got %S)" e) true
+        (contains e "label 999 outside")
+
+(* ---------------------- binary format (v2) ------------------------ *)
+
+(* A hand-built snapshot with every float shape a checkpoint must
+   carry bit for bit — -0.0, subnormals, infinite uppers — plus an
+   empty shard husk, both warm-basis shapes and non-contiguous ext
+   ids, as after leaves. *)
+let edge_case_snapshot () =
+  let n = 5 and m = 3 and k = 2 in
+  let graph = Svgic_graph.Graph.of_edges ~n [ (0, 1); (1, 0); (1, 3); (3, 4); (4, 0) ] in
+  let odd = [| -0.0; 4.9e-324; Float.min_float /. 3.0; 0.1; 1e300; 0.0 |] in
+  let pref = Float.Array.init (n * m) (fun i -> odd.(i mod 6)) in
+  let tau = Float.Array.init (5 * m) (fun i -> odd.((i + 2) mod 6)) in
+  let inst = Instance.of_flat ~graph ~m ~k ~lambda:0.5 ~pref ~tau in
+  let shard ?warm obj upper =
+    { Checkpoint.s_obj = obj; s_upper = upper; s_degraded = obj = 0.0;
+      s_freshened = upper = infinity; s_warm_n = -1; s_warm_pairs = 7;
+      s_warm = warm }
+  in
+  let rng = Rng.create 77 in
+  ignore (Rng.int rng 1000 : int);
+  {
+    Checkpoint.inst;
+    assign = [| [| 0; 1 |]; [| 2; 0 |]; [| 1; 2 |]; [| 0; 2 |]; [| 1; 0 |] |];
+    label = [| 0; 0; 2; 2; 0 |];
+    shards =
+      [| shard ~warm:[| 0; 1; 2; 2; 1 |] (-0.0) infinity;
+         shard 0.0 infinity;  (* the husk: no user carries label 1 *)
+         shard ~warm:[||] 4.9e-324 (Float.min_float /. 2.0) |];
+    ext_of = [| 0; 2; 5; 9; 11 |];
+    next_ext = 12;
+    tick_no = 41;
+    events_total = 1234;
+    wal_seqno = 987654321L;
+    cut_mass = -0.0;
+    objective_v = 4.9e-324;
+    bound_v = -0.0;
+    upper_v = infinity;
+    rng;
+  }
+
+let fbits name a b =
+  Alcotest.(check int64) name (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_checkpoint_v2_roundtrip_bits () =
+  let snap = edge_case_snapshot () in
+  let path = Checkpoint.write ~dir:(fresh_dir ()) ~retain:1 snap in
+  match Checkpoint.load path with
+  | Error e -> Alcotest.failf "load: %s" e
+  | Ok got ->
+      let a = snap.Checkpoint.inst and b = got.Checkpoint.inst in
+      Alcotest.(check (list int)) "dims"
+        [ Instance.n a; Instance.m a; Instance.k a; Instance.num_edges a ]
+        [ Instance.n b; Instance.m b; Instance.k b; Instance.num_edges b ];
+      fbits "lambda" (Instance.lambda a) (Instance.lambda b);
+      for u = 0 to Instance.n a - 1 do
+        for c = 0 to Instance.m a - 1 do
+          fbits "pref" (Instance.pref a u c) (Instance.pref b u c)
+        done
+      done;
+      Instance.iter_edges a (fun e u v ->
+          Alcotest.(check (pair int int)) "edge" (u, v)
+            (Instance.edge_u b e, Instance.edge_v b e);
+          for c = 0 to Instance.m a - 1 do
+            fbits "tau" (Instance.tau_edge a e c) (Instance.tau_edge b e c)
+          done);
+      let ints = Alcotest.(array int) in
+      Alcotest.(check (array ints)) "assign" snap.assign got.assign;
+      Alcotest.(check ints) "label" snap.label got.label;
+      Alcotest.(check ints) "ext_of" snap.ext_of got.ext_of;
+      Alcotest.(check (list int)) "counters"
+        [ snap.next_ext; snap.tick_no; snap.events_total ]
+        [ got.next_ext; got.tick_no; got.events_total ];
+      Alcotest.(check int64) "seqno" snap.wal_seqno got.wal_seqno;
+      List.iter2
+        (fun (nm, x) y -> fbits nm x y)
+        [ ("cut", snap.cut_mass); ("objective", snap.objective_v);
+          ("bound", snap.bound_v); ("upper", snap.upper_v) ]
+        [ got.cut_mass; got.objective_v; got.bound_v; got.upper_v ];
+      Array.iter2
+        (fun (x : Checkpoint.shard_snap) (y : Checkpoint.shard_snap) ->
+          fbits "shard obj" x.s_obj y.s_obj;
+          fbits "shard upper" x.s_upper y.s_upper;
+          Alcotest.(check (list int)) "shard ints"
+            [ Bool.to_int x.s_degraded; Bool.to_int x.s_freshened; x.s_warm_n;
+              x.s_warm_pairs ]
+            [ Bool.to_int y.s_degraded; Bool.to_int y.s_freshened; y.s_warm_n;
+              y.s_warm_pairs ];
+          Alcotest.(check (option ints)) "warm" x.s_warm y.s_warm)
+        snap.shards got.shards;
+      let draws r = List.init 1000 (fun _ -> Random.State.bits r) in
+      Alcotest.(check (list int)) "rng stream continues"
+        (draws (Random.State.copy snap.rng))
+        (draws (Random.State.copy got.rng));
+      (* every user gone: empty sections, one husk *)
+      let empty =
+        { snap with
+          Checkpoint.inst =
+            Instance.of_flat ~graph:(Svgic_graph.Graph.of_edges ~n:0 []) ~m:3
+              ~k:2 ~lambda:0.5 ~pref:(Float.Array.create 0)
+              ~tau:(Float.Array.create 0);
+          assign = [||]; label = [||]; ext_of = [||];
+          shards = [| snap.shards.(1) |] }
+      in
+      match Checkpoint.load (Checkpoint.write ~dir:(fresh_dir ()) ~retain:1 empty) with
+      | Error e -> Alcotest.failf "empty load: %s" e
+      | Ok e ->
+          Alcotest.(check (list int)) "empty engine" [ 0; 0; 1 ]
+            [ Instance.n e.inst; Instance.num_edges e.inst; Array.length e.shards ]
+
+(* A session whose ticks draw from the RNG (AVG rounding samples):
+   checkpointed mid-trace and recovered, it must tick on in lockstep
+   with the live engine. *)
+let test_checkpoint_rng_continuity () =
+  let rounding = Svgic.Shard.Avg { repeats = 2; advanced_sampling = true } in
+  let inst =
+    Test_serve.community_instance (Rng.create 29) ~blobs:3 ~blob_size:5 ~m:6 ~k:2
+  in
+  let t = Serve.create ~rounding ~certify:true (Rng.create 30) inst in
+  let dir = fresh_dir () in
+  Serve.enable_durability t
+    { Serve.dir; fsync = Wal.Off; checkpoint_every = 1; retain = 2 };
+  drive t (Rng.create 31) ~events:6 ~ticks:3;
+  ignore (Serve.checkpoint t : string);
+  Serve.disable_durability t;
+  match Serve.recover ~rounding ~certify:true ~fsync:Wal.Off ~dir () with
+  | Error e -> Alcotest.failf "recover: %s" e
+  | Ok (r, _) ->
+      Serve.disable_durability r;
+      let ev_t = Rng.create 32 and ev_r = Rng.create 32 in
+      for tick = 1 to 6 do
+        drive t ev_t ~events:6 ~ticks:1;
+        drive r ev_r ~events:6 ~ticks:1;
+        Alcotest.(check int)
+          (Printf.sprintf "fingerprint after tick %d" tick)
+          (Serve.fingerprint t) (Serve.fingerprint r);
+        fbits
+          (Printf.sprintf "objective after tick %d" tick)
+          (Serve.objective t) (Serve.objective r)
+      done
+
+let test_crc_combine () =
+  let a = "svgic-checkpoint 2\n" and b = String.init 300 (fun i -> Char.chr (i * 7 land 255)) in
+  Alcotest.(check int) "combine = one pass" (Crc32.of_string (a ^ b))
+    (Crc32.combine (Crc32.of_string a) (Crc32.of_string b) (String.length b));
+  Alcotest.(check int) "empty tail" (Crc32.of_string a)
+    (Crc32.combine (Crc32.of_string a) 0 0)
 
 let test_serialize_byte_offset_errors () =
   let text = "svgic-instance 1\nn 1 m 2 k 1 lambda 0.5\n0.5 oops\nedges 0\n" in
@@ -625,6 +831,22 @@ let test_fsck_unrecoverable () =
      in
      find 0)
 
+let test_checkpoint_v1_refused () =
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "ckpt-000000000003-0000000000000009.svgic" in
+  write_file path
+    "svgic-checkpoint 1\nmeta tick 3 seqno 9 events 9 next_ext 2 nshards 1 \
+     cut 0x0p+0 obj 0x0p+0 bound 0x0p+0 upper inf\n";
+  (match Checkpoint.load path with
+  | Ok _ -> Alcotest.fail "v1 checkpoint accepted"
+  | Error e ->
+      Alcotest.(check bool) (Printf.sprintf "names the version (got %S)" e) true
+        (contains e "byte 17: unsupported checkpoint version 1"));
+  let code, out = run_cli [ "fsck"; dir ] in
+  Alcotest.(check int) "fsck: nothing recoverable" 1 code;
+  Alcotest.(check bool) "fsck prints the version error" true
+    (contains out "unsupported checkpoint version 1")
+
 let suite =
   [
     Alcotest.test_case "crc32 check value" `Quick test_crc_check_value;
@@ -644,10 +866,19 @@ let suite =
       test_checkpoint_corrupt_fallback;
     Alcotest.test_case "fault: checkpoint write/rename survive" `Quick
       test_fault_checkpoint_write_and_rename;
+    Alcotest.test_case "recover with the wal lost" `Quick
+      test_recover_without_wal;
     Alcotest.test_case "audit detects and repairs tampering" `Quick
       test_audit_detects_tampered_objective;
     Alcotest.test_case "checkpoint rejects out-of-range label" `Quick
       test_checkpoint_validate_rejects_bad_label;
+    Alcotest.test_case "checkpoint v2 roundtrip keeps every bit" `Quick
+      test_checkpoint_v2_roundtrip_bits;
+    Alcotest.test_case "checkpoint carries the rng stream" `Quick
+      test_checkpoint_rng_continuity;
+    Alcotest.test_case "checkpoint v1 refused by version" `Quick
+      test_checkpoint_v1_refused;
+    Alcotest.test_case "crc32 combine" `Quick test_crc_combine;
     Alcotest.test_case "serialize errors carry byte offsets" `Quick
       test_serialize_byte_offset_errors;
     Alcotest.test_case "kill matrix: SIGKILL + recover bit-identical" `Slow

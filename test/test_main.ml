@@ -26,4 +26,5 @@ let () =
       ("datagen", Test_datagen.suite);
       ("serve", Test_serve.suite);
       ("durability", Test_durability.suite);
+      ("fuzz", Test_fuzz.suite);
     ]
