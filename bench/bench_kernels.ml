@@ -74,6 +74,35 @@ let fanout_note domains =
     "single-domain host: row measures fan-out overhead, not scaling"
   else "words/op count the calling domain only"
 
+(* CPU time the hypervisor stole from this VM since boot: (steal,
+   total) jiffies from the aggregate line of /proc/stat, [None]
+   without procfs. A fan-out row's note states the share stolen while
+   it ran: a hand-off to a descheduled vCPU stalls the whole join. *)
+let cpu_jiffies () =
+  match open_in "/proc/stat" with
+  | exception Sys_error _ -> None
+  | ic -> (
+      let line = try Some (input_line ic) with End_of_file -> None in
+      close_in ic;
+      match line with
+      | None -> None
+      | Some l -> (
+          match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+          | "cpu" :: fields -> (
+              let v = List.filter_map int_of_string_opt fields in
+              match List.nth_opt v 7 with
+              | Some steal -> Some (steal, List.fold_left ( + ) 0 v)
+              | None -> None)
+          | _ -> None))
+
+let steal_note before after =
+  match (before, after) with
+  | Some (s0, t0), Some (s1, t1) when t1 > t0 ->
+      Printf.sprintf "host stole %.1f%% of CPU time"
+        (100.0 *. float_of_int (s1 - s0) /. float_of_int (t1 - t0))
+  | None, _ | _, None -> "host steal not measured (no /proc/stat)"
+  | _ -> "host steal not measured (no CPU time elapsed)"
+
 (* The minor term comes from [Gc.minor_words], which counts the
    current minor heap's fill exactly; on OCaml 5.1 the minor term of
    [Gc.counters] adds only an eighth of it, so a window that triggers
@@ -598,9 +627,9 @@ let fw_sparse_problem seed ~n ~m ~k ~edges ~density =
   in
   Svgic_lp.Pairwise_fw.{ n; m; k; linear; pairs }
 
-(* The sparse engine, serial, on a fixed iteration schedule: the CSR
-   adjacency + two-pass sweep + masked-argmax oracle without the
-   fan-out. The size field is m·k, matching the other config-phase
+(* The sparse engine, serial, on a fixed iteration schedule: the flat
+   pair entries, pair pass + user pass and insertion oracle, without
+   the fan-out. The size field is m·k, matching the other config-phase
    kernels. *)
 let fw_solve_records ~shapes =
   List.map
@@ -624,7 +653,8 @@ let fw_solve_records ~shapes =
    bracket the crossover where two domains start to pay. The [domains]
    field records what the parallel side actually ran with: on a
    single-domain box the row measures fan-out overhead, not
-   parallelism, and the speedup derivation skips it. *)
+   parallelism, and the speedup derivation skips it. Both rows' notes
+   give the share of CPU time the host stole while the pair ran. *)
 let fw_mc_crossover_users = [ 25; 50; 100; 200; 300; 600; 1200; 2400; 6000 ]
 
 let fw_mc_records ~users =
@@ -635,6 +665,7 @@ let fw_mc_records ~users =
       let rng = Rng.create (5200 + n) in
       let inst = Datasets.make Datasets.Timik rng ~n ~m ~k ~lambda:0.5 in
       let p = Svgic.Lp_build.fw_problem inst in
+      let before = cpu_jiffies () in
       let (serial, serial_w), (parallel, parallel_w) =
         time_pair ~rounds:5 ~ops:1
           (fun () ->
@@ -642,11 +673,14 @@ let fw_mc_records ~users =
           (fun () ->
             ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:avail p))
       in
+      let steal = steal_note before (cpu_jiffies ()) in
       let size = n * m in
       [
-        mk ~domains:1 ~alloc:serial_w "fw_solve_mc" "serial" size serial;
-        mk ~domains:avail ~note:(fanout_note avail) ~alloc:parallel_w
-          "fw_solve_mc" "parallel" size parallel;
+        mk ~domains:1 ~note:steal ~alloc:serial_w "fw_solve_mc" "serial" size
+          serial;
+        mk ~domains:avail
+          ~note:(fanout_note avail ^ "; " ^ steal)
+          ~alloc:parallel_w "fw_solve_mc" "parallel" size parallel;
       ])
     users
 
@@ -1074,8 +1108,8 @@ let time_zero_alloc ~ops f =
   (dt *. 1e9 /. float_of_int ops, dw /. float_of_int ops)
 
 (* The two per-iteration hot paths the GC pass pinned to zero
-   minor-heap allocation: the Frank-Wolfe sweep (serial path; share
-   pass, then gradient + top-k oracle + gap per user) and the
+   minor-heap allocation: the Frank-Wolfe sweep (serial path; pair
+   pass, then dot products + top-k oracle + gap per user) and the
    AVG-D slot-eval sweep (prepare one slot, re-score every item).
    Regressions fail the bench run itself — and the CI grep on the
    emitted 0.0 — rather than just drifting the baseline. *)
@@ -1096,7 +1130,7 @@ let zero_alloc_records ~fw_shape:(n, m, k) ~csf_shape:(cn, cm, ck) =
     time_zero_alloc ~ops:fw_ops (fun () -> Svgic_lp.Pairwise_fw.sweep_serial st)
   in
   assert_zero "fw_sweep" fw_w;
-  (* The share pass takes one exp per (pair, item) with a non-zero
+  (* The pair pass takes one exp per (pair, item) with a non-zero
      weight. *)
   let exps =
     Array.fold_left

@@ -54,142 +54,100 @@ let weight_mass p =
 let smoothing_slack ~smoothing p = smoothing *. Float.log 2.0 *. weight_mass p
 
 (* ------------------------------------------------------------------ *)
-(* Sparse pair storage: per-user CSR adjacency of (neighbor, item,
-   weight) triples. Each undirected pair (u, v, w) contributes one
-   entry to u's list and one to v's list per item with w_c <> 0, so a
-   full gradient/objective sweep costs O(n·m + nnz) instead of the
-   prototype's O(n·m + |pairs|·m). Entry order is fixed by the pair
-   array (pair-major, then item), which pins the float accumulation
-   order per user independently of how users are assigned to
-   workers. [mate] links the two entries of one (pair, item): the
-   share pass computes both endpoints' soft-min shares from one [exp]
-   and writes the second through it. *)
-
-type csr = {
-  ptr : int array;  (* n + 1 *)
-  nbr : int array;  (* nnz: the other endpoint *)
-  item : int array;  (* nnz *)
-  wgt : float array;  (* nnz *)
-  mate : int array;  (* nnz: the same (pair, item) in the other row *)
-}
-
-let build_csr p =
-  let count = Array.make p.n 0 in
-  Array.iter
-    (fun (u, v, w) ->
-      if u = v then invalid_arg "Pairwise_fw: self-pair";
-      if u < 0 || u >= p.n || v < 0 || v >= p.n then
-        invalid_arg "Pairwise_fw: pair endpoint out of range";
-      let nz = ref 0 in
-      Array.iter (fun wc -> if wc <> 0.0 then incr nz) w;
-      count.(u) <- count.(u) + !nz;
-      count.(v) <- count.(v) + !nz)
-    p.pairs;
-  let ptr = Array.make (p.n + 1) 0 in
-  for u = 0 to p.n - 1 do
-    ptr.(u + 1) <- ptr.(u) + count.(u)
-  done;
-  let nnz = ptr.(p.n) in
-  let nbr = Array.make nnz 0 in
-  let item = Array.make nnz 0 in
-  let wgt = Array.make nnz 0.0 in
-  let mate = Array.make nnz 0 in
-  let fill = Array.sub ptr 0 p.n in
-  Array.iter
-    (fun (u, v, w) ->
-      for c = 0 to p.m - 1 do
-        let wc = w.(c) in
-        if wc <> 0.0 then begin
-          let iu = fill.(u) in
-          nbr.(iu) <- v;
-          item.(iu) <- c;
-          wgt.(iu) <- wc;
-          fill.(u) <- iu + 1;
-          let iv = fill.(v) in
-          nbr.(iv) <- u;
-          item.(iv) <- c;
-          wgt.(iv) <- wc;
-          fill.(v) <- iv + 1;
-          mate.(iu) <- iv;
-          mate.(iv) <- iu
-        end
-      done)
-    p.pairs;
-  { ptr; nbr; item; wgt; mate }
-
-(* ------------------------------------------------------------------ *)
 (* The production engine. One sweep per iteration computes, per user:
    the exact objective contribution, the soft-min gradient, the top-k
    oracle vertex, the Frank-Wolfe gap contribution <grad, v - x>, and
-   (in swap mode) the best mass-swap move. It runs in two passes over
-   users:
+   (in swap mode) the best mass-swap move. The iterate, the gradient
+   and the oracle slots are flat [n*m] (resp. [n*k]) arrays indexed
+   [u*m + c]. A serial sweep runs two loops:
 
-   - the share pass visits each (pair, item) once, from its
-     lower-numbered endpoint, takes one [exp], and writes both
-     endpoints' weighted soft-min shares into the per-entry [share]
-     array (the second through [mate]); it also adds the exact [min]
-     objective terms;
-   - the gather pass adds each user's shares into that user's
-     gradient in CSR row order, then runs the dot product, swap move,
-     oracle and gap.
+   - the pair pass walks the pairs with a non-zero weight in pair-array
+     order and, per non-zero (pair, item), takes one [exp] and adds
+     both endpoints' weighted soft-min shares straight into the
+     gradient (which starts as a copy of the linear terms), plus the
+     exact [min] term into the lower-numbered endpoint's objective
+     slot;
+   - the user pass runs, per user, the dot products, the swap move,
+     the top-k oracle and the gap.
 
-   IEEE subtraction and division are exactly antisymmetric, so the
-   other endpoint's argument is exactly [-z]. The stable logistic
-   share ([1/(1+exp(-z))] for [z >= 0], [exp z/(1+exp z)] below) at
-   [z] and at [-z] then takes the same [exp], and the pass writes
-   exactly the bits a per-endpoint evaluation would (at [z = +0] both
-   are 0.5). The split changes no result; each (pair, item) now takes
-   one [exp] where each endpoint used to evaluate the formula.
+   The pair pass adds to each gradient cell the same terms in the same
+   order as a walk of the user's own pairs in pair-array order (pair-
+   major, then item), and each endpoint's share is the stable logistic
+   evaluated from that endpoint: with [z = (x_hi - x_lo)/smoothing]
+   and [E = exp(-|z|)], the coordinate with the smaller value takes
+   [w·1/(1+E)] and the other [w·E/(1+E)]. IEEE subtraction and
+   division are exactly antisymmetric, so the other endpoint's argument
+   is exactly [-z] and its formula takes the same [exp]; at [z = ±0]
+   both shares are [w·0.5], so the tie needs no rule. [x_lo <= x_hi]
+   is exactly [x_hi - x_lo >= 0], so the pass picks the larger share's
+   cell, and the [min] term's coordinate, by index from that one
+   comparison instead of by branch.
 
-   Each pass only reads the frozen iterate and writes slots no other
-   user writes (a share slot belongs to its pair's lower endpoint), so
-   fanning users out over Pool blocks, with a join between the passes,
-   is bit-identical to the serial run for every worker count; the
-   objective and gap are reduced serially by user index afterwards. A
-   third per-user pass applies the updates (it must not run
-   concurrently with the sweep's reads).
+   A pair pass cannot be split by users without two workers adding to
+   one cell, so a fanned-out sweep ([domains > 1]) keeps a share/gather
+   split over a per-user CSR adjacency built for that solve: the share
+   pass visits each (pair, item) from its lower-numbered endpoint and
+   writes both shares into per-entry slots (the second through [mate]);
+   after a join, the gather pass sums each user's shares into its
+   gradient row in CSR row order, which is pair-array order again,
+   then runs the user pass. Every slot has one writer and the objective
+   and gap are reduced serially by user index, so every worker count
+   gives the serial run's bits. A third per-user pass applies the
+   updates (it must not run concurrently with the sweep's reads).
 
-   All sweep inputs and outputs live in a [sweep_state] built once per
-   solve: the iterate, the CSR adjacency, the share and per-user
-   output slots and one preallocated serial scratch gradient. The
-   serial sweep over a state allocates nothing (for the k <= 16
-   masked-argmax oracle path) — every float stays in flat arrays or
-   locals the compiler unboxes, and there are no closures, options or
-   lists on the path — which is what the zero-allocation bench row
-   pins. *)
+   Nothing on the serial iteration path allocates (for the k <= 16
+   insertion oracle): every float stays in a flat array, an all-float
+   record or a local the compiler unboxes, the step size reaches the
+   update through a one-slot array rather than as a (boxed) argument,
+   and there are no closures, options, tuples or lists on the path.
+   The [fw_sweep] bench row and [test_fw.ml] pin it. *)
 
 type sweep_state = {
   sp : problem;
-  adj : csr;
   smoothing : float;
   swap_steps : bool;
   small_k : bool;
       (* Select.top_k sorts the whole row; for the small k of display
-         configurations, k masked argmax passes over the scratch
-         gradient are cheaper and allocation-free. Both paths keep the
+         configurations, one insertion pass into the user's vertex
+         slots is cheaper and allocation-free. Both paths keep the
          lowest-index tie-break. *)
   fixed : int array;
       (* flat n*m fixing mask ([fx_free]/[fx_zero]/[fx_one]) for
          branch-and-bound node solves; length 0 when nothing is fixed,
          which keeps the pinned zero-allocation sweep path untouched *)
   free_k : int array;  (* per user: vertex slots left to the free coords *)
-  x : float array array;  (* current iterate, n x m *)
-  share : float array;  (* nnz: weighted soft-min share per CSR entry *)
-  (* Per-user slots written by the sweep. *)
+  (* The pairs with a non-zero weight, in pair-array order: endpoints
+     (lower-numbered first) and the span of their non-zero (item,
+     weight) entries in [item]/[wgt]. *)
+  lo : int array;
+  hi : int array;
+  span : int array;  (* pairs + 1 *)
+  item : int array;
+  wgt : float array;
+  lin : float array;  (* n*m: the linear terms *)
+  x : float array;  (* n*m: the current iterate *)
+  g : float array;  (* n*m: the soft-min gradient *)
+  pair_obj : float array;
+      (* per user: exact min terms of the pairs it is the lower endpoint
+         of, so the by-index reduction counts each pair once *)
+  (* Per-user slots written by the user pass. *)
   obj_u : float array;
   gap_u : float array;
-  tops : int array array;
+  tops : int array;  (* n*k: oracle vertex, best coordinate first *)
+  topv : float array;  (* n*k: the gradient at each [tops] entry *)
   swap_to : int array;
   swap_from : int array;
   swap_cap : float array;
   swap_gain : float array;
-  g0 : float array;  (* serial-path scratch gradient, length m *)
+  step : float array;  (* one slot: the step size the update reads *)
 }
 
 let sweep_state ?(smoothing = 0.05) ?(swap_steps = false) ?fixed p =
   assert (p.k >= 1 && p.k <= p.m);
   assert (smoothing > 0.0);
   let n = p.n and m = p.m and k = p.k in
+  if Array.length p.linear <> n then
+    invalid_arg "Pairwise_fw: linear term count <> n";
   let fixed =
     match fixed with
     | None -> [||]
@@ -199,137 +157,162 @@ let sweep_state ?(smoothing = 0.05) ?(swap_steps = false) ?fixed p =
         f
   in
   let free_k = Array.make n k in
-  let x =
-    if Array.length fixed = 0 then
-      Array.init n (fun _ -> Array.make m (float_of_int k /. float_of_int m))
-    else
-      Array.init n (fun u ->
-          let ones = ref 0 and zeros = ref 0 in
-          for c = 0 to m - 1 do
-            let f = fixed.((u * m) + c) in
-            if f = fx_one then incr ones else if f = fx_zero then incr zeros
-          done;
-          let free = m - !ones - !zeros in
-          if !ones > k || free < k - !ones then
-            invalid_arg "Pairwise_fw: infeasible fixing (user over-constrained)";
-          free_k.(u) <- k - !ones;
-          let fill =
-            if free = 0 then 0.0
-            else float_of_int (k - !ones) /. float_of_int free
-          in
-          Array.init m (fun c ->
-              match fixed.((u * m) + c) with
-              | f when f = fx_one -> 1.0
-              | f when f = fx_zero -> 0.0
-              | _ -> fill))
-  in
-  let adj = build_csr p in
+  let x = Array.make (n * m) (float_of_int k /. float_of_int m) in
+  if Array.length fixed > 0 then
+    for u = 0 to n - 1 do
+      let ones = ref 0 and zeros = ref 0 in
+      for c = 0 to m - 1 do
+        let f = fixed.((u * m) + c) in
+        if f = fx_one then incr ones else if f = fx_zero then incr zeros
+      done;
+      let free = m - !ones - !zeros in
+      if !ones > k || free < k - !ones then
+        invalid_arg "Pairwise_fw: infeasible fixing (user over-constrained)";
+      free_k.(u) <- k - !ones;
+      let fill =
+        if free = 0 then 0.0 else float_of_int (k - !ones) /. float_of_int free
+      in
+      for c = 0 to m - 1 do
+        let f = fixed.((u * m) + c) in
+        x.((u * m) + c) <-
+          (if f = fx_one then 1.0 else if f = fx_zero then 0.0 else fill)
+      done
+    done;
+  let pairs = ref 0 and entries = ref 0 in
+  Array.iter
+    (fun (u, v, w) ->
+      if u = v then invalid_arg "Pairwise_fw: self-pair";
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Pairwise_fw: pair endpoint out of range";
+      let nz = ref 0 in
+      for c = 0 to m - 1 do
+        if w.(c) <> 0.0 then incr nz
+      done;
+      if !nz > 0 then begin
+        incr pairs;
+        entries := !entries + !nz
+      end)
+    p.pairs;
+  let lo = Array.make !pairs 0 and hi = Array.make !pairs 0 in
+  let span = Array.make (!pairs + 1) 0 in
+  let item = Array.make !entries 0 and wgt = Array.make !entries 0.0 in
+  let i = ref 0 and e = ref 0 in
+  Array.iter
+    (fun (u, v, w) ->
+      let e0 = !e in
+      for c = 0 to m - 1 do
+        if w.(c) <> 0.0 then begin
+          item.(!e) <- c;
+          wgt.(!e) <- w.(c);
+          incr e
+        end
+      done;
+      if !e > e0 then begin
+        lo.(!i) <- (if u < v then u else v);
+        hi.(!i) <- (if u < v then v else u);
+        incr i;
+        span.(!i) <- !e
+      end)
+    p.pairs;
+  let lin = Array.make (n * m) 0.0 in
+  Array.iteri (fun u row -> Array.blit row 0 lin (u * m) m) p.linear;
   {
     sp = p;
-    adj;
     smoothing;
     swap_steps;
     small_k = k <= 16;
     fixed;
     free_k;
+    lo;
+    hi;
+    span;
+    item;
+    wgt;
+    lin;
     x;
-    share = Array.make (Array.length adj.nbr) 0.0;
+    g = Array.make (n * m) 0.0;
+    pair_obj = Array.make n 0.0;
     obj_u = Array.make n 0.0;
     gap_u = Array.make n 0.0;
-    tops = Array.init n (fun _ -> Array.make k 0);
+    tops = Array.make (n * k) 0;
+    topv = Array.make (n * k) 0.0;
     swap_to = Array.make n (-1);
     swap_from = Array.make n (-1);
     swap_cap = Array.make n 0.0;
     swap_gain = Array.make n 0.0;
-    g0 = Array.make m 0.0;
+    step = [| 0.0 |];
   }
 
-(* Share pass for user u: one [exp] per entry whose neighbour is
-   numbered higher, writing both endpoints' shares (the antisymmetry
-   argument above). The logistic share is inlined by hand: a
-   non-inlined float-returning call would box its result, breaking the
-   zero-allocation contract. *)
-let share_user st u =
-  let p = st.sp and adj = st.adj and x = st.x and share = st.share in
-  let m = p.m in
-  let smoothing = st.smoothing in
-  let xu = x.(u) and lin = p.linear.(u) in
-  let lin_obj = ref 0.0 in
-  for c = 0 to m - 1 do
-    lin_obj := !lin_obj +. (lin.(c) *. xu.(c))
-  done;
-  let pair_obj = ref 0.0 in
-  for e = adj.ptr.(u) to adj.ptr.(u + 1) - 1 do
-    let v = adj.nbr.(e) in
-    if v > u then begin
-      let c = adj.item.(e) in
-      let w = adj.wgt.(e) in
-      let xuc = xu.(c) and xvc = x.(v).(c) in
-      let z = (xvc -. xuc) /. smoothing in
-      if z >= 0.0 then begin
-        let ez = exp (-.z) in
-        share.(e) <- w *. (1.0 /. (1.0 +. ez));
-        share.(adj.mate.(e)) <- w *. (ez /. (1.0 +. ez))
-      end
-      else begin
-        let ez = exp z in
-        share.(e) <- w *. (ez /. (1.0 +. ez));
-        share.(adj.mate.(e)) <- w *. (1.0 /. (1.0 +. ez))
-      end;
-      (* Each pair's exact min term is attributed to its lower
-         endpoint, so the serial by-index reduction counts it once. *)
-      pair_obj := !pair_obj +. (w *. if xuc <= xvc then xuc else xvc)
-    end
-  done;
-  st.obj_u.(u) <- !lin_obj +. !pair_obj
-
-(* User u's soft-min gradient into [g]: the linear row plus u's shares,
-   in CSR row order. Valid once the share pass has covered every
-   user. *)
-let gather_gradient st g u =
-  let adj = st.adj and share = st.share in
-  Array.blit st.sp.linear.(u) 0 g 0 st.sp.m;
-  for e = adj.ptr.(u) to adj.ptr.(u + 1) - 1 do
-    let c = adj.item.(e) in
-    g.(c) <- g.(c) +. share.(e)
+(* The serial sweep's first loop: the gradient and the exact pair
+   objective terms (the argument above). The logistic share is inlined
+   by hand: a non-inlined float-returning call would box its result,
+   breaking the zero-allocation contract. *)
+let pair_pass st =
+  let m = st.sp.m in
+  let x = st.x and g = st.g and item = st.item and wgt = st.wgt in
+  let pair_obj = st.pair_obj and smoothing = st.smoothing in
+  Array.blit st.lin 0 g 0 (Array.length g);
+  Array.fill pair_obj 0 (Array.length pair_obj) 0.0;
+  for i = 0 to Array.length st.lo - 1 do
+    let l = st.lo.(i) in
+    let bl = l * m and bh = st.hi.(i) * m in
+    let acc = ref pair_obj.(l) in
+    for e = st.span.(i) to st.span.(i + 1) - 1 do
+      let c = item.(e) and w = wgt.(e) in
+      let il = bl + c and ih = bh + c in
+      let d = x.(ih) -. x.(il) in
+      let ez = exp (-.Float.abs (d /. smoothing)) in
+      (* [lower] is 1 when x_lo <= x_hi: the lower endpoint's cell then
+         takes the larger share and holds the min. *)
+      let lower = Bool.to_int (d >= 0.0) in
+      let imin = ih - (lower * (ih - il)) in
+      let imax = il + ih - imin in
+      g.(imin) <- g.(imin) +. (w *. (1.0 /. (1.0 +. ez)));
+      g.(imax) <- g.(imax) +. (w *. (ez /. (1.0 +. ez)));
+      acc := !acc +. (w *. x.(imin))
+    done;
+    pair_obj.(l) <- !acc
   done
 
-(* Gather pass for user u: the gradient, then the dot product, swap
-   move, top-k oracle and gap contribution. *)
-let gather_user st g u =
-  let p = st.sp and x = st.x in
+(* The user pass for user u, once u's gradient row is complete: the
+   objective slot, the dot product and swap move (one loop), the top-k
+   oracle and the gap contribution. *)
+let user_pass st u =
+  let p = st.sp in
   let m = p.m and k = p.k in
-  let xu = x.(u) in
-  gather_gradient st g u;
-  let dot = ref 0.0 in
+  let x = st.x and g = st.g and lin = st.lin in
+  let b = u * m in
+  let has_fixed = Array.length st.fixed > 0 and swap = st.swap_steps in
+  (* Best single mass swap: move weight onto the best coordinate with
+     headroom from the worst coordinate with mass. Fixed coordinates
+     are pinned and never take part. *)
+  let hi = ref (-1) and lo = ref (-1) in
+  let ghi = ref 0.0 and glo = ref 0.0 in
+  let lin_obj = ref 0.0 and dot = ref 0.0 in
   for c = 0 to m - 1 do
-    dot := !dot +. (g.(c) *. xu.(c))
+    let i = b + c in
+    let xi = x.(i) and gi = g.(i) in
+    lin_obj := !lin_obj +. (lin.(i) *. xi);
+    dot := !dot +. (gi *. xi);
+    if swap && ((not has_fixed) || st.fixed.(i) = fx_free) then begin
+      if xi < 1.0 -. 1e-12 && (!hi < 0 || gi > !ghi) then begin
+        hi := c;
+        ghi := gi
+      end;
+      if xi > 1e-12 && (!lo < 0 || gi < !glo) then begin
+        lo := c;
+        glo := gi
+      end
+    end
   done;
-  let has_fixed = Array.length st.fixed > 0 in
-  let fb = u * m in
-  if st.swap_steps then begin
-    (* Best single mass swap: move weight onto the best coordinate
-       with headroom from the worst coordinate with mass. Fixed
-       coordinates are pinned and never take part. *)
-    let hi = ref (-1) and lo = ref (-1) in
-    if has_fixed then
-      for c = 0 to m - 1 do
-        if st.fixed.(fb + c) = fx_free then begin
-          if xu.(c) < 1.0 -. 1e-12 && (!hi < 0 || g.(c) > g.(!hi)) then hi := c;
-          if xu.(c) > 1e-12 && (!lo < 0 || g.(c) < g.(!lo)) then lo := c
-        end
-      done
-    else
-      for c = 0 to m - 1 do
-        if xu.(c) < 1.0 -. 1e-12 && (!hi < 0 || g.(c) > g.(!hi)) then hi := c;
-        if xu.(c) > 1e-12 && (!lo < 0 || g.(c) < g.(!lo)) then lo := c
-      done;
-    if !hi >= 0 && !lo >= 0 && !hi <> !lo && g.(!hi) > g.(!lo) then begin
+  st.obj_u.(u) <- !lin_obj +. st.pair_obj.(u);
+  if swap then begin
+    if !hi >= 0 && !lo >= 0 && !hi <> !lo && !ghi > !glo then begin
       st.swap_to.(u) <- !hi;
       st.swap_from.(u) <- !lo;
-      let headroom = 1.0 -. xu.(!hi) and mass = xu.(!lo) in
+      let headroom = 1.0 -. x.(b + !hi) and mass = x.(b + !lo) in
       st.swap_cap.(u) <- (if headroom <= mass then headroom else mass);
-      st.swap_gain.(u) <- g.(!hi) -. g.(!lo)
+      st.swap_gain.(u) <- !ghi -. !glo
     end
     else begin
       st.swap_to.(u) <- -1;
@@ -338,83 +321,224 @@ let gather_user st g u =
       st.swap_gain.(u) <- 0.0
     end
   end;
-  let top = st.tops.(u) in
+  let tops = st.tops and topv = st.topv and tb = u * k in
   let top_sum = ref 0.0 in
-  if has_fixed then begin
-    (* Oracle under fixings: fixed-one coordinates are in every
-       feasible vertex (their gradient joins [top_sum] directly),
-       fixed coordinates of either kind never compete for the
-       remaining [free_k] slots. Unused slots carry a -1 sentinel the
-       update pass skips. *)
-    for c = 0 to m - 1 do
-      let f = st.fixed.(fb + c) in
-      if f <> fx_free then begin
-        if f = fx_one then top_sum := !top_sum +. g.(c);
-        g.(c) <- neg_infinity
-      end
-    done;
-    let fk = st.free_k.(u) in
-    for slot = 0 to k - 1 do
-      if slot < fk then begin
-        let arg = ref 0 in
-        for c = 1 to m - 1 do
-          if g.(c) > g.(!arg) then arg := c
+  if has_fixed || st.small_k then begin
+    (* Under fixings, fixed-one coordinates are in every feasible vertex
+       (their gradient joins [top_sum] directly) and fixed coordinates
+       of either kind never compete for the remaining [free_k] slots,
+       which is why they read [neg_infinity] below; unused slots carry
+       a -1 sentinel the update skips. *)
+    let slots =
+      if has_fixed then begin
+        for c = 0 to m - 1 do
+          let f = st.fixed.(b + c) in
+          if f <> fx_free then begin
+            if f = fx_one then top_sum := !top_sum +. g.(b + c);
+            g.(b + c) <- neg_infinity
+          end
         done;
-        top.(slot) <- !arg;
-        top_sum := !top_sum +. g.(!arg);
-        g.(!arg) <- neg_infinity
+        st.free_k.(u)
       end
-      else top.(slot) <- -1
+      else k
+    in
+    (* One pass in index order keeps the best [slots] coordinates
+       sorted in [tops]/[topv], larger gradient first. Every comparison
+       is strict, so of equal gradients the lower index stays ahead:
+       the vertex and its order are those of [slots] masked argmax
+       passes with the lowest-index tie-break. *)
+    if slots > 0 then begin
+      let last = tb + slots - 1 in
+      let filled = ref 0 and thr = ref neg_infinity in
+      for c = 0 to m - 1 do
+        let v = g.(b + c) in
+        if v > !thr then begin
+          let j = ref (if !filled < slots then tb + !filled else last) in
+          if !filled < slots then incr filled;
+          while !j > tb && v > topv.(!j - 1) do
+            topv.(!j) <- topv.(!j - 1);
+            tops.(!j) <- tops.(!j - 1);
+            decr j
+          done;
+          topv.(!j) <- v;
+          tops.(!j) <- c;
+          if !filled = slots then thr := topv.(last)
+        end
+      done;
+      for s = tb to last do
+        top_sum := !top_sum +. topv.(s)
+      done
+    end;
+    for s = tb + slots to tb + k - 1 do
+      tops.(s) <- -1
     done
   end
-  else if st.small_k then
-    for slot = 0 to k - 1 do
-      let arg = ref 0 in
-      for c = 1 to m - 1 do
-        if g.(c) > g.(!arg) then arg := c
-      done;
-      top.(slot) <- !arg;
-      top_sum := !top_sum +. g.(!arg);
-      g.(!arg) <- neg_infinity
-    done
   else begin
-    let sel = Select.top_k k g in
-    Array.blit sel 0 top 0 k;
+    (* A fresh copy per call: [Select.top_k] allocates anyway, and a
+       buffer in the state would be shared by the fanned-out sweep's
+       workers. *)
+    let row = Array.sub g b m in
+    let sel = Select.top_k k row in
+    Array.blit sel 0 tops tb k;
     (* An explicit loop, not [Array.iter]: an iter body would capture
        [top_sum], and a captured ref lives on the heap with boxed
        float stores — on the small_k path too, since the capture is a
        compile-time property of the whole function. *)
     for i = 0 to k - 1 do
-      top_sum := !top_sum +. g.(sel.(i))
+      top_sum := !top_sum +. row.(sel.(i))
     done
   end;
   st.gap_u.(u) <- !top_sum -. !dot
 
 let sweep_serial st =
+  pair_pass st;
   for u = 0 to st.sp.n - 1 do
-    share_user st u
-  done;
-  for u = 0 to st.sp.n - 1 do
-    gather_user st st.g0 u
+    user_pass st u
   done
 
 let gradient ?(smoothing = 0.05) p x =
   let st = sweep_state ~smoothing p in
-  Array.iteri (fun u row -> Array.blit row 0 st.x.(u) 0 p.m) x;
-  for u = 0 to p.n - 1 do
-    share_user st u
+  Array.iteri (fun u row -> Array.blit row 0 st.x (u * p.m) p.m) x;
+  pair_pass st;
+  Array.init p.n (fun u -> Array.sub st.g (u * p.m) p.m)
+
+(* ------------------------------------------------------------------ *)
+(* The fanned-out sweep's per-user CSR adjacency of (neighbour, item,
+   weight) entries: each undirected pair contributes one entry to each
+   endpoint's row per item with a non-zero weight, in pair-array order
+   (pair-major, then item). [mate] links the two entries of one
+   (pair, item). Built only by solves with [domains > 1]. *)
+
+type csr = {
+  ptr : int array;  (* n + 1 *)
+  nbr : int array;  (* nnz: the other endpoint *)
+  citem : int array;  (* nnz *)
+  cwgt : float array;  (* nnz *)
+  mate : int array;  (* nnz: the same (pair, item) in the other row *)
+}
+
+let build_csr st =
+  let n = st.sp.n in
+  let count = Array.make n 0 in
+  for i = 0 to Array.length st.lo - 1 do
+    let len = st.span.(i + 1) - st.span.(i) in
+    count.(st.lo.(i)) <- count.(st.lo.(i)) + len;
+    count.(st.hi.(i)) <- count.(st.hi.(i)) + len
   done;
-  Array.init p.n (fun u ->
-      let g = Array.make p.m 0.0 in
-      gather_gradient st g u;
-      g)
+  let ptr = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    ptr.(u + 1) <- ptr.(u) + count.(u)
+  done;
+  let nnz = ptr.(n) in
+  let nbr = Array.make nnz 0 and citem = Array.make nnz 0 in
+  let cwgt = Array.make nnz 0.0 and mate = Array.make nnz 0 in
+  let fill = Array.sub ptr 0 n in
+  for i = 0 to Array.length st.lo - 1 do
+    let l = st.lo.(i) and h = st.hi.(i) in
+    for e = st.span.(i) to st.span.(i + 1) - 1 do
+      let il = fill.(l) and ih = fill.(h) in
+      nbr.(il) <- h;
+      nbr.(ih) <- l;
+      citem.(il) <- st.item.(e);
+      citem.(ih) <- st.item.(e);
+      cwgt.(il) <- st.wgt.(e);
+      cwgt.(ih) <- st.wgt.(e);
+      mate.(il) <- ih;
+      mate.(ih) <- il;
+      fill.(l) <- il + 1;
+      fill.(h) <- ih + 1
+    done
+  done;
+  { ptr; nbr; citem; cwgt; mate }
+
+(* Share pass for user u: the pair pass's arithmetic for the entries
+   whose neighbour is numbered higher, with both shares written to
+   [share] slots instead of the gradient. *)
+let share_user st adj share u =
+  let m = st.sp.m and x = st.x and smoothing = st.smoothing in
+  let bu = u * m in
+  let acc = ref 0.0 in
+  for e = adj.ptr.(u) to adj.ptr.(u + 1) - 1 do
+    let v = adj.nbr.(e) in
+    if v > u then begin
+      let c = adj.citem.(e) and w = adj.cwgt.(e) in
+      let il = bu + c and ih = (v * m) + c in
+      let d = x.(ih) -. x.(il) in
+      let ez = exp (-.Float.abs (d /. smoothing)) in
+      let larger = w *. (1.0 /. (1.0 +. ez)) in
+      let smaller = w *. (ez /. (1.0 +. ez)) in
+      if d >= 0.0 then begin
+        share.(e) <- larger;
+        share.(adj.mate.(e)) <- smaller;
+        acc := !acc +. (w *. x.(il))
+      end
+      else begin
+        share.(e) <- smaller;
+        share.(adj.mate.(e)) <- larger;
+        acc := !acc +. (w *. x.(ih))
+      end
+    end
+  done;
+  st.pair_obj.(u) <- !acc
+
+(* Gather pass for user u: its gradient row, the linear terms plus its
+   shares in CSR row order, then the user pass. *)
+let gather_user st adj share u =
+  let m = st.sp.m and g = st.g in
+  let b = u * m in
+  Array.blit st.lin b g b m;
+  for e = adj.ptr.(u) to adj.ptr.(u + 1) - 1 do
+    let i = b + adj.citem.(e) in
+    g.(i) <- g.(i) +. share.(e)
+  done;
+  user_pass st u
+
+(* Applies the recorded step to user u, with the step size from
+   [st.step]. The swap step is taken when its first-order progress
+   beats the classic step's; both choices depend only on per-user
+   slots and the step size, so the decision is identical for every
+   worker count. *)
+let apply_user st u =
+  let m = st.sp.m and k = st.sp.k in
+  let x = st.x and b = u * m in
+  let gamma = st.step.(0) in
+  let t = Float.min st.swap_cap.(u) gamma in
+  if
+    st.swap_steps && st.swap_to.(u) >= 0
+    && st.swap_gain.(u) *. t > st.gap_u.(u) *. gamma
+  then begin
+    let ito = b + st.swap_to.(u) and ifrom = b + st.swap_from.(u) in
+    x.(ito) <- x.(ito) +. t;
+    x.(ifrom) <- x.(ifrom) -. t
+  end
+  else begin
+    for i = b to b + m - 1 do
+      x.(i) <- (1.0 -. gamma) *. x.(i)
+    done;
+    for slot = 0 to k - 1 do
+      let c = st.tops.((u * k) + slot) in
+      if c >= 0 then x.(b + c) <- x.(b + c) +. gamma
+    done;
+    (* Fixed coordinates are at their pinned value in both the iterate
+       and the vertex, so the convex combination preserves them up to
+       rounding; re-pin exactly to stop drift from compounding down a
+       deep branch-and-bound path. *)
+    if Array.length st.fixed > 0 then
+      for i = b to b + m - 1 do
+        let f = st.fixed.(i) in
+        if f = fx_one then x.(i) <- 1.0 else if f = fx_zero then x.(i) <- 0.0
+      done
+  end
 
 (* Default fan-out: parallel only when the per-sweep work amortizes the
-   two fan-outs per iteration. Calibrated on the committed fw_solve_mc
-   rows (Timik-like, m = 12, 2-vCPU VM): two domains read slower than
-   serial up to n·m = 1,200 and faster from 2,400 up. *)
+   CSR the fanned-out sweep builds and its three fan-outs per
+   iteration. Calibrated on fw_solve_mc rows taken against the serial
+   pair pass (Timik-like, m = 12, 2-vCPU VM, host stealing under 0.5%
+   of CPU time): over seven runs, 7,200 is the smallest n·m at which
+   two domains won every run, and they lost some run at every size up
+   to 3,600. *)
 let auto_domains p =
-  if p.n > 1 && p.n * p.m >= 2_000 then Pool.available_domains () else 1
+  if p.n > 1 && p.n * p.m >= 7_200 then Pool.available_domains () else 1
 
 (* Input-data health screen: a poisoned preference or pair weight
    would propagate NaN through every gradient and silently zero the
@@ -430,6 +554,42 @@ let screen p =
     p.pairs;
   if not !ok then failwith "Pairwise_fw.solve: non-finite problem data"
 
+(* What the solve loop reads back after each sweep, and the best-so-far
+   tracking. An all-float record stores its fields unboxed, so
+   updating it allocates nothing. *)
+type tally = {
+  mutable obj : float;  (* exact objective of the last swept iterate *)
+  mutable gap : float;  (* its smoothed Frank-Wolfe gap *)
+  mutable best_obj : float;
+  mutable best_gap : float;
+  mutable best_ub : float;
+}
+
+(* Reduces the swept iterate's per-user slots serially by user index
+   and banks it if it is the best so far. *)
+let record st tl best =
+  let obj = ref 0.0 and gap = ref 0.0 in
+  for u = 0 to st.sp.n - 1 do
+    obj := !obj +. st.obj_u.(u);
+    gap := !gap +. st.gap_u.(u)
+  done;
+  let obj = !obj and gap = !gap in
+  tl.obj <- obj;
+  tl.gap <- gap;
+  if obj > tl.best_obj then begin
+    tl.best_obj <- obj;
+    Array.blit st.x 0 best 0 (Array.length best)
+  end;
+  if gap < tl.best_gap then tl.best_gap <- gap;
+  (* Sound per-iterate upper bound on the smoothed optimum x_opt: by
+     concavity f_s(x_opt) <= f_s(x) + <grad f_s(x), v - x>, and the
+     soft-min undershoots the true min so f_s(x) <= f(x); hence
+     f_s(x_opt) <= f(x) + gap. The caller adds the smoothing slack
+     [smoothing·ln 2·W] (f <= f_s + slack) to recover a bound on the
+     exact optimum. *)
+  let cand = obj +. gap in
+  if cand -. cand = 0.0 && cand < tl.best_ub then tl.best_ub <- cand
+
 let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
     ?fixed ?domains ?token ?(swap_steps = false) p =
   assert (p.k >= 1 && p.k <= p.m);
@@ -438,10 +598,9 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
   let token =
     match token with Some t -> t | None -> Supervise.unlimited ()
   in
-  let n = p.n and m = p.m and k = p.k in
+  let n = p.n and m = p.m in
   let domains = match domains with Some d -> d | None -> auto_domains p in
   let st = sweep_state ~smoothing ~swap_steps ?fixed p in
-  let x = st.x in
   (* Warm start: adopt the caller's iterate (a parent branch-and-bound
      node's best point, projected by the caller onto this node's
      fixings). A poisoned warm start is rejected like poisoned problem
@@ -457,84 +616,40 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
         (fun u row ->
           if Array.length row <> m then
             invalid_arg "Pairwise_fw.solve: warm start has wrong item count";
-          Array.blit row 0 x.(u) 0 m)
+          Array.blit row 0 st.x (u * m) m)
         x0);
-  let has_fixed = Array.length st.fixed > 0 in
-  let best = Array.init n (fun u -> Array.copy x.(u)) in
-  let best_obj = ref neg_infinity in
-  let best_gap = ref infinity in
-  let best_ub = ref infinity in
-  (* The fan-out closures are built once here, not per sweep: the
-     serial path calls [sweep_serial] directly, so an iteration of the
-     single-domain engine allocates nothing at all. The share pass is
-     joined before the gather pass reads any share. *)
-  let par_share u = share_user st u in
-  let par_local () = Array.make m 0.0 in
-  let par_gather g u = gather_user st g u in
-  let sweep () =
-    if domains <= 1 then sweep_serial st
-    else begin
-      Pool.parallel_for ~domains n par_share;
-      Pool.parallel_for_local ~domains n ~local:par_local par_gather
-    end
+  let best = Array.copy st.x in
+  let tl =
+    {
+      obj = 0.0;
+      gap = 0.0;
+      best_obj = neg_infinity;
+      best_gap = infinity;
+      best_ub = infinity;
+    }
   in
-  (* Applies the recorded step to user u. The swap step is taken when
-     its first-order progress beats the classic step's; both choices
-     depend only on per-user slots and gamma, so the decision is
-     identical for every worker count. *)
-  let apply gamma u =
-    let xu = x.(u) in
-    let t = Float.min st.swap_cap.(u) gamma in
-    if
-      swap_steps && st.swap_to.(u) >= 0
-      && st.swap_gain.(u) *. t > st.gap_u.(u) *. gamma
-    then begin
-      xu.(st.swap_to.(u)) <- xu.(st.swap_to.(u)) +. t;
-      xu.(st.swap_from.(u)) <- xu.(st.swap_from.(u)) -. t
-    end
+  (* The sweep and update closures are built once here, not per
+     iteration. A fanned-out solve builds its CSR adjacency and share
+     slots here too, and joins the share pass before the gather pass
+     reads any share. *)
+  let sweep, update =
+    if domains <= 1 then
+      ( (fun () -> sweep_serial st),
+        fun () ->
+          for u = 0 to n - 1 do
+            apply_user st u
+          done )
     else begin
-      for c = 0 to m - 1 do
-        xu.(c) <- (1.0 -. gamma) *. xu.(c)
-      done;
-      let top = st.tops.(u) in
-      for slot = 0 to k - 1 do
-        let c = top.(slot) in
-        if c >= 0 then xu.(c) <- xu.(c) +. gamma
-      done;
-      (* Fixed coordinates are at their pinned value in both the
-         iterate and the vertex, so the convex combination preserves
-         them up to rounding; re-pin exactly to stop drift from
-         compounding down a deep branch-and-bound path. *)
-      if has_fixed then
-        for c = 0 to m - 1 do
-          let f = st.fixed.((u * m) + c) in
-          if f = fx_one then xu.(c) <- 1.0
-          else if f = fx_zero then xu.(c) <- 0.0
-        done
+      let adj = build_csr st in
+      let share = Array.make (Array.length adj.nbr) 0.0 in
+      let par_share u = share_user st adj share u in
+      let par_gather u = gather_user st adj share u in
+      let par_apply u = apply_user st u in
+      ( (fun () ->
+          Pool.parallel_for ~domains n par_share;
+          Pool.parallel_for ~domains n par_gather),
+        fun () -> Pool.parallel_for ~domains n par_apply )
     end
-  in
-  let record_iterate () =
-    let obj = ref 0.0 and gap = ref 0.0 in
-    for u = 0 to n - 1 do
-      obj := !obj +. st.obj_u.(u);
-      gap := !gap +. st.gap_u.(u)
-    done;
-    if !obj > !best_obj then begin
-      best_obj := !obj;
-      for u = 0 to n - 1 do
-        Array.blit x.(u) 0 best.(u) 0 m
-      done
-    end;
-    if !gap < !best_gap then best_gap := !gap;
-    (* Sound per-iterate upper bound on the smoothed optimum x_opt: by
-       concavity f_s(x_opt) <= f_s(x) + <grad f_s(x), v - x>, and the
-       soft-min undershoots the true min so f_s(x) <= f(x); hence
-       f_s(x_opt) <= f(x) + gap. The caller adds the smoothing slack
-       [smoothing·ln 2·W] (f <= f_s + slack) to recover a bound on the
-       exact optimum. *)
-    let cand = !obj +. !gap in
-    if cand -. cand = 0.0 && cand < !best_ub then best_ub := cand;
-    (!obj, !gap)
   in
   let steps = ref 0 in
   let stopped = ref false in
@@ -549,7 +664,8 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
     end
     else begin
       sweep ();
-      let obj, gap = record_iterate () in
+      record st tl best;
+      let obj = tl.obj and gap = tl.gap in
       (* Iterate health guard ([v -. v <> 0.0] catches NaN and both
          infinities): a non-finite objective or gap means the iterate
          is poisoned and every further sweep would be too, so stop and
@@ -569,12 +685,8 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
                tight enough to fathom on. *)
             stopped := true
         | _ ->
-            let gamma = 2.0 /. float_of_int (!steps + 2) in
-            if domains <= 1 then
-              for u = 0 to n - 1 do
-                apply gamma u
-              done
-            else Pool.parallel_for ~domains n (apply gamma);
+            st.step.(0) <- 2.0 /. float_of_int (!steps + 2);
+            update ();
             incr steps
     end
   done;
@@ -582,17 +694,18 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
      tracking covers every point visited. *)
   if not !stopped then begin
     sweep ();
-    ignore (record_iterate ())
+    record st tl best
   end;
+  let x = Array.init n (fun u -> Array.sub best (u * m) m) in
   (* A timeout before the first completed sweep has banked nothing:
      score the current (initial) iterate directly so the caller still
      gets a real objective. *)
-  if !best_obj = neg_infinity then best_obj := objective p best;
+  if tl.best_obj = neg_infinity then tl.best_obj <- objective p x;
   {
-    x = best;
-    objective = !best_obj;
+    x;
+    objective = tl.best_obj;
     iterations = !steps;
-    gap = !best_gap;
-    ub = !best_ub;
+    gap = tl.best_gap;
+    ub = tl.best_ub;
     timed_out = !timed_out;
   }

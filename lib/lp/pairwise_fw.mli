@@ -14,21 +14,28 @@
     configurations where even the sparse revised simplex would not.
 
     Engine structure (DESIGN.md §5 "First-order config phase"):
-    - the social pairs are compiled once into a per-user CSR adjacency
-      of (neighbor, item, weight) triples, so a full gradient/objective
-      sweep costs O(n·m + nnz) instead of O(n·m + |pairs|·m);
-    - each iteration is one sweep over users in two passes, fanned
-      out over contiguous user blocks via [Svgic_util.Pool] with a
-      join between them. The share pass visits each (pair, item) once,
-      from its lower-numbered endpoint, takes one [exp], and writes
-      both endpoints' soft-min shares into a per-entry array (the
-      second through a [mate] index of the CSR); it also adds the
-      exact objective terms. The gather pass sums each user's shares
-      into that user's gradient, with one scratch buffer per worker,
-      and runs the top-k oracle, duality-gap contribution and
-      optional swap move. A per-user update pass follows. Every
-      share slot has one writer and all cross-user reductions are
-      by-index, so serial and parallel runs are bit-identical;
+    - the social pairs with a non-zero weight are compiled once into
+      flat arrays of (item, weight) entries, in pair-array order, so
+      a full gradient/objective sweep costs O(n·m + nnz) instead of
+      O(n·m + |pairs|·m); the iterate, the gradient and the oracle
+      vertices are flat [n·m] (resp. [n·k]) arrays;
+    - a serial sweep is two loops. The pair pass walks the non-zero
+      (pair, item) entries once, takes one [exp] per entry, and adds
+      both endpoints' soft-min shares straight into the gradient and
+      the exact objective term into the lower-numbered endpoint's
+      slot. The user pass then runs, per user, the dot products, the
+      optional swap move, the top-k oracle and the duality-gap
+      contribution. A per-user update pass follows;
+    - a fanned-out sweep ([domains > 1], over contiguous user blocks
+      via [Svgic_util.Pool]) cannot split the pair pass by users, so
+      it builds a per-user CSR adjacency for that solve: a share pass
+      writes both endpoints' shares of each (pair, item) into
+      per-entry slots (the second through a [mate] index) and, after a
+      join, a gather pass sums each user's shares into its gradient
+      row and runs the user pass. Every gradient cell sums the same
+      terms in the same order on both paths, every slot has one
+      writer and all cross-user reductions are by-index, so serial
+      and parallel runs are bit-identical;
     - the Frank–Wolfe gap [<grad f_s, v - x>] of the smoothed
       objective [f_s] is accumulated every sweep; [gap_tol] stops the
       solve as soon as it certifies the iterate.
@@ -94,13 +101,12 @@ val fx_zero : int
 val fx_one : int
 
 type sweep_state
-(** Everything one sweep reads and writes: the current iterate, the
-    CSR adjacency with its [mate] index, one soft-min share slot per
-    CSR entry, the per-user output slots (objective and gap
-    contributions, oracle vertex, optional swap move) and one
-    preallocated serial scratch gradient. [solve] builds one per call;
-    it is exposed so the allocation bench can measure the sweep in
-    isolation. *)
+(** Everything one serial sweep reads and writes: the flat linear
+    terms, iterate and gradient, the non-zero (pair, item) entries in
+    pair-array order, and the per-user output slots (objective and gap
+    contributions, oracle vertex, optional swap move). [solve] builds
+    one per call; it is exposed so the allocation bench can measure the
+    sweep in isolation. *)
 
 val sweep_state :
   ?smoothing:float -> ?swap_steps:bool -> ?fixed:int array -> problem -> sweep_state
@@ -109,24 +115,25 @@ val sweep_state :
     {!fx_free}/{!fx_zero}/{!fx_one} states: fixed coordinates are
     pinned in the iterate and the oracle vertex (fixed-ones always
     selected, fixed-zeros never), and the initial iterate spreads each
-    user's remaining [k − #fixed-ones] mass uniformly over her free
-    coordinates. Raises [Invalid_argument] when a user's fixings are
+    user's remaining [k − #fixed-ones] mass uniformly over the user's
+    free coordinates. Raises [Invalid_argument] when a user's fixings are
     infeasible (more than [k] ones, or fewer free coordinates than
-    vertex slots left). *)
+    vertex slots left), when [linear] does not have [n] rows, and on a
+    self-pair or a pair endpoint outside [0, n). *)
 
 val sweep_serial : sweep_state -> unit
 (** One sweep over every user against the state's current iterate, on
-    the calling domain: the share pass, which takes one [exp] per
-    (pair, item) with a non-zero weight, then the gather pass. For
-    [k <= 16] (the masked-argmax oracle path) this allocates no words
+    the calling domain: the pair pass, which takes one [exp] per
+    (pair, item) with a non-zero weight, then the user pass. For
+    [k <= 16] (the one-pass insertion oracle) this allocates no words
     at all — every float lives in a flat array or a compiler-unboxed
     local, and the path builds no closures, options or lists; the
     [fw_sweep] bench row asserts the 0 words/op. *)
 
 val gradient : ?smoothing:float -> problem -> float array array -> float array array
-(** Dense [n x m] soft-min gradient at a point, computed by the share
-    and gather passes {!solve} runs. Exposed so tests can pin the
-    production arithmetic against a dense oracle. *)
+(** Dense [n x m] soft-min gradient at a point, computed by the pair
+    pass {!solve} runs. Exposed so tests can pin the production
+    arithmetic against a dense oracle. *)
 
 val solve :
   ?iterations:int ->
@@ -169,9 +176,9 @@ val solve :
     finite iterate seen" instead of returning garbage.
 
     [domains] caps the [Pool] fan-out (default: all available domains
-    once [n·m] reaches 2,000, where the sweep amortizes its two
-    fan-outs per iteration; serial below that). Results are
-    bit-identical for every value.
+    once [n·m] reaches 7,200, where the fanned-out sweep amortizes its
+    CSR and its fan-outs per iteration; serial below that). Results
+    are bit-identical for every value.
 
     [swap_steps] (default false) enables a pairwise-style move: when
     swapping mass from the user's worst loaded coordinate onto its

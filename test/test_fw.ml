@@ -131,23 +131,25 @@ let test_fw_matches_exact_across_seeds () =
 
 (* ---- serial-vs-parallel bit-identity ------------------------------ *)
 
+(* k = 4 takes the insertion oracle, k = 18 [Select.top_k]. *)
 let test_serial_parallel_bit_identical () =
-  let solve_with ~swap ~mixed domains =
+  let solve_with ~k ~swap ~mixed domains =
     (* Fresh problem per run so no shared mutable state can leak. *)
     let rng = Rng.create 83 in
-    let fw = fw_random_problem rng ~n:37 ~m:24 ~k:4 ~edges:90 ~density:0.3 in
+    let fw = fw_random_problem rng ~n:37 ~m:24 ~k ~edges:90 ~density:0.3 in
     let fw = if mixed then mixed_orientation fw else fw in
     Fw.solve ~iterations:120 ~smoothing:0.02 ~gap_tol:1e-6 ~domains
       ~swap_steps:swap fw
   in
   List.iter
-    (fun (swap, mixed) ->
-      let base = solve_with ~swap ~mixed 1 in
+    (fun (k, swap, mixed) ->
+      let base = solve_with ~k ~swap ~mixed 1 in
       List.iter
         (fun domains ->
-          let s = solve_with ~swap ~mixed domains in
+          let s = solve_with ~k ~swap ~mixed domains in
           Alcotest.(check bool)
-            (Printf.sprintf "identical iterate (domains=%d swap=%b mixed=%b)"
+            (Printf.sprintf
+               "identical iterate (k=%d domains=%d swap=%b mixed=%b)" k
                domains swap mixed)
             true (s.x = base.x);
           Alcotest.(check bool) "identical objective" true
@@ -156,7 +158,14 @@ let test_serial_parallel_bit_identical () =
           Alcotest.(check int) "identical iterations" base.iterations
             s.iterations)
         [ 2; 3; 7 ])
-    [ (false, false); (true, false); (false, true); (true, true) ]
+    [
+      (4, false, false);
+      (4, true, false);
+      (4, false, true);
+      (4, true, true);
+      (18, false, false);
+      (18, true, true);
+    ]
 
 (* ---- golden digests ------------------------------------------------ *)
 
@@ -229,6 +238,125 @@ let test_golden_digests () =
               swap masked domains got want)
         [ 1; 2; 3 ])
     golden
+
+(* The shape plan_large runs: one shard view of a Timik-like
+   community graph (attach 2, 2% cross edges, p ~ U(0,1),
+   tau ~ U(0,0.5), lambda = 0.5) at m = 12, k = 4, solved with the Auto
+   backend's Frank-Wolfe settings. The constant was captured before the
+   serial sweep became one pass over the pairs. *)
+let shard_golden =
+  "obj 0x1.b3e62e5a4c9b1p+8 gap 0x1.3922711beb9bp-1 ub 0x1.b4815d10fbc3p+8 it 2000 crc 56f74d81"
+
+let test_shard_golden_digest () =
+  let m = 12 and k = 4 in
+  let g, labels =
+    Svgic_graph.Generate.timik_like (Rng.create 1200) ~n:400 ~communities:4
+      ~attach:2 ~cross_frac:0.02
+  in
+  let rng = Rng.create 7 in
+  let pref =
+    Float.Array.init
+      (Svgic_graph.Graph.n g * m)
+      (fun _ -> Rng.float rng 1.0)
+  in
+  let tau =
+    Float.Array.init
+      (Svgic_graph.Graph.num_edges g * m)
+      (fun _ -> Rng.float rng 0.5)
+  in
+  let inst = Svgic.Instance.of_flat ~graph:g ~m ~k ~lambda:0.5 ~pref ~tau in
+  let part =
+    Svgic.Shard.partition ~labelling:(Svgic.Shard.Labels labels) inst
+  in
+  let shard = part.Svgic.Shard.shards.(0).Svgic.Shard.inst in
+  let fw = Svgic.Lp_build.fw_problem shard in
+  Alcotest.(check int) "shard users" 100 fw.n;
+  let gap_tol = 1e-3 *. float_of_int (fw.n * fw.k) in
+  List.iter
+    (fun domains ->
+      let s =
+        Fw.solve ~iterations:2_000 ~smoothing:0.02 ~gap_tol ~domains
+          ~swap_steps:true fw
+      in
+      let got = digest s in
+      if got <> shard_golden then
+        Alcotest.failf "domains=%d: digest %S, want %S" domains got
+          shard_golden)
+    [ 1; 2 ]
+
+(* ---- oracle tie-break --------------------------------------------- *)
+
+(* Without pairs the gradient is the linear row, and the first step
+   (gamma = 1) lands exactly on the oracle vertex, so the returned
+   iterate names the coordinates the oracle picked: of equal gradients
+   the lowest index, also when fixings take coordinates out. *)
+let test_oracle_lowest_index_tie_break () =
+  let vertex ?fixed linear k =
+    let m = Array.length linear in
+    let fw = Fw.{ n = 1; m; k; linear = [| linear |]; pairs = [||] } in
+    let s = Fw.solve ~iterations:1 ~domains:1 ?fixed fw in
+    List.filter (fun c -> s.x.(0).(c) = 1.0) (List.init m Fun.id)
+  in
+  let linear = [| 1.0; 3.0; 3.0; 2.0; 3.0; 0.0; 3.0 |] in
+  Alcotest.(check (list int)) "top 2 of four tied" [ 1; 2 ] (vertex linear 2);
+  Alcotest.(check (list int)) "top 5" [ 1; 2; 3; 4; 6 ] (vertex linear 5);
+  let fixed = Array.make 7 Fw.fx_free in
+  fixed.(1) <- Fw.fx_zero;
+  fixed.(5) <- Fw.fx_one;
+  Alcotest.(check (list int))
+    "fixings" [ 2; 4; 5 ] (vertex ~fixed linear 3)
+
+(* ---- malformed problems ------------------------------------------- *)
+
+let test_rejects_malformed_problems () =
+  let fw =
+    Fw.
+      {
+        n = 3;
+        m = 4;
+        k = 2;
+        linear = Array.make 3 [| 1.0; 0.5; 0.0; 2.0 |];
+        pairs = [| (0, 2, [| 1.0; 0.0; 1.0; 0.0 |]) |];
+      }
+  in
+  let rejects name p =
+    match Fw.solve ~iterations:5 ~domains:1 p with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: solved, want Invalid_argument" name
+  in
+  rejects "too few linear rows" { fw with linear = Array.sub fw.linear 0 2 };
+  rejects "self-pair"
+    { fw with pairs = [| (1, 1, [| 1.0; 0.0; 0.0; 0.0 |]) |] };
+  rejects "endpoint out of range"
+    { fw with pairs = [| (0, 3, [| 1.0; 0.0; 0.0; 0.0 |]) |] }
+
+(* ---- allocation-free serial iterations ---------------------------- *)
+
+(* A serial solve allocates its sweep state and result once; no
+   iteration allocates, so doubling the budget adds no minor words.
+   Without [gap_tol] both budgets run to the end. *)
+let test_serial_iterations_allocate_nothing () =
+  let rng = Rng.create 223 in
+  let fw = fw_random_problem rng ~n:40 ~m:10 ~k:3 ~edges:90 ~density:0.35 in
+  let words ~swap ~masked iterations =
+    let fixed = if masked then Some (golden_mask fw) else None in
+    let w0 = Gc.minor_words () in
+    let s =
+      Fw.solve ~iterations ~smoothing:0.02 ~domains:1 ~swap_steps:swap ?fixed
+        fw
+    in
+    let w1 = Gc.minor_words () in
+    Alcotest.(check int) "full budget" iterations s.iterations;
+    w1 -. w0
+  in
+  List.iter
+    (fun (swap, masked) ->
+      let w100 = words ~swap ~masked 100 and w200 = words ~swap ~masked 200 in
+      if w200 <> w100 then
+        Alcotest.failf
+          "swap=%b masked=%b: %.0f minor words at 200 iterations, %.0f at 100"
+          swap masked w200 w100)
+    [ (false, false); (true, false); (false, true); (true, true) ]
 
 (* ---- duality-gap stopping ----------------------------------------- *)
 
@@ -344,6 +472,14 @@ let suite =
     Alcotest.test_case "serial = parallel bit-identical" `Quick
       test_serial_parallel_bit_identical;
     Alcotest.test_case "golden solve digests" `Quick test_golden_digests;
+    Alcotest.test_case "golden plan_large shard digest" `Quick
+      test_shard_golden_digest;
+    Alcotest.test_case "oracle keeps the lowest-index tie-break" `Quick
+      test_oracle_lowest_index_tie_break;
+    Alcotest.test_case "rejects malformed problems" `Quick
+      test_rejects_malformed_problems;
+    Alcotest.test_case "serial iterations allocate nothing" `Quick
+      test_serial_iterations_allocate_nothing;
     Alcotest.test_case "gap-tolerance stopping" `Quick
       test_gap_tolerance_stopping;
     Alcotest.test_case "feasibility in both step modes" `Quick
