@@ -1154,13 +1154,11 @@ let zero_alloc_records ~fw_shape:(n, m, k) ~csf_shape:(cn, cm, ck) =
     mk ~alloc:csf_w "csf_slot_eval" "hot" (cn * cm) csf_ns;
   ]
 
-(* ---------------- branch-and-bound node engines ------------------- *)
+(* ---------------- branch-and-bound -------------------------------- *)
 
 (* The linearized ILP of a pairwise selection program — binary x(u,c)
    rows summing to k, one continuous y(e,c) <= min row pair per
-   positive weight — shaped like Lp_build.simp_lp, so the ILP's
-   variable count is the comparable "vars" axis between the two
-   trees. *)
+   positive weight — shaped like Lp_build.simp_lp. *)
 let pairwise_ilp (p : Svgic_lp.Pairwise_fw.problem) =
   let module Problem = Svgic_lp.Problem in
   let ilp = Problem.create () in
@@ -1189,138 +1187,37 @@ let pairwise_ilp (p : Svgic_lp.Pairwise_fw.problem) =
     p.pairs;
   (ilp, Array.concat (Array.to_list (Array.map Array.copy x)))
 
-let bnb_fw_opts ?(warm_start = true) ?gap_tol () =
+(* The simplex-node tree (the IP baseline's engine) proving a
+   linearized pairwise ILP exact. The note records the best-first vs
+   depth-first node counts (same optimum, different exploration
+   order). The rows keep their [bnb_fw] key, which CI's bench-smoke
+   greps and the allocation baseline name. *)
+let bnb_records ~shapes =
   let module BB = Svgic_lp.Branch_bound in
-  let o = { BB.default_options with warm_start } in
-  match gap_tol with None -> o | Some g -> { o with BB.gap_tol = g }
-
-let bnb_fw_node ~iters ~sm =
-  {
-    Svgic_lp.Branch_bound.default_fw_options with
-    node_iterations = iters;
-    smoothing = sm;
-    leaf_gap_tol = 1e-5;
-  }
-
-(* Certified integer solves, simplex nodes vs Frank-Wolfe nodes, at
-   matched ILP sizes — plus one oversized FW-only row past the
-   simplex tree's envelope, where only the gap-pruned tree still
-   proves within the budget. The FW rows run at a Boscia-style
-   dual-gap certificate tolerance (1e-2 of the objective's n·k
-   scale); the simplex tree proves float-exact — the trade the
-   certified ladder makes is exactly this tolerance for tree size.
-   The simplex row's note also records the best-first vs depth-first
-   node counts (same optimum, different exploration order). *)
-let bnb_fw_records ~shapes ~oversize =
-  let module BB = Svgic_lp.Branch_bound in
-  let matched =
-    List.concat_map
-      (fun (n, m, k, edges, density, iters, sm) ->
-        let p = fw_sparse_problem (9100 + n + m + k) ~n ~m ~k ~edges ~density in
-        let ilp, binaries = pairwise_ilp p in
-        let size = Svgic_lp.Problem.num_vars ilp in
-        let g = 0.01 *. float_of_int (n * k) in
-        let simplex = ref None and fw = ref None in
-        let (simplex_ns, simplex_w), (fw_ns, fw_w) =
-          time_pair ~rounds:3 ~ops:1
-            (fun () -> simplex := Some (BB.solve ilp ~binary:binaries))
-            (fun () ->
-              fw :=
-                Some
-                  (BB.solve_fw
-                     ~options:(bnb_fw_opts ~gap_tol:g ())
-                     ~fw:(bnb_fw_node ~iters ~sm) p))
-        in
-        let sr = Option.get !simplex and fr = Option.get !fw in
-        let dfs =
-          BB.solve
-            ~options:{ BB.default_options with strategy = BB.Depth_first }
-            ilp ~binary:binaries
-        in
-        if not (sr.BB.proved_optimal && fr.BB.proved_optimal) then
-          failwith "bnb_fw: matched instance must be proved by both trees";
-        let simplex_note =
-          Printf.sprintf
-            "proved exact; best-first %d nodes vs depth-first %d nodes, %d \
-             pivots"
-            sr.BB.nodes dfs.BB.nodes sr.BB.pivots
-        in
-        let fw_note =
-          Printf.sprintf
-            "proved to gap %.2f; %d nodes (max depth %d), %d fw iterations, \
-             %d gap fathoms, %d warm starts"
-            g fr.BB.nodes fr.BB.max_depth fr.BB.fw_iterations fr.BB.gap_fathoms
-            fr.BB.warm_starts
-        in
-        [
-          mk ~alloc:simplex_w ~note:simplex_note "bnb_fw" "simplex_bb" size
-            simplex_ns;
-          mk ~alloc:fw_w ~note:fw_note "bnb_fw" "fw_bb" size fw_ns;
-        ])
-      shapes
-  in
-  let n, m, k, edges, density, iters, sm = oversize in
-  let p = fw_sparse_problem (9200 + n + m + k) ~n ~m ~k ~edges ~density in
-  let vars = Svgic_lp.Problem.num_vars (fst (pairwise_ilp p)) in
-  let g = 0.01 *. float_of_int (n * k) in
-  let fw = ref None in
-  let over_ns, over_w =
-    time_kernel ~rounds:1 ~ops:1 (fun () ->
-        fw :=
-          Some
-            (BB.solve_fw
-               ~options:(bnb_fw_opts ~gap_tol:g ())
-               ~fw:(bnb_fw_node ~iters ~sm) p))
-  in
-  let fr = Option.get !fw in
-  if not fr.BB.proved_optimal then
-    failwith "bnb_fw: oversized instance must still be proved by the FW tree";
-  let note =
-    Printf.sprintf
-      "proved to gap %.2f at %.1fx the largest matched simplex-B&B size — \
-       no simplex twin; %d nodes, %d fw iterations, %d gap fathoms"
-      g
-      (float_of_int vars
-      /. float_of_int
-           (List.fold_left (fun acc r -> max acc r.size) 1 matched))
-      fr.BB.nodes fr.BB.fw_iterations fr.BB.gap_fathoms
-  in
-  matched @ [ mk ~alloc:over_w ~note "bnb_fw" "fw_bb" vars over_ns ]
-
-(* Warm-started child node solves vs cold-per-node on the same
-   instance, both at the float-exact tolerance (the tree has to
-   branch for warm starts to exist): the warm tree must spend
-   measurably fewer total FW iterations (the wall clock follows). *)
-let bnb_warm_records ~shapes =
-  let module BB = Svgic_lp.Branch_bound in
-  List.concat_map
-    (fun (n, m, k, edges, density, iters, sm) ->
-      let p = fw_sparse_problem (9300 + n + m + k) ~n ~m ~k ~edges ~density in
-      let warm = ref None and cold = ref None in
-      let (cold_ns, cold_w), (warm_ns, warm_w) =
-        time_pair ~rounds:3 ~ops:1
-          (fun () ->
-            cold :=
-              Some
-                (BB.solve_fw
-                   ~options:(bnb_fw_opts ~warm_start:false ())
-                   ~fw:(bnb_fw_node ~iters ~sm) p))
-          (fun () ->
-            warm :=
-              Some
-                (BB.solve_fw ~options:(bnb_fw_opts ())
-                   ~fw:(bnb_fw_node ~iters ~sm) p))
+  List.map
+    (fun (n, m, k, edges, density) ->
+      let p = fw_sparse_problem (9100 + n + m + k) ~n ~m ~k ~edges ~density in
+      let ilp, binaries = pairwise_ilp p in
+      let size = Svgic_lp.Problem.num_vars ilp in
+      let simplex = ref None in
+      let ns, w =
+        time_kernel ~rounds:3 ~ops:1 (fun () ->
+            simplex := Some (BB.solve ilp ~binary:binaries))
       in
-      let wr = Option.get !warm and cr = Option.get !cold in
-      let size = Svgic_lp.Problem.num_vars (fst (pairwise_ilp p)) in
-      let note r =
-        Printf.sprintf "%d fw iterations over %d nodes, %d warm starts"
-          r.BB.fw_iterations r.BB.nodes r.BB.warm_starts
+      let sr = Option.get !simplex in
+      let dfs =
+        BB.solve
+          ~options:{ BB.default_options with strategy = BB.Depth_first }
+          ilp ~binary:binaries
       in
-      [
-        mk ~alloc:cold_w ~note:(note cr) "bnb_warm" "cold" size cold_ns;
-        mk ~alloc:warm_w ~note:(note wr) "bnb_warm" "warm" size warm_ns;
-      ])
+      if not sr.BB.proved_optimal then
+        failwith "bnb_fw: the simplex tree must prove the instance";
+      let note =
+        Printf.sprintf
+          "proved exact; best-first %d nodes vs depth-first %d nodes, %d pivots"
+          sr.BB.nodes dfs.BB.nodes sr.BB.pivots
+      in
+      mk ~alloc:w ~note "bnb_fw" "simplex_bb" size ns)
     shapes
 
 (* ---------------- reporting --------------------------------------- *)
@@ -1334,11 +1231,6 @@ let speedups records =
     | "champion" -> Some "naive"
     | "parallel" -> Some "serial"
     | "fw" -> Some "exact"
-    (* bnb pairs: FW-node tree vs simplex-node tree at matched ILP
-       sizes (the oversized fw_bb row has no simplex twin and derives
-       no ratio); warm-started node solves vs cold-per-node. *)
-    | "fw_bb" -> Some "simplex_bb"
-    | "warm" -> Some "cold"
     | "sharded" -> Some "monolith"
     (* serving pairs: the long-lived engine's per-tick (and per-event)
        cost vs a stateless full re-solve on the same drifted data. *)
@@ -1547,20 +1439,11 @@ let run () =
   in
   let fw_mc_users = if smoke then [ 16 ] else fw_mc_crossover_users in
   let fw_exact_shapes = if smoke then [] else [ (50, 80, 4) ] in
-  (* (n, m, k, edges): matched sizes both trees prove within seconds;
-     the oversized shape is FW-only, >= 2x the largest matched ILP. *)
+  (* (n, m, k, edges, density): ILPs the simplex tree proves within
+     seconds. *)
   let bnb_shapes =
-    if smoke then [ (5, 6, 2, 8, 0.3, 250, 0.002) ]
-    else
-      [ (64, 20, 2, 64, 0.15, 2000, 0.005); (128, 24, 3, 128, 0.15, 2000, 0.005) ]
-  in
-  let bnb_oversize =
-    if smoke then (9, 7, 2, 14, 0.3, 250, 0.002)
-    else (480, 44, 4, 480, 0.1, 2500, 0.01)
-  in
-  let bnb_warm_shapes =
-    if smoke then [ (5, 6, 2, 8, 0.3, 250, 0.002) ]
-    else [ (80, 20, 2, 80, 0.15, 2000, 0.005) ]
+    if smoke then [ (5, 6, 2, 8, 0.3) ]
+    else [ (64, 20, 2, 64, 0.15); (128, 24, 3, 128, 0.15) ]
   in
   let st_shapes =
     if smoke then [ (8, 8, 2) ] else [ (16, 12, 2); (40, 64, 4); (80, 96, 6) ]
@@ -1597,8 +1480,7 @@ let run () =
         (fun () -> fw_solve_records ~shapes:fw_shapes);
         (fun () -> fw_mc_records ~users:fw_mc_users);
         (fun () -> fw_vs_exact_records ~shapes:fw_exact_shapes);
-        (fun () -> bnb_fw_records ~shapes:bnb_shapes ~oversize:bnb_oversize);
-        (fun () -> bnb_warm_records ~shapes:bnb_warm_shapes);
+        (fun () -> bnb_records ~shapes:bnb_shapes);
         (fun () ->
           fault_ladder_records ~lp_shapes:ladder_lp_shapes
             ~fw_shapes:ladder_fw_shapes);

@@ -136,6 +136,10 @@ let labelling_for inst spec =
            spec (Svgic.Instance.n inst))
   | r -> r
 
+(* An upper bracket as printed: [inf] when some shard has no
+   certificate. *)
+let upper_string u = if u = infinity then "inf" else Printf.sprintf "%.4f" u
+
 let run_sharded spec rounding ?cap ?token ~on_fault seed inst =
   match labelling_for inst spec with
   | Error _ as e -> e
@@ -149,10 +153,11 @@ let run_sharded spec rounding ?cap ?token ~on_fault seed inst =
           part
       in
       Printf.printf
-        "sharded pipeline   : %d shards, cut mass %.4f, certified >= %.4f, \
-         repair gain %.4f\n"
+        "sharded pipeline   : %d shards, cut mass %.4f, certified >= %.4f \
+         and <= %s, repair gain %.4f\n"
         (Array.length part.Svgic.Shard.shards)
         res.Svgic.Shard.cut_mass res.Svgic.Shard.bound
+        (upper_string res.Svgic.Shard.upper_bound)
         res.Svgic.Shard.repair_gain;
       let degraded =
         res.Svgic.Shard.degraded |> Array.to_list
@@ -182,28 +187,14 @@ let warn_degraded relax =
 let report_lp_stats verbose relax =
   if verbose then
     match relax.Svgic.Relaxation.lp_stats with
-    | Some
-        {
-          Svgic.Relaxation.pivots;
-          factor;
-          nodes;
-          fw_iterations;
-          max_depth;
-          gap_fathoms;
-          warm_starts;
-        } ->
+    | Some { Svgic.Relaxation.pivots; factor } ->
         Printf.printf
           "lp engine          : %d pivots, %d refactorizations, fill %d nnz, \
            %d update etas (%.3f s refactorizing)\n"
           pivots factor.Svgic_lp.Revised_simplex.refactorizations
           factor.Svgic_lp.Revised_simplex.fill_nnz
           factor.Svgic_lp.Revised_simplex.eta_appends
-          factor.Svgic_lp.Revised_simplex.factor_s;
-        if nodes > 1 then
-          Printf.printf
-            "branch-and-bound   : %d nodes (max depth %d), %d fw iterations, \
-             %d gap fathoms, %d warm starts\n"
-            nodes max_depth fw_iterations gap_fathoms warm_starts
+          factor.Svgic_lp.Revised_simplex.factor_s
     | None ->
         Printf.printf
           "lp engine          : no revised-simplex counters on this path\n"
@@ -368,15 +359,6 @@ let deadline_ms_arg =
            re-solve overruns it degrades down the ladder (certified \
            Frank-Wolfe, then the greedy floor) instead of missing the tick.")
 
-let certify_arg =
-  Arg.(
-    value & flag
-    & info [ "certify" ]
-        ~doc:
-          "Maintain the upper bracket too: touched shards re-certify via the \
-           integer selection bound, so each tick reports objective <= upper \
-           (printed 'inf' while any shard's certificate is degraded)")
-
 let domains_arg =
   Arg.(
     value
@@ -463,15 +445,11 @@ let percentile sorted q =
 let print_tick_stats (s : Svgic.Serve.tick_stats) =
   Printf.printf
     "tick %4d: events %d applied %d dropped %d | shards %d warm %d degraded \
-     %d%s | %.2f ms | obj %.4f bound %.4f%s\n"
+     %d%s | %.2f ms | obj %.4f bound %.4f upper %s\n"
     s.Svgic.Serve.tick s.events_seen s.events_applied s.events_dropped
     s.shards_touched s.warm_hits s.degraded
     (if s.structural then " structural" else "")
-    (1e3 *. s.elapsed_s) s.objective s.bound
-    (match s.upper with
-    | None -> ""
-    | Some u when u = infinity -> " upper inf"
-    | Some u -> Printf.sprintf " upper %.4f" u);
+    (1e3 *. s.elapsed_s) s.objective s.bound (upper_string s.upper);
   flush stdout
 
 (* Shared by serve and recover: stream a trace into the engine, one
@@ -531,17 +509,16 @@ let replay_trace t ~events ~skip_events ~skip_ticks =
       (1e3 *. percentile times 0.99);
   Printf.printf "final bracket: %.4f <= objective %.4f%s\n"
     (Svgic.Serve.bound t) (Svgic.Serve.objective t)
-    (match Svgic.Serve.upper t with
-    | None -> ""
-    | Some u when u = infinity -> " <= inf (certificate degraded)"
-    | Some u -> Printf.sprintf " <= %.4f" u)
+    (let u = Svgic.Serve.upper t in
+     " <= " ^ upper_string u
+     ^ if u = infinity then " (certificate degraded)" else "")
 
 let print_fingerprint t =
   Printf.printf "fingerprint: %08x\n" (Svgic.Serve.fingerprint t)
 
 let serve_cmd =
-  let run preset n m k lambda seed load events shards deadline_ms certify
-      domains repair_passes wal checkpoint_every fsync retain fingerprint =
+  let run preset n m k lambda seed load events shards deadline_ms domains
+      repair_passes wal checkpoint_every fsync retain fingerprint =
     let inst = make_instance ?load preset seed ~n ~m ~k ~lambda in
     match labelling_for inst shards with
     | Error msg ->
@@ -550,8 +527,8 @@ let serve_cmd =
     | Ok labelling ->
         let deadline_s = Option.map (fun ms -> ms /. 1e3) deadline_ms in
         let t =
-          Svgic.Serve.create ~labelling ?deadline_s ~certify ?domains
-            ~repair_passes (Rng.create seed) inst
+          Svgic.Serve.create ~labelling ?deadline_s ?domains ~repair_passes
+            (Rng.create seed) inst
         in
         Printf.printf "serving %d users in %d shards (seed %d)\n%!"
           (Svgic.Serve.num_users t) (Svgic.Serve.num_shards t) seed;
@@ -577,8 +554,8 @@ let serve_cmd =
     Term.(
       const run $ dataset_arg $ n_arg $ m_arg $ k_arg $ lambda_arg $ seed_arg
       $ load_arg $ events_arg $ serve_labelling_arg $ deadline_ms_arg
-      $ certify_arg $ domains_arg $ repair_arg $ wal_arg $ checkpoint_every_arg
-      $ fsync_arg $ retain_arg $ fingerprint_arg)
+      $ domains_arg $ repair_arg $ wal_arg $ checkpoint_every_arg $ fsync_arg
+      $ retain_arg $ fingerprint_arg)
 
 (* -------------------------------------------------------------------
    recover: rebuild the engine from the newest valid checkpoint + WAL
@@ -610,11 +587,11 @@ let audit_repair_arg =
            fresh re-solve and re-check instead of exiting nonzero")
 
 let recover_cmd =
-  let run dir events deadline_ms certify domains repair_passes fsync
-      checkpoint_every retain repair fingerprint =
+  let run dir events deadline_ms domains repair_passes fsync checkpoint_every
+      retain repair fingerprint =
     let deadline_s = Option.map (fun ms -> ms /. 1e3) deadline_ms in
     match
-      Svgic.Serve.recover ?deadline_s ~certify ?domains ~repair_passes ~fsync
+      Svgic.Serve.recover ?deadline_s ?domains ~repair_passes ~fsync
         ~checkpoint_every ~retain ~dir ()
     with
     | Error msg ->
@@ -653,11 +630,12 @@ let recover_cmd =
         | None ->
             Printf.printf
               "state: tick %d, %d events consumed, %d pending | %.4f <= \
-               objective %.4f\n"
+               objective %.4f <= %s\n"
               (Svgic.Serve.tick_count t)
               (Svgic.Serve.events_total t)
               (Svgic.Serve.pending_events t)
               (Svgic.Serve.bound t) (Svgic.Serve.objective t)
+              (upper_string (Svgic.Serve.upper t))
         | Some path ->
             replay_trace t ~events:path
               ~skip_events:(Svgic.Serve.events_total t)
@@ -669,9 +647,9 @@ let recover_cmd =
     (Cmd.info "recover"
        ~doc:"Recover a crashed serving engine from its WAL and checkpoints")
     Term.(
-      const run $ dir_arg $ resume_events_arg $ deadline_ms_arg $ certify_arg
-      $ domains_arg $ repair_arg $ fsync_arg $ checkpoint_every_arg
-      $ retain_arg $ audit_repair_arg $ fingerprint_arg)
+      const run $ dir_arg $ resume_events_arg $ deadline_ms_arg $ domains_arg
+      $ repair_arg $ fsync_arg $ checkpoint_every_arg $ retain_arg
+      $ audit_repair_arg $ fingerprint_arg)
 
 (* -------------------------------------------------------------------
    fsck: offline health report for a durability directory. *)

@@ -35,8 +35,7 @@ val improve_user : Instance.t -> Config.t -> int -> Config.t
 
 val gap_estimate :
   Instance.t -> Relaxation.t -> Config.t -> float
-(** [gap_estimate inst relax cfg] = utility(cfg) / upper-bound(relax):
-    a certificate of quality when the relaxation was solved exactly
-    (ratio 1 means provably optimal). With the Frank-Wolfe backend the
-    denominator is itself a lower bound on the LP optimum, so the ratio
-    can exceed 1. *)
+(** [gap_estimate inst relax cfg] = utility(cfg) /
+    {!Relaxation.upper_bound}: a certificate of quality for every
+    backend (ratio 1 means provably optimal); [0] when the relaxation
+    degraded and certifies no upper bound. *)

@@ -26,41 +26,12 @@ let budget_ref = ref default_budget
 let backend_budget () = !budget_ref
 let set_backend_budget b = budget_ref := b
 
-type lp_stats = {
-  pivots : int;
-  factor : Revised.stats;
-  nodes : int;
-  fw_iterations : int;
-  max_depth : int;
-  gap_fathoms : int;
-  warm_starts : int;
-}
-
-(* Counters of a single (non-branching) solve: one node, no
-   Frank-Wolfe sweeps. Branch-and-bound paths aggregate instead. *)
-let single_solve_stats pivots factor =
-  {
-    pivots;
-    factor;
-    nodes = 1;
-    fw_iterations = 0;
-    max_depth = 0;
-    gap_fathoms = 0;
-    warm_starts = 0;
-  }
-
-let zero_factor_stats =
-  {
-    Revised.refactorizations = 0;
-    fill_nnz = 0;
-    basis_nnz = 0;
-    eta_appends = 0;
-    factor_s = 0.0;
-  }
+type lp_stats = { pivots : int; factor : Revised.stats }
 
 type t = {
   xbar : float array array;
   scaled_objective : float;
+  scaled_upper : float;
   basis : Revised.vbasis option;
   fw_gap : float option;
   degraded : bool;
@@ -109,7 +80,7 @@ exception Deadline_exhausted
 let solve_exact ?warm ?token ~what problem =
   match Revised.solve ?basis:warm ?token problem with
   | Revised.Optimal { x; objective; basis; pivots; stats } ->
-      (x, objective, Some basis, Some (single_solve_stats pivots stats), true)
+      (x, objective, Some basis, Some { pivots; factor = stats }, true)
   | Revised.Infeasible ->
       failwith (Printf.sprintf "Relaxation.solve: %s reported infeasible" what)
   | Revised.Unbounded ->
@@ -121,7 +92,7 @@ let solve_exact ?warm ?token ~what problem =
       ( p.Revised.x,
         p.Revised.objective,
         Some p.Revised.basis,
-        Some (single_solve_stats p.Revised.pivots p.Revised.stats),
+        Some { pivots = p.Revised.pivots; factor = p.Revised.stats },
         false )
   | Revised.Timeout _ -> raise Deadline_exhausted
 
@@ -134,10 +105,10 @@ let solve_simplex ?warm ?token inst =
   in
   let n = Instance.n inst and m = Instance.m inst in
   let xbar = Array.init n (fun u -> Array.init m (fun c -> x.(x_var u c))) in
-  { xbar; scaled_objective = objective; basis; fw_gap = None;
-    degraded = not complete; lp_stats }
+  { xbar; scaled_objective = objective; scaled_upper = objective; basis;
+    fw_gap = None; degraded = not complete; lp_stats }
 
-let solve_fw ~iterations ~smoothing ~gap_tol ~domains ?token inst =
+let frank_wolfe ~iterations ~smoothing ~gap_tol ~domains ?token inst =
   let problem = Lp_build.fw_problem inst in
   let solution =
     Svgic_lp.Pairwise_fw.solve ~iterations ~smoothing ?gap_tol ?domains ?token
@@ -146,6 +117,10 @@ let solve_fw ~iterations ~smoothing ~gap_tol ~domains ?token inst =
   {
     xbar = solution.x;
     scaled_objective = solution.objective;
+    (* Corollary 4.2's certificate: [ub] bounds the smoothed optimum,
+       and the smoothing slack the gap to the exact one. *)
+    scaled_upper =
+      solution.ub +. Svgic_lp.Pairwise_fw.smoothing_slack ~smoothing problem;
     basis = None;
     fw_gap = Some solution.gap;
     degraded = solution.timed_out;
@@ -155,8 +130,8 @@ let solve_fw ~iterations ~smoothing ~gap_tol ~domains ?token inst =
 (* Bottom rung of the ladder: each user's top-k preferred items as an
    integral (hence feasible) relaxation point. Needs no LP, no RNG and
    no social data, so it cannot fail and costs O(n·m log m); its
-   scaled objective is evaluated exactly so the certificate stays
-   true. *)
+   scaled objective is evaluated exactly so the lower bracket stays
+   true, and it certifies no upper. *)
 let greedy_fallback inst =
   let n = Instance.n inst
   and m = Instance.m inst
@@ -168,8 +143,8 @@ let greedy_fallback inst =
       (Select.top_k k (Array.init m (fun c -> Instance.pref inst u c)))
   done;
   let objective = Svgic_lp.Pairwise_fw.objective (Lp_build.fw_problem inst) xbar in
-  { xbar; scaled_objective = objective; basis = None; fw_gap = None;
-    degraded = true; lp_stats = None }
+  { xbar; scaled_objective = objective; scaled_upper = infinity; basis = None;
+    fw_gap = None; degraded = true; lp_stats = None }
 
 (* The config-phase degradation ladder (DESIGN.md §5):
      exact -> exact retry (cold, no warm basis)
@@ -188,7 +163,7 @@ let solve ?(backend = Auto) ?warm ?token inst =
   in
   let fw_fallback () =
     try
-      solve_fw ~iterations:2_000 ~smoothing:0.02
+      frank_wolfe ~iterations:2_000 ~smoothing:0.02
         ~gap_tol:(Some (default_fw_gap_tol inst))
         ~domains:(Some 1) ?token inst
     with Failure _ -> greedy_fallback inst
@@ -199,7 +174,7 @@ let solve ?(backend = Auto) ?warm ?token inst =
       (* FW failures (a non-finite screen) are data-level and would
          repeat identically, so the only rung below is the greedy
          floor. *)
-      try solve_fw ~iterations ~smoothing ~gap_tol ~domains ?token inst
+      try frank_wolfe ~iterations ~smoothing ~gap_tol ~domains ?token inst
       with Failure _ -> greedy_fallback inst)
   | Exact_simplex -> (
       match solve_simplex ?warm ?token inst with
@@ -233,239 +208,11 @@ let solve_without_transform inst =
             done;
             !acc))
   in
-  { xbar; scaled_objective = objective; basis; fw_gap = None; degraded = false;
-    lp_stats }
+  { xbar; scaled_objective = objective; scaled_upper = objective; basis;
+    fw_gap = None; degraded = false; lp_stats }
 
-let upper_bound inst r = Instance.objective_scale inst *. r.scaled_objective
+let upper_bound inst r =
+  if r.degraded then infinity
+  else Instance.objective_scale inst *. r.scaled_upper
 
 let factor inst r u c = r.xbar.(u).(c) /. float_of_int (Instance.k inst)
-
-(* ------------------------------------------------------------------ *)
-(* Certified integer solves: a branch-and-bound ladder over the
-   compact selection objective (LP_SIMP with the y variables
-   substituted out — every user's k-item selection, co-selection
-   counted per pair). The integer selection optimum is a sound upper
-   bound on any slot-aligned configuration's utility, and tighter than
-   the fractional relaxation bound the Frank-Wolfe certificate gives,
-   which is what the per-shard certificate wants. *)
-
-type integer_engine = Bnb_simplex | Bnb_fw | Fw_fractional
-
-type integer_result = {
-  xint : float array array option;
-      (* integral selection (n x m 0/1, rows sum to k), when found *)
-  int_objective : float;  (* scaled selection objective of [xint] *)
-  int_bound : float;  (* certified scaled upper bound on the optimum *)
-  proved : bool;
-  int_engine : integer_engine;
-  int_stats : lp_stats option;
-}
-
-(* Branch-and-bound over simplex nodes solves one LP per node, so its
-   affordable programs are a fraction of the single-solve envelope;
-   the Frank-Wolfe tree's node cost scales with n·m + nnz instead of
-   simplex factorizations, buying roughly 4x the variables. *)
-let integer_engine_of inst =
-  let b = !budget_ref in
-  let vars, _, nnz = lp_simp_shape inst in
-  if 3 * vars <= b.exact_vars && 3 * nnz <= b.exact_nnz then Bnb_simplex
-  else if vars <= 4 * b.exact_vars && nnz <= 4 * b.exact_nnz then Bnb_fw
-  else Fw_fractional
-
-let greedy_xint inst =
-  let n = Instance.n inst
-  and m = Instance.m inst
-  and k = Instance.k inst in
-  Array.init n (fun u ->
-      let row = Array.make m 0.0 in
-      Array.iter
-        (fun c -> row.(c) <- 1.0)
-        (Select.top_k k (Array.init m (fun c -> Instance.pref inst u c)));
-      row)
-
-let bnb_budgets ?time_budget_s ?token () =
-  let from_token =
-    match token with
-    | Some t ->
-        let r = Supervise.remaining_s t in
-        if r = infinity then None else Some r
-    | None -> None
-  in
-  match (time_budget_s, from_token) with
-  | Some b, Some r -> Some (Float.min b r)
-  | Some b, None -> Some b
-  | None, r -> r
-
-let solve_integer_simplex ?time_budget_s ?node_budget ?token inst =
-  let problem, x_var = Lp_build.simp_lp inst in
-  let n = Instance.n inst and m = Instance.m inst in
-  let binary =
-    Array.init (n * m) (fun i -> x_var (i / m) (i mod m))
-  in
-  let options =
-    {
-      Svgic_lp.Branch_bound.default_options with
-      time_budget_s = bnb_budgets ?time_budget_s ?token ();
-      node_budget;
-    }
-  in
-  let r = Svgic_lp.Branch_bound.solve ~options problem ~binary in
-  let xint =
-    Option.map
-      (fun x -> Array.init n (fun u -> Array.init m (fun c -> x.(x_var u c))))
-      r.Svgic_lp.Branch_bound.incumbent
-  in
-  {
-    xint;
-    int_objective = r.Svgic_lp.Branch_bound.objective;
-    int_bound = r.Svgic_lp.Branch_bound.bound;
-    proved = r.Svgic_lp.Branch_bound.proved_optimal;
-    int_engine = Bnb_simplex;
-    int_stats =
-      Some
-        {
-          pivots = r.Svgic_lp.Branch_bound.pivots;
-          factor =
-            {
-              zero_factor_stats with
-              Revised.refactorizations =
-                r.Svgic_lp.Branch_bound.refactorizations;
-            };
-          nodes = r.Svgic_lp.Branch_bound.nodes;
-          fw_iterations = 0;
-          max_depth = 0;
-          gap_fathoms = 0;
-          warm_starts = 0;
-        };
-  }
-
-let solve_integer_fw ?time_budget_s ?node_budget ?token inst =
-  let p = Lp_build.fw_problem inst in
-  let g = default_fw_gap_tol inst in
-  (* Pick the soft-min temperature so the smoothing slack spends at
-     most half the certificate budget; the leaf tolerance spends
-     another quarter, leaving the fathoming tolerance at [g]. *)
-  let mass = Svgic_lp.Pairwise_fw.weight_mass p in
-  let smoothing =
-    if mass <= 0.0 then 0.02
-    else Float.max 1e-5 (Float.min 0.02 (g /. (2.0 *. Float.log 2.0 *. mass)))
-  in
-  let options =
-    {
-      Svgic_lp.Branch_bound.default_options with
-      gap_tol = g;
-      time_budget_s = bnb_budgets ?time_budget_s ?token ();
-      node_budget;
-    }
-  in
-  let fw =
-    {
-      Svgic_lp.Branch_bound.default_fw_options with
-      node_iterations = 400;
-      smoothing;
-      root_gap_tol = 4.0 *. g;
-      leaf_gap_tol = 0.25 *. g;
-      gap_decay = 0.6;
-    }
-  in
-  let r = Svgic_lp.Branch_bound.solve_fw ~options ~fw ?token p in
-  {
-    xint = r.Svgic_lp.Branch_bound.incumbent;
-    int_objective = r.Svgic_lp.Branch_bound.objective;
-    int_bound = r.Svgic_lp.Branch_bound.bound;
-    proved = r.Svgic_lp.Branch_bound.proved_optimal;
-    int_engine = Bnb_fw;
-    int_stats =
-      Some
-        {
-          pivots = 0;
-          factor = zero_factor_stats;
-          nodes = r.Svgic_lp.Branch_bound.nodes;
-          fw_iterations = r.Svgic_lp.Branch_bound.fw_iterations;
-          max_depth = r.Svgic_lp.Branch_bound.max_depth;
-          gap_fathoms = r.Svgic_lp.Branch_bound.gap_fathoms;
-          warm_starts = r.Svgic_lp.Branch_bound.warm_starts;
-        };
-  }
-
-(* Beyond every tree's envelope: one certified fractional Frank-Wolfe
-   solve. Its [ub + smoothing slack] bounds the fractional optimum,
-   hence the integer optimum; the greedy-rounded iterate is the
-   integral candidate. Not an optimality proof — [proved] stays
-   false. *)
-let solve_integer_fractional ?token inst =
-  let p = Lp_build.fw_problem inst in
-  let g = default_fw_gap_tol inst in
-  let smoothing = 0.02 in
-  let sol =
-    (* Serial: this rung also runs inside the shard fan-out, which owns
-       the parallelism. *)
-    Svgic_lp.Pairwise_fw.solve ~iterations:2_000 ~smoothing ~gap_tol:g
-      ~domains:1 ?token ~swap_steps:true p
-  in
-  let n = Instance.n inst
-  and m = Instance.m inst
-  and k = Instance.k inst in
-  let xint =
-    Array.init n (fun u ->
-        let row = Array.make m 0.0 in
-        Array.iter
-          (fun c -> row.(c) <- 1.0)
-          (Select.top_k k (Array.init m (fun c -> sol.Svgic_lp.Pairwise_fw.x.(u).(c))));
-        row)
-  in
-  let slack = Svgic_lp.Pairwise_fw.smoothing_slack ~smoothing p in
-  let bound =
-    if sol.Svgic_lp.Pairwise_fw.ub = infinity then infinity
-    else sol.Svgic_lp.Pairwise_fw.ub +. slack
-  in
-  {
-    xint = Some xint;
-    int_objective = Svgic_lp.Pairwise_fw.objective p xint;
-    int_bound = bound;
-    proved = false;
-    int_engine = Fw_fractional;
-    int_stats =
-      Some
-        {
-          pivots = 0;
-          factor = zero_factor_stats;
-          nodes = 1;
-          fw_iterations = sol.Svgic_lp.Pairwise_fw.iterations;
-          max_depth = 0;
-          gap_fathoms = 0;
-          warm_starts = 0;
-        };
-  }
-
-(* The certified-integer ladder: exact B&B -> FW B&B -> certified
-   fractional FW -> greedy floor (no certificate). Like [solve]'s
-   ladder it only descends on failure, and every rung returns a sound
-   [int_bound] — on the floor that is [infinity], honest "no
-   certificate". *)
-let solve_integer ?time_budget_s ?node_budget ?token inst =
-  let floor () =
-    let xint = greedy_xint inst in
-    {
-      xint = Some xint;
-      int_objective =
-        Svgic_lp.Pairwise_fw.objective (Lp_build.fw_problem inst) xint;
-      int_bound = infinity;
-      proved = false;
-      int_engine = Fw_fractional;
-      int_stats = None;
-    }
-  in
-  let fractional () =
-    try solve_integer_fractional ?token inst with Failure _ -> floor ()
-  in
-  match integer_engine_of inst with
-  | Fw_fractional -> fractional ()
-  | Bnb_fw -> (
-      try solve_integer_fw ?time_budget_s ?node_budget ?token inst
-      with Failure _ -> fractional ())
-  | Bnb_simplex -> (
-      try solve_integer_simplex ?time_budget_s ?node_budget ?token inst
-      with Failure _ -> (
-        try solve_integer_fw ?time_budget_s ?node_budget ?token inst
-        with Failure _ -> fractional ()))

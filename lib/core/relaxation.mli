@@ -49,33 +49,23 @@ val choose_backend : Instance.t -> backend
     natural scale), so Auto solves are certified, not fixed-budget. *)
 
 type lp_stats = {
-  pivots : int;
-      (** simplex basis changes — a single solve's final attempt, or
-          the sum across every branch-and-bound node re-solve *)
+  pivots : int;  (** simplex basis changes of the final attempt *)
   factor : Svgic_lp.Revised_simplex.stats;
       (** factorization counters (refactorizations, fill, update etas,
-          refactorization seconds), aggregated the same way *)
-  nodes : int;  (** tree nodes solved; [1] for a single (root-only) solve *)
-  fw_iterations : int;
-      (** total Frank–Wolfe sweeps across all nodes; [0] on simplex
-          paths *)
-  max_depth : int;  (** deepest branch-and-bound node solved *)
-  gap_fathoms : int;
-      (** nodes closed on a dual-gap certificate without an exact
-          solve (Frank–Wolfe tree only) *)
-  warm_starts : int;
-      (** node solves warm-started from a parent iterate (Frank–Wolfe
-          tree only; the simplex tree's warm-start payoff shows up as
-          low [factor.refactorizations] instead) *)
+          refactorization seconds) *)
 }
 (** Solver counters, surfaced for diagnostics (the CLI prints them
-    under [--verbose]). Single relaxation solves fill the first two
-    fields and leave the branch-and-bound aggregates at their
-    one-node values; {!solve_integer} aggregates across the tree. *)
+    under [--verbose]). *)
 
 type t = {
   xbar : float array array;  (** [n x m] utility factors, rows sum to k *)
   scaled_objective : float;  (** relaxation objective in scaled units *)
+  scaled_upper : float;
+      (** the solve's certified upper bound on the relaxation optimum,
+          hence on OPT, in scaled units: the LP value of an exact
+          solve, [ub + smoothing·ln 2·W] of a Frank–Wolfe solve
+          (Corollary 4.2), [infinity] on the greedy floor. Read it
+          through {!upper_bound}, which also honours [degraded] *)
   basis : Svgic_lp.Revised_simplex.vbasis option;
       (** final simplex basis when the exact path solved the program
           (optimal or feasible deadline partial); reusable via
@@ -90,8 +80,8 @@ type t = {
           (deadline partial, retry after numerical breakdown,
           Frank–Wolfe fallback, or the greedy floor): [xbar] is still
           feasible and [scaled_objective] is its true value, but it is
-          a lower bound on the relaxation optimum, not the optimum —
-          {!upper_bound} must not be read as an upper bound *)
+          a lower bound on the relaxation optimum, not the optimum, and
+          {!upper_bound} is [infinity] *)
   lp_stats : lp_stats option;
       (** pivot and factorization counters when the revised simplex
           produced [xbar] (optimal or feasible deadline partial);
@@ -128,71 +118,11 @@ val solve_without_transform : Instance.t -> t
     meaningful on small instances. *)
 
 val upper_bound : Instance.t -> t -> float
-(** The relaxation objective in original SAVG-utility units — an upper
-    bound on OPT when the backend was exact. For a Frank–Wolfe solve
-    it is a lower bound on the relaxation optimum instead; add the
-    certificate slack from {!t.fw_gap} to recover an upper bound. *)
+(** The certified upper bound on OPT in original SAVG-utility units,
+    for every backend: [objective_scale · scaled_upper], i.e. the LP
+    value of an exact solve or the Frank–Wolfe certificate.
+    [infinity] when the relaxation is [degraded]. *)
 
 val factor : Instance.t -> t -> int -> int -> float
 (** [factor inst r u c] = the per-slot utility factor
     [xbar(u)(c) / k]. *)
-
-(** {1 Certified integer solves}
-
-    Branch-and-bound over the compact selection objective (the
-    [Pairwise_fw] program): each user's integral k-item selection,
-    co-selection counted per pair. The integer selection optimum upper
-    bounds every slot-aligned configuration's utility — and it is a
-    much tighter certificate than the fractional relaxation bound,
-    which is what the sharded pipeline's per-shard certificates
-    want. *)
-
-type integer_engine =
-  | Bnb_simplex
-      (** exact LP relaxations at every node ({!Svgic_lp.Branch_bound.solve}
-          on the linearized ILP) — affordable only well inside the
-          single-solve envelope, since the tree solves many LPs *)
-  | Bnb_fw
-      (** Frank–Wolfe node relaxations with dual-gap fathoming
-          ({!Svgic_lp.Branch_bound.solve_fw}) — certified integer
-          optima past the simplex-node envelope *)
-  | Fw_fractional
-      (** one certified fractional Frank–Wolfe solve, greedily rounded:
-          the bound is sound but the rounding is not proved optimal *)
-
-type integer_result = {
-  xint : float array array option;
-      (** integral selection ([n x m] 0/1, rows summing to [k]) *)
-  int_objective : float;
-      (** scaled selection objective of [xint]; [neg_infinity] if none *)
-  int_bound : float;
-      (** certified scaled upper bound on the integer selection
-          optimum; [infinity] when every certified rung failed *)
-  proved : bool;
-      (** [int_bound - int_objective] within the engine's proof
-          tolerance: [xint] is the certified optimum *)
-  int_engine : integer_engine;  (** the ladder rung that produced the result *)
-  int_stats : lp_stats option;
-      (** tree-aggregated counters (satellite of the [--verbose]
-          diagnostics); [None] only on the uncertified greedy floor *)
-}
-
-val solve_integer :
-  ?time_budget_s:float ->
-  ?node_budget:int ->
-  ?token:Svgic_util.Supervise.token ->
-  Instance.t ->
-  integer_result
-(** Certified integer selection solve, descending the ladder
-    exact B&B → Frank–Wolfe B&B → certified fractional Frank–Wolfe →
-    greedy floor only on failure. The first rung comes from the
-    instance shape and the current {!backend_budget}: exact B&B needs
-    3x headroom inside the single-solve envelope (the tree solves an
-    LP per node), Frank–Wolfe B&B stretches to 4x past it, everything
-    larger starts at the certified fractional solve. [time_budget_s] (and/or the
-    remaining time of [token]) caps the tree; on expiry the incumbent
-    and a sound [int_bound] come back with [proved = false] — the
-    anytime behaviour {!Svgic_lp.Branch_bound.solve_fw} guarantees.
-    The Frank–Wolfe rung picks its soft-min temperature so the
-    smoothing slack spends at most half the certificate budget
-    [1e-3 · n · k]. Never raises. *)

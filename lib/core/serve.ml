@@ -73,7 +73,6 @@ type t = {
   rng : Rng.t;
   rounding : Shard.rounding;
   deadline_s : float option;
-  certify : bool;
   domains : int option;
   repair_passes : int;
   mutable tick_no : int;
@@ -96,7 +95,7 @@ type tick_stats = {
   elapsed_s : float;
   objective : float;
   bound : float;
-  upper : float option;
+  upper : float;
 }
 
 (* ---- helpers ----------------------------------------------------- *)
@@ -620,9 +619,8 @@ let solve_shard t token rng sid =
       Some (Config.make_unchecked rows)
   in
   let r =
-    Shard.solve_one ?warm ?incumbent ~token ~certify:t.certify
-      ~site:"serve.shard" ~index:((t.tick_no * 8191) + sid)
-      ~rounding:t.rounding rng sub
+    Shard.solve_one ?warm ?incumbent ~token ~site:"serve.shard"
+      ~index:((t.tick_no * 8191) + sid) ~rounding:t.rounding rng sub
   in
   Array.iteri
     (fun lu gu ->
@@ -740,7 +738,7 @@ let finish_tick t ~t0 ~token ~seen ~applied ~dropped ~structural ~repair_extra
     elapsed_s = Mclock.now_s () -. t0;
     objective = t.objective_v;
     bound = t.bound_v;
-    upper = (if t.certify then Some t.upper_v else None);
+    upper = t.upper_v;
   }
 
 (* ---- checkpointing ----------------------------------------------- *)
@@ -862,7 +860,7 @@ let tick t =
    tables, cut tables, scratch) is derived here. The bracket terms
    start empty; [create]'s tick 0 fills them, [restore] copies them. *)
 let make ~inst ~assign ~label ~shards ~ext_of ~next_ext ~tick_no
-    ~events_total ~rng ~rounding ~deadline_s ~certify ~domains ~repair_passes =
+    ~events_total ~rng ~rounding ~deadline_s ~domains ~repair_passes =
   let n = Instance.n inst in
   let t =
     {
@@ -887,7 +885,6 @@ let make ~inst ~assign ~label ~shards ~ext_of ~next_ext ~tick_no
       rng;
       rounding;
       deadline_s;
-      certify;
       domains;
       repair_passes;
       tick_no;
@@ -903,8 +900,8 @@ let make ~inst ~assign ~label ~shards ~ext_of ~next_ext ~tick_no
   t
 
 let create ?(labelling = Shard.Components)
-    ?(rounding = Shard.Avg_d { r = None }) ?deadline_s ?(certify = false)
-    ?domains ?(repair_passes = 2) rng inst0 =
+    ?(rounding = Shard.Avg_d { r = None }) ?deadline_s ?domains
+    ?(repair_passes = 2) rng inst0 =
   let inst = Instance.materialize inst0 in
   let t0 = Mclock.now_s () in
   let part = Shard.partition ~rng:(Rng.split rng) ~labelling inst in
@@ -920,8 +917,7 @@ let create ?(labelling = Shard.Components)
     make ~inst
       ~assign:(Array.init n (fun _ -> Array.init k (fun s -> s)))
       ~label ~shards ~ext_of:(Array.init n Fun.id) ~next_ext:n ~tick_no:0
-      ~events_total:0 ~rng ~rounding ~deadline_s ~certify ~domains
-      ~repair_passes
+      ~events_total:0 ~rng ~rounding ~deadline_s ~domains ~repair_passes
   in
   (* Tick 0: solve everything (under the same deadline regime as any
      other tick — a tight SLO degrades startup rather than blocking). *)
@@ -1003,9 +999,8 @@ let checkpoint t =
    [write_snapshot]: everything bit-carried (objectives, bounds, cut
    mass, RNG state) is restored verbatim; only the structural cut
    tables and the ext->internal map are derived. *)
-let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s
-    ?(certify = false) ?domains ?(repair_passes = 2)
-    (snap : Checkpoint.snapshot) =
+let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s ?domains
+    ?(repair_passes = 2) (snap : Checkpoint.snapshot) =
   let members =
     members_by_label (Array.length snap.Checkpoint.shards) snap.Checkpoint.label
   in
@@ -1031,7 +1026,7 @@ let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s
       ~label:snap.Checkpoint.label ~shards ~ext_of:snap.Checkpoint.ext_of
       ~next_ext:snap.Checkpoint.next_ext ~tick_no:snap.Checkpoint.tick_no
       ~events_total:snap.Checkpoint.events_total ~rng:snap.Checkpoint.rng
-      ~rounding ~deadline_s ~certify ~domains ~repair_passes
+      ~rounding ~deadline_s ~domains ~repair_passes
   in
   (* the incremental cut mass is bit-carried; [rebuild_cut] only
      recomputed the structural pair/edge tables *)
@@ -1048,7 +1043,7 @@ type audit_report = {
   bad_shards : int list;  (** stored within-shard obj <> recomputed *)
   cut_drift : float;  (** |stored cut mass − recomputed| *)
   objective_drift : float;  (** |stored objective − recomputed| *)
-  bracket_ok : bool;  (** bound ≤ obj (≤ upper, when certified) *)
+  bracket_ok : bool;  (** bound ≤ obj ≤ upper *)
   structure_ok : bool;  (** labels/members/ext map shape checks *)
   repaired : int list;  (** shards demoted to a fresh re-solve *)
 }
@@ -1089,7 +1084,7 @@ let audit ?(repair = false) ?(tol = 1e-6) t =
     let scale = 1.0 +. Float.abs obj_re in
     let bracket_ok =
       t.bound_v <= obj_re +. (tol *. scale)
-      && ((not t.certify) || obj_re <= t.upper_v +. (tol *. scale))
+      && obj_re <= t.upper_v +. (tol *. scale)
     in
     let ok =
       !bad = []
@@ -1159,14 +1154,14 @@ type recovery = {
   torn_bytes : int;  (** bytes truncated off the WAL tail *)
 }
 
-let recover ?rounding ?deadline_s ?certify ?domains ?repair_passes
+let recover ?rounding ?deadline_s ?domains ?repair_passes
     ?(fsync = Wal.Every_tick) ?(checkpoint_every = 1) ?(retain = 2) ~dir ()
     =
   match Checkpoint.load_latest dir with
   | Error e -> Error e
   | Ok (ckpt_path, snap, skipped) -> (
       let t =
-        restore ?rounding ?deadline_s ?certify ?domains ?repair_passes snap
+        restore ?rounding ?deadline_s ?domains ?repair_passes snap
       in
       let path = wal_file dir in
       (* WAL lost entirely: seed a fresh header, so the scan replays
@@ -1274,7 +1269,7 @@ let instance t = t.inst
 let config t = Config.make_unchecked (Array.map Array.copy t.assign)
 let objective t = t.objective_v
 let bound t = t.bound_v
-let upper t = if t.certify then Some t.upper_v else None
+let upper t = t.upper_v
 let num_users t = Instance.n t.inst
 let num_shards t = Array.length t.shards
 let tick_count t = t.tick_no

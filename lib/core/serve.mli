@@ -40,14 +40,14 @@
     {2 Certificates}
 
     The engine maintains the sharded bracket incrementally:
-    [bound = Σ shard_obj − cut_mass <= objective], and with
-    [~certify:true] also [objective <= Σ shard_upper + cut_mass]
-    (touched shards re-certify via {!Relaxation.solve_integer} on the
-    tick's own token, so an injected fault leaves the certificate
-    finite and only a real deadline expiry makes it an honest
-    [infinity]). Both sides are
-    recomputed from per-shard state in O(shards + cut) per tick —
-    untouched shards contribute their stored values. *)
+    [Σ shard_obj − cut_mass <= objective <= Σ shard_upper + cut_mass].
+    A touched shard's upper is the bound of the relaxation its
+    re-solve just ran ({!Shard.solved.s_upper}), so it costs no extra
+    solve; a shard that degrades or falls back (deadline, failure, an
+    injected fault) has none, and the upper reads [infinity] until
+    its next clean re-solve. Both sides are recomputed from per-shard
+    state in O(shards + cut) per tick — untouched shards contribute
+    their stored values. *)
 
 type event =
   | Join of Dynamic.user_profile
@@ -81,18 +81,16 @@ type tick_stats = {
   elapsed_s : float;  (** wall time of the tick ({!Svgic_util.Mclock}) *)
   objective : float;  (** total SAVG utility of the incumbent configuration *)
   bound : float;  (** certified lower bracket [Σ shard_obj − cut_mass] *)
-  upper : float option;
-      (** certified upper bracket [Σ shard_upper + cut_mass] when the
-          engine was created with [~certify:true]; [infinity] while any
-          shard has no certificate (its certificate solve ran out of
-          deadline or failed) *)
+  upper : float;
+      (** certified upper bracket [Σ shard_upper + cut_mass];
+          [infinity] while any shard has no certificate (its last
+          solve degraded or fell back) *)
 }
 
 val create :
   ?labelling:Shard.labelling ->
   ?rounding:Shard.rounding ->
   ?deadline_s:float ->
-  ?certify:bool ->
   ?domains:int ->
   ?repair_passes:int ->
   Svgic_util.Rng.t ->
@@ -142,7 +140,7 @@ val config : t -> Config.t
 val objective : t -> float
 val bound : t -> float
 
-val upper : t -> float option
+val upper : t -> float
 (** See {!tick_stats.upper}. *)
 
 val num_users : t -> int
@@ -202,7 +200,6 @@ val checkpoint : t -> string
 val restore :
   ?rounding:Shard.rounding ->
   ?deadline_s:float ->
-  ?certify:bool ->
   ?domains:int ->
   ?repair_passes:int ->
   Checkpoint.snapshot ->
@@ -228,7 +225,6 @@ type recovery = {
 val recover :
   ?rounding:Shard.rounding ->
   ?deadline_s:float ->
-  ?certify:bool ->
   ?domains:int ->
   ?repair_passes:int ->
   ?fsync:Wal.fsync_policy ->
@@ -257,8 +253,7 @@ type audit_report = {
   cut_drift : float;
   objective_drift : float;
   bracket_ok : bool;
-      (** [bound <= objective] (and [objective <= upper] when
-          certified) on recomputed values *)
+      (** [bound <= objective <= upper] on recomputed values *)
   structure_ok : bool;
       (** label ranges, member partition, ext-id bijection *)
   repaired : int list;  (** shards demoted to a fresh re-solve *)

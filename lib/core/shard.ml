@@ -128,7 +128,7 @@ type result = {
   config : Config.t;
   objective : float;
   bound : float;
-  upper_bound : float option;
+  upper_bound : float;
   shard_objectives : float array;
   cut_mass : float;
   repair_gain : float;
@@ -156,7 +156,7 @@ type solved = {
 }
 
 let solve_one ?(backend = Relaxation.Auto) ?size_cap ?warm ?incumbent ?token
-    ?(on_fault = Isolate) ~certify ~site ~index ~rounding rng inst =
+    ?(on_fault = Isolate) ~site ~index ~rounding rng inst =
   (* Exact optimum of an edge-free shard, and the bottom rung of the
      ladder: with no social coupling each user independently takes their
      k preferred items (the λ = 0 argument of Section 4.4 applies per
@@ -168,14 +168,14 @@ let solve_one ?(backend = Relaxation.Auto) ?size_cap ?warm ?incumbent ?token
   in
   let valued cfg = (cfg, Config.total_utility inst cfg) in
   let better (cfg, util) (c, u) = if u > util then (c, u) else (cfg, util) in
-  let settle ~degraded ~basis ~fell_back (s_config, s_utility) =
+  let settle ~degraded ~basis ~fell_back ~upper (s_config, s_utility) =
     {
       s_config;
       s_utility;
       s_degraded = degraded;
       s_basis = basis;
       s_fell_back = fell_back;
-      s_upper = infinity;
+      s_upper = upper;
     }
   in
   let injected = Fault.at ~site ~index in
@@ -191,9 +191,10 @@ let solve_one ?(backend = Relaxation.Auto) ?size_cap ?warm ?incumbent ?token
       | Some _ | None -> token
     in
     if Instance.num_pairs inst = 0 && size_cap = None && injected = None then
+      (* The greedy optimum certifies itself. *)
+      let g = Lazy.force greedy in
       Some
-        (settle ~degraded:false ~basis:None ~fell_back:false
-           (Lazy.force greedy))
+        (settle ~degraded:false ~basis:None ~fell_back:false ~upper:(snd g) g)
     else begin
       let relax =
         Relaxation.solve ?warm ?token ~backend:(serial_backend inst backend)
@@ -237,9 +238,13 @@ let solve_one ?(backend = Relaxation.Auto) ?size_cap ?warm ?incumbent ?token
         let best =
           match incumbent with Some ic -> better best (valued ic) | None -> best
         in
+        (* The relaxation just solved is the certificate: its LP value
+           or Frank-Wolfe bound, [infinity] when it degraded. *)
         Some
           (settle ~degraded:relax.Relaxation.degraded
-             ~basis:relax.Relaxation.basis ~fell_back:false best)
+             ~basis:relax.Relaxation.basis ~fell_back:false
+             ~upper:(Relaxation.upper_bound inst relax)
+             best)
       end
     end
   in
@@ -248,35 +253,19 @@ let solve_one ?(backend = Relaxation.Auto) ?size_cap ?warm ?incumbent ?token
     | Raise -> body ()
     | Isolate -> ( try body () with Fault.Injected _ | Failure _ -> None)
   in
-  let r =
-    match outcome with
-    | Some r -> r
-    | None ->
-        (* No clock left for rounding, or the solve failed: the
-           incumbent when there is one, else the O(n·m) greedy floor. *)
-        settle ~degraded:true ~basis:None ~fell_back:true
-          (match incumbent with
-          | Some ic -> valued ic
-          | None -> Lazy.force greedy)
-  in
-  (* Optional certified *integer* shard bound: the integer selection
-     optimum dominates every slot-aligned configuration's within-shard
-     utility. It runs after the fault handling, on the caller's token,
-     so an injected fault degrades the primary solve without silently
-     weakening the certificate; a failed certificate is an honest
-     [infinity], never a guess. *)
-  if not certify then r
-  else if Instance.num_pairs inst = 0 then
-    { r with s_upper = snd (Lazy.force greedy) }
-  else
-    match Relaxation.solve_integer ?token inst with
-    | c ->
-        let s_upper = Instance.objective_scale inst *. c.Relaxation.int_bound in
-        { r with s_upper }
-    | exception Failure _ -> r
+  match outcome with
+  | Some r -> r
+  | None ->
+      (* No clock left for rounding, or the solve failed: the incumbent
+         when there is one, else the O(n·m) greedy floor, with no
+         certificate. *)
+      settle ~degraded:true ~basis:None ~fell_back:true ~upper:infinity
+        (match incumbent with
+        | Some ic -> valued ic
+        | None -> Lazy.force greedy)
 
 let solve_round ?backend ?size_cap ?domains ?(repair_passes = 2) ?token
-    ?on_fault ?(certify_integer = false) ~rounding rng part =
+    ?on_fault ~rounding rng part =
   let src = part.source in
   let nshards = Array.length part.shards in
   let n = Instance.n src and k = Instance.k src in
@@ -291,8 +280,8 @@ let solve_round ?backend ?size_cap ?domains ?(repair_passes = 2) ?token
   let solve_shard i =
     let inst = part.shards.(i).inst in
     let r =
-      solve_one ?backend ?size_cap ?token ?on_fault ~certify:certify_integer
-        ~site:"shard.solve" ~index:i ~rounding streams.(i) inst
+      solve_one ?backend ?size_cap ?token ?on_fault ~site:"shard.solve"
+        ~index:i ~rounding streams.(i) inst
     in
     (* Spill policy: write this shard's rows straight into the shared
        assignment (user rows are disjoint across shards, and the pool
@@ -344,12 +333,7 @@ let solve_round ?backend ?size_cap ?domains ?(repair_passes = 2) ?token
   let degraded = Array.map (fun (_, d, _) -> d) solved in
   let bound = Array.fold_left ( +. ) 0.0 shard_objectives -. part.cut_mass in
   let upper_bound =
-    if certify_integer then
-      Some
-        (Array.fold_left
-           (fun acc (_, _, up) -> acc +. up)
-           part.cut_mass solved)
-    else None
+    Array.fold_left (fun acc (_, _, up) -> acc +. up) part.cut_mass solved
   in
   {
     config;

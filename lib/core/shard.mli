@@ -9,9 +9,10 @@
     any partition of the users, the only objective mass a per-shard
     solve cannot see is the λ-weighted τ mass of the cut edges. That
     gives both the speedup (per-shard LP/FW programs are far smaller
-    than the monolith's [(n + n·p)·m] variables) and the certificate
-    ([objective >= Σ_shard shard_objective − cut_mass], exact equality
-    when the cut is empty). *)
+    than the monolith's [(n + n·p)·m] variables) and the bracket
+    ([Σ_shard shard_objective − cut_mass <= objective <= OPT <=
+    Σ_shard shard_upper + cut_mass], the lower side an equality when
+    the cut is empty). *)
 
 type labelling =
   | Components  (** connected components — sharding is exact *)
@@ -84,17 +85,14 @@ type result = {
           [<= objective] (τ is non-negative, repair never decreases the
           objective), and [= objective] up to float summation order
           when the cut is empty *)
-  upper_bound : float option;
-      (** with [~certify_integer:true]: the certified *upper* bound
-          [Σ_shard integer_certificate + cut_mass] on the global
-          optimum, from one {!Relaxation.solve_integer} branch-and-bound
-          solve per shard — the integer selection optimum dominates
-          every slot-aligned configuration's within-shard utility, and
-          [cut_mass] dominates all cross-shard social utility. Together
-          with [objective] it brackets OPT:
-          [objective <= OPT <= upper_bound]. A shard whose certificate
-          rung failed contributes [infinity] (honest "no certificate").
-          [None] when certification was not requested *)
+  upper_bound : float;
+      (** the certified upper bound [Σ_shard s_upper + cut_mass] on the
+          global optimum: each shard's relaxation bounds every
+          configuration's within-shard utility ({!solved.s_upper}),
+          and [cut_mass] bounds all cross-shard social utility.
+          Together with [objective] it brackets OPT:
+          [objective <= OPT <= upper_bound]; [infinity] while any shard
+          has no certificate *)
   shard_objectives : float array;  (** per shard, in shard order *)
   cut_mass : float;  (** copied from the partition *)
   repair_gain : float;
@@ -116,7 +114,6 @@ val solve_round :
   ?repair_passes:int ->
   ?token:Svgic_util.Supervise.token ->
   ?on_fault:on_fault ->
-  ?certify_integer:bool ->
   rounding:rounding ->
   Svgic_util.Rng.t ->
   partition ->
@@ -154,14 +151,7 @@ val solve_round :
     whether a shard whose solve raises is degraded in place or allowed
     to kill the round. Injected faults follow the same ladder, so
     chaos tests can assert exactly which shards degrade. A clean run
-    is bit-identical to the unsupervised one.
-
-    [certify_integer] (default [false]) additionally runs
-    {!Relaxation.solve_integer} per shard and fills
-    {!result.upper_bound}. Edge-free shards certify themselves (the
-    greedy optimum); the certificate solve runs after the shard's
-    fault handling, so an injected fault degrades the primary solve
-    without silently weakening the certificate. *)
+    is bit-identical to the unsupervised one. *)
 
 (** {2 The per-shard solve ladder} *)
 
@@ -175,8 +165,12 @@ type solved = {
       (** no rounding ran (deadline, failure or injected fault):
           [s_config] is the incumbent, else the greedy floor *)
   s_upper : float;
-      (** with [~certify:true] the certified integer upper bound
-          ([infinity] when it failed); [infinity] otherwise *)
+      (** certified upper bound on the shard optimum, from the
+          relaxation the ladder solved: the greedy optimum of an
+          edge-free shard on the shortcut, else
+          {!Relaxation.upper_bound} (the LP value, or the Frank–Wolfe
+          certificate); [infinity] for a degraded relaxation or a
+          fall-back *)
 }
 
 val solve_one :
@@ -186,7 +180,6 @@ val solve_one :
   ?incumbent:Config.t ->
   ?token:Svgic_util.Supervise.token ->
   ?on_fault:on_fault ->
-  certify:bool ->
   site:string ->
   index:int ->
   rounding:rounding ->
@@ -204,7 +197,8 @@ val solve_one :
     relaxation, then the [incumbent] floor, each only when strictly
     better; on deadline expiry, or on [Failure] or an injected fault
     under [Isolate] (the default), the fall-back to [incumbent], else
-    to the greedy floor; with [certify], {!Relaxation.solve_integer}
-    on [token] (an edge-free shard certifies itself). Every injected
-    kind degrades the shard and none weakens the certificate. A clean
-    call is bit-identical to an unsupervised one. *)
+    to the greedy floor. Under [Isolate] every injected kind takes the
+    fall-back, so it degrades the shard and leaves it with no
+    certificate ([s_upper = infinity]): a fault may loosen the
+    bracket, never break it. A clean call is bit-identical to an
+    unsupervised one. *)

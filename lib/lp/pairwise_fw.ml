@@ -19,11 +19,6 @@ type solution = {
   timed_out : bool;
 }
 
-(* Coordinate fixing states for branch-and-bound node solves. *)
-let fx_free = 0
-let fx_zero = 1
-let fx_one = 2
-
 let objective p x =
   let acc = ref 0.0 in
   for u = 0 to p.n - 1 do
@@ -43,12 +38,18 @@ let objective p x =
 
 (* Total absolute pair-weight mass W: the soft-min smoothing brackets
    the exact objective within [smoothing · ln 2 · W], which is the
-   slack certificate consumers add on top of [solution.ub]. *)
+   slack a certificate adds on top of [solution.ub]. *)
 let weight_mass p =
+  (* Loops, not [Array.iter]: a closure-captured float ref would box
+     every partial sum, and every Frank-Wolfe relaxation pays this pass
+     for its certificate. *)
   let acc = ref 0.0 in
-  Array.iter
-    (fun (_, _, w) -> Array.iter (fun wc -> acc := !acc +. Float.abs wc) w)
-    p.pairs;
+  for i = 0 to Array.length p.pairs - 1 do
+    let _, _, w = p.pairs.(i) in
+    for c = 0 to Array.length w - 1 do
+      acc := !acc +. Float.abs w.(c)
+    done
+  done;
   !acc
 
 let smoothing_slack ~smoothing p = smoothing *. Float.log 2.0 *. weight_mass p
@@ -111,11 +112,6 @@ type sweep_state = {
          configurations, one insertion pass into the user's vertex
          slots is cheaper and allocation-free. Both paths keep the
          lowest-index tie-break. *)
-  fixed : int array;
-      (* flat n*m fixing mask ([fx_free]/[fx_zero]/[fx_one]) for
-         branch-and-bound node solves; length 0 when nothing is fixed,
-         which keeps the pinned zero-allocation sweep path untouched *)
-  free_k : int array;  (* per user: vertex slots left to the free coords *)
   (* The pairs with a non-zero weight, in pair-array order: endpoints
      (lower-numbered first) and the span of their non-zero (item,
      weight) entries in [item]/[wgt]. *)
@@ -142,42 +138,13 @@ type sweep_state = {
   step : float array;  (* one slot: the step size the update reads *)
 }
 
-let sweep_state ?(smoothing = 0.05) ?(swap_steps = false) ?fixed p =
+let sweep_state ?(smoothing = 0.05) ?(swap_steps = false) p =
   assert (p.k >= 1 && p.k <= p.m);
   assert (smoothing > 0.0);
   let n = p.n and m = p.m and k = p.k in
   if Array.length p.linear <> n then
     invalid_arg "Pairwise_fw: linear term count <> n";
-  let fixed =
-    match fixed with
-    | None -> [||]
-    | Some f ->
-        if Array.length f <> n * m then
-          invalid_arg "Pairwise_fw: fixing mask length <> n*m";
-        f
-  in
-  let free_k = Array.make n k in
   let x = Array.make (n * m) (float_of_int k /. float_of_int m) in
-  if Array.length fixed > 0 then
-    for u = 0 to n - 1 do
-      let ones = ref 0 and zeros = ref 0 in
-      for c = 0 to m - 1 do
-        let f = fixed.((u * m) + c) in
-        if f = fx_one then incr ones else if f = fx_zero then incr zeros
-      done;
-      let free = m - !ones - !zeros in
-      if !ones > k || free < k - !ones then
-        invalid_arg "Pairwise_fw: infeasible fixing (user over-constrained)";
-      free_k.(u) <- k - !ones;
-      let fill =
-        if free = 0 then 0.0 else float_of_int (k - !ones) /. float_of_int free
-      in
-      for c = 0 to m - 1 do
-        let f = fixed.((u * m) + c) in
-        x.((u * m) + c) <-
-          (if f = fx_one then 1.0 else if f = fx_zero then 0.0 else fill)
-      done
-    done;
   let pairs = ref 0 and entries = ref 0 in
   Array.iter
     (fun (u, v, w) ->
@@ -221,8 +188,6 @@ let sweep_state ?(smoothing = 0.05) ?(swap_steps = false) ?fixed p =
     smoothing;
     swap_steps;
     small_k = k <= 16;
-    fixed;
-    free_k;
     lo;
     hi;
     span;
@@ -282,10 +247,9 @@ let user_pass st u =
   let m = p.m and k = p.k in
   let x = st.x and g = st.g and lin = st.lin in
   let b = u * m in
-  let has_fixed = Array.length st.fixed > 0 and swap = st.swap_steps in
+  let swap = st.swap_steps in
   (* Best single mass swap: move weight onto the best coordinate with
-     headroom from the worst coordinate with mass. Fixed coordinates
-     are pinned and never take part. *)
+     headroom from the worst coordinate with mass. *)
   let hi = ref (-1) and lo = ref (-1) in
   let ghi = ref 0.0 and glo = ref 0.0 in
   let lin_obj = ref 0.0 and dot = ref 0.0 in
@@ -294,7 +258,7 @@ let user_pass st u =
     let xi = x.(i) and gi = g.(i) in
     lin_obj := !lin_obj +. (lin.(i) *. xi);
     dot := !dot +. (gi *. xi);
-    if swap && ((not has_fixed) || st.fixed.(i) = fx_free) then begin
+    if swap then begin
       if xi < 1.0 -. 1e-12 && (!hi < 0 || gi > !ghi) then begin
         hi := c;
         ghi := gi
@@ -323,54 +287,31 @@ let user_pass st u =
   end;
   let tops = st.tops and topv = st.topv and tb = u * k in
   let top_sum = ref 0.0 in
-  if has_fixed || st.small_k then begin
-    (* Under fixings, fixed-one coordinates are in every feasible vertex
-       (their gradient joins [top_sum] directly) and fixed coordinates
-       of either kind never compete for the remaining [free_k] slots,
-       which is why they read [neg_infinity] below; unused slots carry
-       a -1 sentinel the update skips. *)
-    let slots =
-      if has_fixed then begin
-        for c = 0 to m - 1 do
-          let f = st.fixed.(b + c) in
-          if f <> fx_free then begin
-            if f = fx_one then top_sum := !top_sum +. g.(b + c);
-            g.(b + c) <- neg_infinity
-          end
+  if st.small_k then begin
+    (* One pass in index order keeps the best [k] coordinates sorted in
+       [tops]/[topv], larger gradient first. Every comparison is
+       strict, so of equal gradients the lower index stays ahead: the
+       vertex and its order are those of [k] masked argmax passes with
+       the lowest-index tie-break. *)
+    let last = tb + k - 1 in
+    let filled = ref 0 and thr = ref neg_infinity in
+    for c = 0 to m - 1 do
+      let v = g.(b + c) in
+      if v > !thr then begin
+        let j = ref (if !filled < k then tb + !filled else last) in
+        if !filled < k then incr filled;
+        while !j > tb && v > topv.(!j - 1) do
+          topv.(!j) <- topv.(!j - 1);
+          tops.(!j) <- tops.(!j - 1);
+          decr j
         done;
-        st.free_k.(u)
+        topv.(!j) <- v;
+        tops.(!j) <- c;
+        if !filled = k then thr := topv.(last)
       end
-      else k
-    in
-    (* One pass in index order keeps the best [slots] coordinates
-       sorted in [tops]/[topv], larger gradient first. Every comparison
-       is strict, so of equal gradients the lower index stays ahead:
-       the vertex and its order are those of [slots] masked argmax
-       passes with the lowest-index tie-break. *)
-    if slots > 0 then begin
-      let last = tb + slots - 1 in
-      let filled = ref 0 and thr = ref neg_infinity in
-      for c = 0 to m - 1 do
-        let v = g.(b + c) in
-        if v > !thr then begin
-          let j = ref (if !filled < slots then tb + !filled else last) in
-          if !filled < slots then incr filled;
-          while !j > tb && v > topv.(!j - 1) do
-            topv.(!j) <- topv.(!j - 1);
-            tops.(!j) <- tops.(!j - 1);
-            decr j
-          done;
-          topv.(!j) <- v;
-          tops.(!j) <- c;
-          if !filled = slots then thr := topv.(last)
-        end
-      done;
-      for s = tb to last do
-        top_sum := !top_sum +. topv.(s)
-      done
-    end;
-    for s = tb + slots to tb + k - 1 do
-      tops.(s) <- -1
+    done;
+    for s = tb to last do
+      top_sum := !top_sum +. topv.(s)
     done
   end
   else begin
@@ -517,17 +458,8 @@ let apply_user st u =
     done;
     for slot = 0 to k - 1 do
       let c = st.tops.((u * k) + slot) in
-      if c >= 0 then x.(b + c) <- x.(b + c) +. gamma
-    done;
-    (* Fixed coordinates are at their pinned value in both the iterate
-       and the vertex, so the convex combination preserves them up to
-       rounding; re-pin exactly to stop drift from compounding down a
-       deep branch-and-bound path. *)
-    if Array.length st.fixed > 0 then
-      for i = b to b + m - 1 do
-        let f = st.fixed.(i) in
-        if f = fx_one then x.(i) <- 1.0 else if f = fx_zero then x.(i) <- 0.0
-      done
+      x.(b + c) <- x.(b + c) +. gamma
+    done
   end
 
 (* Default fan-out: parallel only when the per-sweep work amortizes the
@@ -590,8 +522,8 @@ let record st tl best =
   let cand = obj +. gap in
   if cand -. cand = 0.0 && cand < tl.best_ub then tl.best_ub <- cand
 
-let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
-    ?fixed ?domains ?token ?(swap_steps = false) p =
+let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?domains ?token
+    ?(swap_steps = false) p =
   assert (p.k >= 1 && p.k <= p.m);
   assert (smoothing > 0.0);
   screen p;
@@ -600,24 +532,7 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
   in
   let n = p.n and m = p.m in
   let domains = match domains with Some d -> d | None -> auto_domains p in
-  let st = sweep_state ~smoothing ~swap_steps ?fixed p in
-  (* Warm start: adopt the caller's iterate (a parent branch-and-bound
-     node's best point, projected by the caller onto this node's
-     fixings). A poisoned warm start is rejected like poisoned problem
-     data — the caller's recovery ladder retries cold. *)
-  (match x0 with
-  | None -> ()
-  | Some x0 ->
-      if Array.length x0 <> n then
-        invalid_arg "Pairwise_fw.solve: warm start has wrong user count";
-      if not (Supervise.finite_mat x0) then
-        failwith "Pairwise_fw.solve: non-finite warm start";
-      Array.iteri
-        (fun u row ->
-          if Array.length row <> m then
-            invalid_arg "Pairwise_fw.solve: warm start has wrong item count";
-          Array.blit row 0 st.x (u * m) m)
-        x0);
+  let st = sweep_state ~smoothing ~swap_steps p in
   let best = Array.copy st.x in
   let tl =
     {
@@ -675,15 +590,6 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?ub_target ?x0
       else
         match gap_tol with
         | Some tol when gap <= tol -> stopped := true
-        | _ when
-            (match ub_target with
-            | Some target -> obj +. gap <= target
-            | None -> false) ->
-            (* The certificate already proves this solve cannot beat
-               the caller's target (a branch-and-bound incumbent):
-               iterating further would only sharpen a bound that is
-               tight enough to fathom on. *)
-            stopped := true
         | _ ->
             st.step.(0) <- 2.0 /. float_of_int (!steps + 2);
             update ();

@@ -69,11 +69,10 @@ type solution = {
           iterate; certifies the returned [x] as described above *)
   ub : float;
       (** smallest [exact objective + smoothed gap] over all iterates
-          visited: a sound upper bound on the smoothed optimum over
-          the (possibly fixing-restricted) feasible region. Adding
+          visited: a sound upper bound on the smoothed optimum. Adding
           {!smoothing_slack} turns it into an upper bound on the exact
-          optimum — the branch-and-bound node bound. [infinity] when
-          no sweep completed *)
+          optimum, the certificate [Relaxation] reports. [infinity]
+          when no sweep completed *)
   timed_out : bool;
       (** the supervision token expired or was cancelled before the
           iteration budget or [gap_tol] was reached; [x] is still the
@@ -91,15 +90,6 @@ val smoothing_slack : smoothing:float -> problem -> float
     smoothed and exact objectives, i.e. the slack to add to
     {!solution.ub} for a bound on the exact optimum. *)
 
-(* Per-coordinate fixing states for branch-and-bound node solves,
-   stored in a flat [n*m] mask indexed [u*m + c]: [fx_free] leaves the
-   coordinate to the solver, [fx_zero] pins it to 0 (item excluded),
-   [fx_one] pins it to 1 (item forced in). *)
-
-val fx_free : int
-val fx_zero : int
-val fx_one : int
-
 type sweep_state
 (** Everything one serial sweep reads and writes: the flat linear
     terms, iterate and gradient, the non-zero (pair, item) entries in
@@ -108,18 +98,11 @@ type sweep_state
     one per call; it is exposed so the allocation bench can measure the
     sweep in isolation. *)
 
-val sweep_state :
-  ?smoothing:float -> ?swap_steps:bool -> ?fixed:int array -> problem -> sweep_state
+val sweep_state : ?smoothing:float -> ?swap_steps:bool -> problem -> sweep_state
 (** Fresh sweep state at the uniform feasible iterate [x_u_c = k/m].
-    Defaults match {!solve}. [fixed] is a flat [n*m] mask of
-    {!fx_free}/{!fx_zero}/{!fx_one} states: fixed coordinates are
-    pinned in the iterate and the oracle vertex (fixed-ones always
-    selected, fixed-zeros never), and the initial iterate spreads each
-    user's remaining [k − #fixed-ones] mass uniformly over the user's
-    free coordinates. Raises [Invalid_argument] when a user's fixings are
-    infeasible (more than [k] ones, or fewer free coordinates than
-    vertex slots left), when [linear] does not have [n] rows, and on a
-    self-pair or a pair endpoint outside [0, n). *)
+    Defaults match {!solve}. Raises [Invalid_argument] when [linear]
+    does not have [n] rows, and on a self-pair or a pair endpoint
+    outside [0, n). *)
 
 val sweep_serial : sweep_state -> unit
 (** One sweep over every user against the state's current iterate, on
@@ -139,9 +122,6 @@ val solve :
   ?iterations:int ->
   ?smoothing:float ->
   ?gap_tol:float ->
-  ?ub_target:float ->
-  ?x0:float array array ->
-  ?fixed:int array ->
   ?domains:int ->
   ?token:Svgic_util.Supervise.token ->
   ?swap_steps:bool ->
@@ -154,18 +134,6 @@ val solve :
     duality gap is at or below the (absolute) tolerance; without it
     the engine runs the full iteration budget and still reports the
     best gap observed.
-
-    [ub_target] stops the solve as soon as some iterate certifies
-    [objective + gap <= ub_target] — the branch-and-bound fathoming
-    hook: once a node's certified bound falls to the incumbent there
-    is no point iterating toward the gap tolerance.
-
-    [x0] warm starts from the given feasible iterate (copied) instead
-    of the uniform point — with [fixed], the caller must have
-    projected it onto the fixings. A non-finite warm start raises
-    [Failure] like poisoned problem data, so recovery ladders retry
-    cold. [fixed] restricts the feasible region as in {!sweep_state};
-    the solution's [x] then honours every fixing exactly.
 
     [token] supervises the solve (DESIGN.md §5): it is polled once per
     sweep, and expiry stops the solve with [timed_out = true] and the

@@ -11,8 +11,7 @@
     The sites: the per-shard ladder [Shard.solve_one], which applies
     one rule to every kind ({!kind}), polls ["shard.solve"] at the
     shard index in a plan and ["serve.shard"] at
-    [tick·8191 + shard id] in a serving tick; Frank–Wolfe
-    branch-and-bound polls ["bnb_fw.node"] per node; the WAL polls
+    [tick·8191 + shard id] in a serving tick; the WAL polls
     ["wal_append"] and ["wal_fsync"] by seqno; checkpoints poll
     ["checkpoint_write"] and ["checkpoint_rename"].
 

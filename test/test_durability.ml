@@ -260,7 +260,7 @@ let mk_engine seed =
   let inst =
     Test_serve.community_instance rng ~blobs:3 ~blob_size:4 ~m:5 ~k:2
   in
-  Serve.create ~certify:true (Rng.create (seed + 1)) inst
+  Serve.create (Rng.create (seed + 1)) inst
 
 let drive t r ~events ~ticks =
   let n = Serve.num_users t in
@@ -286,7 +286,7 @@ let test_checkpoint_roundtrip () =
   match Checkpoint.load path with
   | Error e -> Alcotest.failf "load: %s" e
   | Ok snap ->
-      let r = Serve.restore ~certify:true snap in
+      let r = Serve.restore snap in
       Alcotest.(check int) "fingerprint" (Serve.fingerprint t)
         (Serve.fingerprint r);
       Alcotest.(check bool) "objective bits" true
@@ -314,7 +314,7 @@ let test_checkpoint_corrupt_fallback () =
   (match Checkpoint.load newest with
   | Ok _ -> Alcotest.fail "corrupt checkpoint loaded"
   | Error _ -> ());
-  match Serve.recover ~certify:true ~fsync:Wal.Off ~dir () with
+  match Serve.recover ~fsync:Wal.Off ~dir () with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (r, rec_) ->
       Alcotest.(check bool) "skipped the corrupt newest" true
@@ -346,7 +346,7 @@ let test_fault_checkpoint_write_and_rename () =
   Serve.disable_durability t;
   (* no temp litter survives recovery, and the WAL carries the ticks
      the checkpoints missed *)
-  match Serve.recover ~certify:true ~fsync:Wal.Off ~dir () with
+  match Serve.recover ~fsync:Wal.Off ~dir () with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (r, rec_) ->
       Alcotest.(check bool) "replayed the missed ticks" true
@@ -366,7 +366,7 @@ let test_recover_without_wal () =
   Serve.disable_durability t;
   let wal = Filename.concat dir "wal.svgic" in
   Sys.remove wal;
-  match Serve.recover ~certify:true ~fsync:Wal.Every_tick ~dir () with
+  match Serve.recover ~fsync:Wal.Every_tick ~dir () with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (r, rec_) ->
       Alcotest.(check int) "recovered bit-identical" fp (Serve.fingerprint r);
@@ -445,7 +445,7 @@ let test_audit_detects_tampered_objective () =
     tamper newest 'S' (fun b -> Bytes.set_int64_le b 1 (Int64.bits_of_float 48.0))
   in
   Alcotest.(check bool) "tampered a shard record" true hit;
-  match Serve.recover ~certify:true ~fsync:Wal.Off ~dir () with
+  match Serve.recover ~fsync:Wal.Off ~dir () with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (r, _) ->
       Serve.disable_durability r;
@@ -597,14 +597,14 @@ let test_checkpoint_rng_continuity () =
   let inst =
     Test_serve.community_instance (Rng.create 29) ~blobs:3 ~blob_size:5 ~m:6 ~k:2
   in
-  let t = Serve.create ~rounding ~certify:true (Rng.create 30) inst in
+  let t = Serve.create ~rounding (Rng.create 30) inst in
   let dir = fresh_dir () in
   Serve.enable_durability t
     { Serve.dir; fsync = Wal.Off; checkpoint_every = 1; retain = 2 };
   drive t (Rng.create 31) ~events:6 ~ticks:3;
   ignore (Serve.checkpoint t : string);
   Serve.disable_durability t;
-  match Serve.recover ~rounding ~certify:true ~fsync:Wal.Off ~dir () with
+  match Serve.recover ~rounding ~fsync:Wal.Off ~dir () with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (r, _) ->
       Serve.disable_durability r;

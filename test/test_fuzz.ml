@@ -28,7 +28,7 @@ let fixture =
        Test_serve.community_instance (Rng.create 41) ~blobs:3 ~blob_size:4 ~m:5
          ~k:2
      in
-     let t = Serve.create ~certify:true (Rng.create 42) inst in
+     let t = Serve.create (Rng.create 42) inst in
      Serve.enable_durability t
        { Serve.dir; fsync = Wal.Off; checkpoint_every = 1000; retain = 10 };
      ignore (Serve.submit t (Serve.Leave 3) : int option);
@@ -68,7 +68,7 @@ let check_loaded ?(must_fail = false) ?named what =
       if must_fail then Alcotest.failf "%s: loaded" what;
       if Instance.validate snap.Checkpoint.inst <> Ok () then
         Alcotest.failf "%s: loaded an instance that fails validate" what;
-      match Serve.restore ~certify:true snap with
+      match Serve.restore snap with
       | exception e ->
           Alcotest.failf "%s: restore raised %s" what (Printexc.to_string e)
       | r -> (

@@ -189,34 +189,17 @@ let digest (s : Fw.solution) =
     s.iterations
     (Svgic_util.Crc32.update_bytes 0 buf ~pos:0 ~len:(Bytes.length buf))
 
-(* A branch-and-bound style mask: one forced item for every fourth
-   user, two excluded items for every fifth. *)
-let golden_mask (fw : Fw.problem) =
-  let fixed = Array.make (fw.n * fw.m) Fw.fx_free in
-  for u = 0 to fw.n - 1 do
-    if u mod 4 = 0 then fixed.((u * fw.m) + (u mod fw.m)) <- Fw.fx_one;
-    if u mod 5 = 1 then begin
-      fixed.(u * fw.m) <- Fw.fx_zero;
-      fixed.((u * fw.m) + 1) <- Fw.fx_zero
-    end
-  done;
-  fixed
-
 let golden =
   [
-    ( (false, false),
+    ( false,
       "obj 0x1.5b1af4b909409p+6 gap 0x1.4883cf4c98c18p-2 ub 0x1.5c489c0b8ce1ap+6 it 150 crc 86e05ef1" );
-    ( (true, false),
+    ( true,
       "obj 0x1.5b817714b963dp+6 gap 0x1.36bf51ac19f3ep+0 ub 0x1.6059faf22590fp+6 it 150 crc 2ab9ff4a" );
-    ( (false, true),
-      "obj 0x1.4d9ba98ef84afp+6 gap 0x1.37fa86dae23f4p-2 ub 0x1.4eae0d1446362p+6 it 150 crc 266bd82f" );
-    ( (true, true),
-      "obj 0x1.4deab6e267086p+6 gap 0x1.4b54c0d4921c4p-1 ub 0x1.505d3173ebfa1p+6 it 150 crc a772d51a" );
   ]
 
 let test_golden_digests () =
   List.iter
-    (fun ((swap, masked), want) ->
+    (fun (swap, want) ->
       List.iter
         (fun domains ->
           let rng = Rng.create 211 in
@@ -225,17 +208,13 @@ let test_golden_digests () =
               (fw_random_problem rng ~n:29 ~m:10 ~k:3 ~edges:70 ~density:0.35)
           in
           let s =
-            if masked then
-              Fw.solve ~iterations:150 ~smoothing:0.02 ~gap_tol:1e-3 ~domains
-                ~swap_steps:swap ~fixed:(golden_mask fw) fw
-            else
-              Fw.solve ~iterations:150 ~smoothing:0.02 ~domains
-                ~swap_steps:swap fw
+            Fw.solve ~iterations:150 ~smoothing:0.02 ~domains ~swap_steps:swap
+              fw
           in
           let got = digest s in
           if got <> want then
-            Alcotest.failf "swap=%b masked=%b domains=%d: digest %S, want %S"
-              swap masked domains got want)
+            Alcotest.failf "swap=%b domains=%d: digest %S, want %S" swap
+              domains got want)
         [ 1; 2; 3 ])
     golden
 
@@ -289,22 +268,17 @@ let test_shard_golden_digest () =
 (* Without pairs the gradient is the linear row, and the first step
    (gamma = 1) lands exactly on the oracle vertex, so the returned
    iterate names the coordinates the oracle picked: of equal gradients
-   the lowest index, also when fixings take coordinates out. *)
+   the lowest index. *)
 let test_oracle_lowest_index_tie_break () =
-  let vertex ?fixed linear k =
+  let vertex linear k =
     let m = Array.length linear in
     let fw = Fw.{ n = 1; m; k; linear = [| linear |]; pairs = [||] } in
-    let s = Fw.solve ~iterations:1 ~domains:1 ?fixed fw in
+    let s = Fw.solve ~iterations:1 ~domains:1 fw in
     List.filter (fun c -> s.x.(0).(c) = 1.0) (List.init m Fun.id)
   in
   let linear = [| 1.0; 3.0; 3.0; 2.0; 3.0; 0.0; 3.0 |] in
   Alcotest.(check (list int)) "top 2 of four tied" [ 1; 2 ] (vertex linear 2);
-  Alcotest.(check (list int)) "top 5" [ 1; 2; 3; 4; 6 ] (vertex linear 5);
-  let fixed = Array.make 7 Fw.fx_free in
-  fixed.(1) <- Fw.fx_zero;
-  fixed.(5) <- Fw.fx_one;
-  Alcotest.(check (list int))
-    "fixings" [ 2; 4; 5 ] (vertex ~fixed linear 3)
+  Alcotest.(check (list int)) "top 5" [ 1; 2; 3; 4; 6 ] (vertex linear 5)
 
 (* ---- malformed problems ------------------------------------------- *)
 
@@ -338,25 +312,22 @@ let test_rejects_malformed_problems () =
 let test_serial_iterations_allocate_nothing () =
   let rng = Rng.create 223 in
   let fw = fw_random_problem rng ~n:40 ~m:10 ~k:3 ~edges:90 ~density:0.35 in
-  let words ~swap ~masked iterations =
-    let fixed = if masked then Some (golden_mask fw) else None in
+  let words ~swap iterations =
     let w0 = Gc.minor_words () in
     let s =
-      Fw.solve ~iterations ~smoothing:0.02 ~domains:1 ~swap_steps:swap ?fixed
-        fw
+      Fw.solve ~iterations ~smoothing:0.02 ~domains:1 ~swap_steps:swap fw
     in
     let w1 = Gc.minor_words () in
     Alcotest.(check int) "full budget" iterations s.iterations;
     w1 -. w0
   in
   List.iter
-    (fun (swap, masked) ->
-      let w100 = words ~swap ~masked 100 and w200 = words ~swap ~masked 200 in
+    (fun swap ->
+      let w100 = words ~swap 100 and w200 = words ~swap 200 in
       if w200 <> w100 then
-        Alcotest.failf
-          "swap=%b masked=%b: %.0f minor words at 200 iterations, %.0f at 100"
-          swap masked w200 w100)
-    [ (false, false); (true, false); (false, true); (true, true) ]
+        Alcotest.failf "swap=%b: %.0f minor words at 200 iterations, %.0f at 100"
+          swap w200 w100)
+    [ false; true ]
 
 (* ---- duality-gap stopping ----------------------------------------- *)
 

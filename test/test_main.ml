@@ -8,7 +8,6 @@ let () =
       ("factor", Test_factor.suite);
       ("fw", Test_fw.suite);
       ("revised", Test_revised_simplex.suite);
-      ("bnb_fw", Test_bnb_fw.suite);
       ("graph", Test_graph.suite);
       ("community", Test_community.suite);
       ("core", Test_core.suite);
@@ -27,4 +26,5 @@ let () =
       ("serve", Test_serve.suite);
       ("durability", Test_durability.suite);
       ("fuzz", Test_fuzz.suite);
+      ("ground_truth", Test_ground_truth.suite);
     ]

@@ -56,20 +56,17 @@ let community_instance ?(p_cross = 0.1) ?(lambda = 0.5) rng ~blobs ~blob_size
   in
   Instance.create ~graph:g ~m ~k ~lambda ~pref ~tau
 
-let check_bracket ?upper_ok t =
+let check_bracket t =
   let obj = Serve.objective t in
   Alcotest.(check bool)
     "bound <= objective"
     true
     (Serve.bound t <= obj +. 1e-9);
-  (match Serve.upper t with
-  | Some up -> Alcotest.(check bool) "objective <= upper" true (obj <= up +. 1e-9)
-  | None -> ());
+  Alcotest.(check bool) "objective <= upper" true (obj <= Serve.upper t +. 1e-9);
   (* the engine's incremental objective must agree with a from-scratch
      evaluation of its own configuration *)
   let full = Config.total_utility (Serve.instance t) (Serve.config t) in
-  Alcotest.(check (float 1e-6)) "objective = total_utility" full obj;
-  ignore upper_ok
+  Alcotest.(check (float 1e-6)) "objective = total_utility" full obj
 
 (* A deterministic pure-data event script (profiles use closed-over
    constants, so replaying it is bit-reproducible). *)
@@ -89,15 +86,15 @@ let profile ~m ~seed ~friends =
 let test_initial_bracket () =
   let rng = Rng.create 3 in
   let inst = community_instance rng ~blobs:3 ~blob_size:4 ~m:5 ~k:2 in
-  let t = Serve.create ~certify:true (Rng.create 7) inst in
+  let t = Serve.create (Rng.create 7) inst in
   check_bracket t;
   Alcotest.(check int) "users" 12 (Serve.num_users t);
-  Alcotest.(check bool) "upper finite" true (Option.get (Serve.upper t) < infinity)
+  Alcotest.(check bool) "upper finite" true (Serve.upper t < infinity)
 
 let test_delta_tick () =
   let rng = Rng.create 4 in
   let inst = community_instance rng ~blobs:3 ~blob_size:4 ~m:5 ~k:2 in
-  let t = Serve.create ~certify:true (Rng.create 7) inst in
+  let t = Serve.create (Rng.create 7) inst in
   (* last-writer-wins: the 0.9 must be overwritten by 0.2 *)
   ignore (Serve.submit t (Serve.Pref_delta { user = 0; item = 1; value = 0.9 }));
   ignore (Serve.submit t (Serve.Pref_delta { user = 0; item = 1; value = 0.2 }));
@@ -124,7 +121,7 @@ let test_tau_delta_and_drops () =
   let e = Graph.edges g in
   Alcotest.(check bool) "has edges" true (Array.length e > 0);
   let u, v = e.(0) in
-  let t = Serve.create ~certify:true (Rng.create 9) inst in
+  let t = Serve.create (Rng.create 9) inst in
   ignore (Serve.submit t (Serve.Tau_delta { u; v; item = 0; value = 0.45 }));
   (* not an edge of the graph: (u, u) — must be dropped and counted *)
   ignore (Serve.submit t (Serve.Tau_delta { u; v = u; item = 0; value = 0.1 }));
@@ -143,7 +140,7 @@ let test_tau_delta_and_drops () =
 let test_join_leave () =
   let rng = Rng.create 6 in
   let inst = community_instance rng ~blobs:2 ~blob_size:4 ~m:5 ~k:2 in
-  let t = Serve.create ~certify:true (Rng.create 11) inst in
+  let t = Serve.create (Rng.create 11) inst in
   let ext =
     Option.get (Serve.submit t (Serve.Join (profile ~m:5 ~seed:1 ~friends:[ 0; 3 ])))
   in
@@ -269,15 +266,14 @@ let test_incremental_within_cold_gap () =
       ignore (Serve.tick t)
     done;
     let inc_obj = Serve.objective t in
-    (* cold batch solve of the final population, with certificates *)
+    (* cold batch solve of the final population, with its certificate *)
     let final = Serve.instance t in
     let part = Shard.partition ~labelling:Shard.Components final in
     let cold =
-      Shard.solve_round ~certify_integer:true
-        ~rounding:(Shard.Avg_d { r = None })
-        (Rng.create seed) part
+      Shard.solve_round ~rounding:(Shard.Avg_d { r = None }) (Rng.create seed)
+        part
     in
-    let gap = Option.get cold.Shard.upper_bound -. cold.Shard.objective in
+    let gap = cold.Shard.upper_bound -. cold.Shard.objective in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: incremental within cold certificate gap" seed)
       true
@@ -285,7 +281,7 @@ let test_incremental_within_cold_gap () =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: incremental below cold upper bound" seed)
       true
-      (inc_obj <= Option.get cold.Shard.upper_bound +. 1e-6)
+      (inc_obj <= cold.Shard.upper_bound +. 1e-6)
   done
 
 (* ------------------- degradation under pressure ------------------- *)
@@ -295,14 +291,14 @@ let test_deadline_degrades_not_fails () =
   let inst = community_instance rng ~blobs:3 ~blob_size:4 ~m:5 ~k:2 in
   (* an impossible SLO: every touched shard must take the fallback and
      the tick must still publish a valid bracket *)
-  let t = Serve.create ~certify:true ~deadline_s:0.0 (Rng.create 17) inst in
+  let t = Serve.create ~deadline_s:0.0 (Rng.create 17) inst in
   check_bracket t;
   ignore (Serve.submit t (Serve.Pref_delta { user = 0; item = 0; value = 0.5 }));
   let st = Serve.tick t in
   Alcotest.(check bool) "tick degraded" true (st.Serve.degraded >= 1);
   Alcotest.(check bool)
     "degraded certificate is honest" true
-    (Option.get (Serve.upper t) = infinity);
+    (Serve.upper t = infinity);
   check_bracket t
 
 let test_fault_injection_keeps_certificates () =
@@ -310,7 +306,7 @@ let test_fault_injection_keeps_certificates () =
   let inst = community_instance rng ~blobs:3 ~blob_size:4 ~m:5 ~k:2 in
   Fault.configure ~seed:1 ~rate:1.0 ~kinds:[ Fault.Crash ];
   Fun.protect ~finally:Fault.clear (fun () ->
-      let t = Serve.create ~certify:true (Rng.create 19) inst in
+      let t = Serve.create (Rng.create 19) inst in
       ignore
         (Serve.submit t (Serve.Pref_delta { user = 0; item = 0; value = 0.5 }));
       ignore
@@ -323,9 +319,8 @@ let test_fault_injection_keeps_certificates () =
 
 (* One fault rule for plans and serving: whatever the injected kind,
    every touched shard degrades (a friendless newcomer's edge-free
-   shard included), the bracket stays sound, and the certificate is
-   computed after the fault handling on the tick's own token, so it
-   stays finite and is the same for all three kinds. *)
+   shard included) and falls back with no certificate, so the upper
+   is [infinity] for all three kinds and the bracket stays sound. *)
 let test_fault_kinds_share_certificate () =
   let upper_under kind =
     let rng = Rng.create 61 in
@@ -335,8 +330,7 @@ let test_fault_kinds_share_certificate () =
     in
     let inst = Helpers.arenas_instance rng g ~m:6 ~k:4 in
     let t =
-      Serve.create ~labelling:(Shard.Labels labels) ~certify:true
-        (Rng.create 3) inst
+      Serve.create ~labelling:(Shard.Labels labels) (Rng.create 3) inst
     in
     List.iter
       (fun ev -> ignore (Serve.submit t ev))
@@ -356,8 +350,8 @@ let test_fault_kinds_share_certificate () =
     Alcotest.(check int) "every touched shard degraded" st.Serve.shards_touched
       st.Serve.degraded;
     check_bracket t;
-    let up = Option.get (Serve.upper t) in
-    Alcotest.(check bool) "certificate finite" true (up < infinity);
+    let up = Serve.upper t in
+    Alcotest.(check (float 0.0)) "upper is infinity" infinity up;
     up
   in
   match List.map upper_under [ Fault.Timeout; Fault.Nan; Fault.Crash ] with
@@ -365,6 +359,23 @@ let test_fault_kinds_share_certificate () =
       Alcotest.(check (float 0.0)) "Nan certifies as Timeout" timeout nan;
       Alcotest.(check (float 0.0)) "Crash certifies as Timeout" timeout crash
   | _ -> assert false
+
+(* The CLI's [serve -n 80 -m 12 -k 3 --seed 5] instance is one 80-user
+   shard. Its upper comes from the relaxation tick 0 already solved, so
+   it is finite, sound and costs no further solve (a separate integer
+   certificate did not finish on it in 100 s). *)
+let test_upper_on_80_user_shard () =
+  let inst =
+    Svgic_data.Datasets.make Svgic_data.Datasets.Timik (Rng.create 5) ~n:80
+      ~m:12 ~k:3 ~lambda:0.5
+  in
+  let t = Serve.create (Rng.create 5) inst in
+  Alcotest.(check int) "one shard" 1 (Serve.num_shards t);
+  Alcotest.(check bool)
+    (Printf.sprintf "upper %.4f finite" (Serve.upper t))
+    true
+    (Serve.upper t < infinity);
+  check_bracket t
 
 (* -------------------------- warm reuse ---------------------------- *)
 
@@ -496,13 +507,15 @@ let test_mclock_monotone () =
 
 (* A small serve_drift: 300 Timik-like users in 10 labelled shards,
    six ticks of preference and tau drift, then a tick with a leave and
-   a join. [Serve.fingerprint] after every tick is pinned to constants
-   captured before the exact solves took their state from a per-domain
-   workspace and the cut repair moved in place; the serving state must
-   not change by a bit, on one domain or two. The certified and the
-   fault-injected variants were captured before [Serve] re-solved its
-   shards through [Shard.solve_one]. *)
-let golden_trace ?(certify = false) ?fault_seed domains =
+   a join. [Serve.fingerprint] after every tick is pinned to constants;
+   the serving state must not change by a bit, on one domain or two.
+   The plain constants were re-captured when every shard began
+   reporting its relaxation's upper bound; with the upper term left out
+   of the fingerprint, both traces reproduced their fingerprints from
+   before that change. The fault-injected trace did not move at all:
+   a faulted shard reports no upper, and on every tick of that trace
+   some shard's last solve was faulted, so its upper stays infinite. *)
+let golden_trace ?fault_seed domains =
   Fun.protect ~finally:Fault.clear @@ fun () ->
   (match fault_seed with
   | None -> Fault.clear ()
@@ -518,8 +531,7 @@ let golden_trace ?(certify = false) ?fault_seed domains =
   let inst = Helpers.arenas_instance rng g ~m ~k:4 in
   let edges = Graph.edges g in
   let t =
-    Serve.create ~labelling:(Shard.Labels labels) ~certify ~domains
-      (Rng.create 5) inst
+    Serve.create ~labelling:(Shard.Labels labels) ~domains (Rng.create 5) inst
   in
   let prints = ref [ Serve.fingerprint t ] in
   let tr = Rng.create 99 in
@@ -550,14 +562,8 @@ let golden_trace ?(certify = false) ?fault_seed domains =
 
 let golden_fingerprints =
   [
-    0xb3823fa8; 0xb0938ea8; 0x5c54c933; 0x1684b0d3; 0x8073592f; 0xc6d89172;
-    0x25792150; 0x675de53d;
-  ]
-
-let golden_certified =
-  [
-    0xa3ace21a; 0xb54bf029; 0x774dc20c; 0x877085e1; 0xaf208b22; 0x2a5e2e3a;
-    0x09e640e8; 0xe952caa7;
+    0xcf8be013; 0xd4cc56b8; 0x536a695b; 0x9fecae82; 0x749213cd; 0xdf9ef415;
+    0x7ce28b15; 0x8a4de861;
   ]
 
 let golden_faulted =
@@ -577,7 +583,6 @@ let check_golden name run want =
 
 let test_golden_fingerprints () =
   check_golden "plain" golden_trace golden_fingerprints;
-  check_golden "certified" (golden_trace ~certify:true) golden_certified;
   check_golden "fault seed 1" (golden_trace ~fault_seed:1) golden_faulted
 
 let suite =
@@ -601,6 +606,8 @@ let suite =
       test_fault_injection_keeps_certificates;
     Alcotest.test_case "fault kinds share one certificate" `Quick
       test_fault_kinds_share_certificate;
+    Alcotest.test_case "finite upper on an 80-user shard" `Quick
+      test_upper_on_80_user_shard;
     Alcotest.test_case "warm hits on pure drift" `Quick test_warm_hits_on_drift;
     Alcotest.test_case "trace parsing" `Quick test_parse_line;
     Alcotest.test_case "dynamic: stable external ids" `Quick
