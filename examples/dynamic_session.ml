@@ -1,12 +1,14 @@
 (* Extension F: a dynamic VR shopping session — shoppers join and leave
-   while the store keeps the configuration consistent, with incremental
-   (greedy CSF-style) handling of each event and an occasional full
-   re-optimization.
+   a live serving session. Each tick applies the pending joins and
+   leaves, re-solves every shard they touched and re-establishes the
+   certified bracket bound <= objective <= upper. The program exits
+   non-zero if a configuration breaks a rule or leaves its bracket.
 
    Run with: dune exec examples/dynamic_session.exe *)
 
 module Rng = Svgic_util.Rng
-module Dynamic = Svgic.Dynamic
+module Config = Svgic.Config
+module Serve = Svgic.Serve
 
 let () =
   let rng = Rng.create 31337 in
@@ -14,16 +16,33 @@ let () =
     Svgic_data.Datasets.make Svgic_data.Datasets.Timik rng ~n:12 ~m:30 ~k:4
       ~lambda:0.5
   in
-  let session = Dynamic.start rng inst in
-  Printf.printf "t=0  %2d shoppers, utility %7.2f (initial AVG)\n"
-    (Svgic.Instance.n (Dynamic.instance session))
-    (Dynamic.total_utility session);
-
-  (* Two friends of shoppers 0 and 3 walk in. *)
   let m = Svgic.Instance.m inst in
+  let session = Serve.create rng inst in
+  let ok = ref true in
+  let report what =
+    let obj = Serve.objective session in
+    let bound = Serve.bound session and upper = Serve.upper session in
+    (match
+       Config.validate (Serve.instance session)
+         (Config.assignment (Serve.config session))
+     with
+    | Ok () -> ()
+    | Error msg ->
+        Printf.eprintf "invalid configuration: %s\n" msg;
+        ok := false);
+    if not (bound <= obj +. 1e-9 && obj <= upper +. 1e-9) then begin
+      Printf.eprintf "objective %g outside [%g, %g]\n" obj bound upper;
+      ok := false
+    end;
+    Printf.printf "t=%d  %2d shoppers, utility %7.2f in [%7.2f, %7.2f] (%s)\n"
+      (Serve.tick_count session) (Serve.num_users session) obj bound upper what
+  in
+  report "initial solve";
+
+  (* Two friends of shoppers 0 and 3 walk in, one per tick. *)
   let newcomer friends seed =
     let prng = Rng.create seed in
-    Dynamic.
+    Svgic.Dynamic.
       {
         pref = Array.init m (fun _ -> Rng.float prng 1.0);
         tau_out = (fun _ _ -> 0.15);
@@ -31,24 +50,17 @@ let () =
         friends;
       }
   in
-  let session, id1 = Dynamic.join session (newcomer [| 0; 3 |] 1) in
-  Printf.printf "t=1  %2d shoppers, utility %7.2f (shopper %d joined)\n"
-    (Svgic.Instance.n (Dynamic.instance session))
-    (Dynamic.total_utility session) id1;
-
-  let session, id2 = Dynamic.join session (newcomer [| id1; 5 |] 2) in
-  Printf.printf "t=2  %2d shoppers, utility %7.2f (shopper %d joined)\n"
-    (Svgic.Instance.n (Dynamic.instance session))
-    (Dynamic.total_utility session) id2;
+  let join profile =
+    let id = Option.get (Serve.submit session (Serve.Join profile)) in
+    ignore (Serve.tick session : Serve.tick_stats);
+    report (Printf.sprintf "shopper %d joined" id);
+    id
+  in
+  let id1 = join (newcomer [| 0; 3 |] 1) in
+  ignore (join (newcomer [| id1; 5 |] 2) : int);
 
   (* Shopper 5 checks out. *)
-  let session = Dynamic.leave session 5 in
-  Printf.printf "t=3  %2d shoppers, utility %7.2f (shopper 5 left)\n"
-    (Svgic.Instance.n (Dynamic.instance session))
-    (Dynamic.total_utility session);
-
-  (* Periodic full re-optimization catches up with the drift. *)
-  let resolved = Dynamic.resolve rng session in
-  Printf.printf "t=4  %2d shoppers, utility %7.2f (full AVG re-optimization)\n"
-    (Svgic.Instance.n (Dynamic.instance resolved))
-    (Dynamic.total_utility resolved)
+  ignore (Serve.submit session (Serve.Leave 5) : int option);
+  ignore (Serve.tick session : Serve.tick_stats);
+  report "shopper 5 left";
+  if not !ok then exit 1

@@ -3,7 +3,8 @@
     A (commodity values) and B (layout slot significance) reweight the
     objective; C (multi-view display) lives in {!Mvd}; D (generalized
     group-wise social benefits) and E (subgroup changes) are below; F
-    (the dynamic scenario) lives in {!Dynamic}. *)
+    (the dynamic scenario) is the serving engine {!Serve}, whose joins
+    carry a {!Dynamic.user_profile}. *)
 
 (** {1 A. Commodity values} *)
 

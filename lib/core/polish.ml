@@ -72,11 +72,6 @@ let improve_users ?max_passes inst cfg users =
   improve_users_in_place ?max_passes inst assign users;
   Config.make_unchecked assign
 
-let improve_user inst cfg u =
-  let assign = Config.assignment cfg in
-  ignore (sweep_user inst assign u);
-  Config.make_unchecked assign
-
 let gap_estimate inst relax cfg =
   let bound = Relaxation.upper_bound inst relax in
   if bound <= 0.0 then 1.0 else Config.total_utility inst cfg /. bound

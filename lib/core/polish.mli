@@ -1,9 +1,8 @@
 (** Best-response local search over SAVG k-configurations.
 
-    The paper invokes local search in two places: Extension E exchanges
-    sub-configurations to reduce subgroup changes, and Extension F
-    re-examines assignments after dynamic events. This module provides
-    the shared machinery as an optional post-pass on any configuration:
+    The paper's Extension E exchanges sub-configurations to reduce
+    subgroup changes by local search. This module provides the
+    machinery as an optional post-pass on any configuration:
     repeatedly give one (user, slot) cell its best item (respecting
     no-duplication) until a fixed point. Each pass is O(n·k·m·d̄) for
     average degree d̄; the objective never decreases. *)
@@ -28,10 +27,6 @@ val improve_users_in_place :
     The serving engine's per-tick cut repair runs on its live rows
     this way, at a cost proportional to the repair set rather than
     to the session. *)
-
-val improve_user : Instance.t -> Config.t -> int -> Config.t
-(** Re-optimizes only one user's row against the frozen rest (the
-    dynamic-scenario primitive). *)
 
 val gap_estimate :
   Instance.t -> Relaxation.t -> Config.t -> float

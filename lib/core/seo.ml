@@ -37,11 +37,10 @@ let organize rng ~graph ~events ~rounds ~capacity ~pref ~tau ~lambda =
 
 (* Re-run the randomized rounding phase — the LP re-solve warm starts
    from the stored basis, so a replan costs a handful of pivots plus
-   the rounding itself. Self-checking, like [Dynamic.resolve]: when
-   the population changed shape since the plan was built (a caller
-   swapped in a grown instance via [?instance]), the stored basis is
-   dropped here rather than handed to the solver's weaker
-   count-keyed shape check. *)
+   the rounding itself. Self-checking: when the population changed
+   shape since the plan was built (a caller swapped in a grown
+   instance via [?instance]), the stored basis is dropped here rather
+   than handed to the solver's weaker count-keyed shape check. *)
 let replan ?instance rng plan =
   let inst = match instance with Some i -> i | None -> plan.instance in
   if instance <> None && Array.length plan.events <> Instance.m inst then

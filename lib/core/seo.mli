@@ -54,9 +54,9 @@ val replan : ?instance:Instance.t -> Svgic_util.Rng.t -> plan -> plan
     capacity. The replan is {e self-checking}: the stored basis is
     used only when the instance still matches the plan's recorded
     {!shape} (same attendees, events, rounds and friend pairs) —
-    after a shape change the solve cold-starts on its own, exactly
-    like [Dynamic.resolve]. Raises [Invalid_argument] when the new
-    instance's item count does not match the event list. *)
+    after a shape change the solve cold-starts on its own. Raises
+    [Invalid_argument] when the new instance's item count does not
+    match the event list. *)
 
 val attendees : plan -> round:int -> event:int -> int array
 (** Who attends an event in a round. *)

@@ -31,11 +31,11 @@
 
     The API speaks external user ids: the initial population is
     [0 .. n-1] and every join mints the next fresh integer ({!submit}
-    returns it). Unlike {!Dynamic}, ids are {e never} reused — a
-    serving trace addresses users by ids written down earlier in the
-    trace, so recycling would make traces ambiguous. Internal
-    (instance) indices reshuffle on every structural tick; use
-    {!internal_of}/{!user_ids} to cross over.
+    returns it). Ids are {e never} reused — a serving trace addresses
+    users by ids written down earlier in the trace, so recycling would
+    make traces ambiguous. Internal (instance) indices reshuffle on
+    every structural tick; use {!internal_of}/{!user_ids} to cross
+    over.
 
     {2 Certificates}
 
@@ -51,8 +51,8 @@
 
 type event =
   | Join of Dynamic.user_profile
-      (** friends/τ callbacks keyed by {e external} ids, as in
-          {!Dynamic.user_profile} *)
+      (** the newcomer's profile; its friends and τ callbacks are
+          keyed by {e external} ids *)
   | Leave of int  (** external id *)
   | Pref_delta of { user : int; item : int; value : float }
       (** p(user, item) <- value (external id) *)

@@ -15,6 +15,9 @@ module Serve = Svgic.Serve
 module Wal = Svgic.Wal
 module Checkpoint = Svgic.Checkpoint
 
+(* A fresh directory under the system temp dir. Some of them back lazy
+   fixtures that several tests share, so each one is removed, with the
+   files in it, when the test binary exits. *)
 let fresh_dir =
   let c = ref 0 in
   fun () ->
@@ -25,6 +28,11 @@ let fresh_dir =
         (Printf.sprintf "svgic-dur-%d-%d" (Unix.getpid ()) !c)
     in
     Checkpoint.ensure_dir d;
+    at_exit (fun () ->
+        try
+          Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+          Sys.rmdir d
+        with Sys_error _ -> ());
     d
 
 let read_file path =

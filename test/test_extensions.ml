@@ -1,13 +1,13 @@
 (* Tests for the Section 5 extensions: commodity values, slot
    significance, group-wise social utility, subgroup-change smoothing,
-   multi-view display, the dynamic scenario, and SEO. *)
+   multi-view display, and SEO. The dynamic scenario runs on [Serve]
+   and is tested in [Test_serve]. *)
 
 module Rng = Svgic_util.Rng
 module Instance = Svgic.Instance
 module Config = Svgic.Config
 module Extensions = Svgic.Extensions
 module Mvd = Svgic.Mvd
-module Dynamic = Svgic.Dynamic
 module Seo = Svgic.Seo
 module Example = Svgic.Example_paper
 
@@ -158,59 +158,7 @@ let test_mvd_view_cap () =
     done
   done
 
-(* ------------------------ dynamic scenario ------------------------ *)
-
-let test_dynamic_join_leave_roundtrip () =
-  let rng = Rng.create 501 in
-  let inst = Helpers.random_instance rng ~n:5 ~m:7 ~k:2 in
-  let session = Dynamic.start rng inst in
-  let baseline = Dynamic.total_utility session in
-  let profile =
-    Dynamic.
-      {
-        pref = Array.init 7 (fun c -> float_of_int c /. 7.0);
-        tau_out = (fun _ _ -> 0.1);
-        tau_in = (fun _ _ -> 0.1);
-        friends = [| 0; 2 |];
-      }
-  in
-  let session2, newcomer = Dynamic.join session profile in
-  Alcotest.(check int) "n grew" 6 (Instance.n (Dynamic.instance session2));
-  Alcotest.(check int) "id is last" 5 newcomer;
-  (match Config.validate (Dynamic.instance session2) (Config.assignment (Dynamic.config session2)) with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "invalid after join: %s" msg);
-  (* The newcomer only adds utility: everyone else's row is frozen. *)
-  Alcotest.(check bool) "utility grew" true
-    (Dynamic.total_utility session2 >= baseline -. 1e-9);
-  let session3 = Dynamic.leave session2 newcomer in
-  Alcotest.(check int) "n back" 5 (Instance.n (Dynamic.instance session3));
-  Alcotest.(check (float 1e-9)) "utility restored" baseline
-    (Dynamic.total_utility session3)
-
-let test_dynamic_resolve_not_worse_than_greedy_join () =
-  let rng = Rng.create 502 in
-  let inst = Helpers.random_instance rng ~n:4 ~m:6 ~k:2 in
-  let session = Dynamic.start rng inst in
-  let profile =
-    Dynamic.
-      {
-        pref = Array.make 6 0.5;
-        tau_out = (fun _ _ -> 0.3);
-        tau_in = (fun _ _ -> 0.3);
-        friends = [| 0; 1; 2; 3 |];
-      }
-  in
-  let joined, _ = Dynamic.join session profile in
-  let resolved = Dynamic.resolve rng joined in
-  (* Full re-optimization is allowed to shuffle everything; it should
-     find at least a comparable solution most of the time. We only
-     assert validity here (quality is probabilistic). *)
-  match
-    Config.validate (Dynamic.instance resolved) (Config.assignment (Dynamic.config resolved))
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "invalid resolve: %s" msg
+(* ------------------------------ SEO -------------------------------- *)
 
 (* Pivots of the exact relaxation solve behind a result; fails when the
    solve left no basis or no counters to warm start from. *)
@@ -219,17 +167,6 @@ let warm_pivots (relax : Svgic.Relaxation.t) =
   match relax.lp_stats with
   | Some s -> s.Svgic.Relaxation.pivots
   | None -> Alcotest.fail "relaxation returns no lp_stats"
-
-let test_dynamic_resolve_warm () =
-  let rng = Rng.create 501 in
-  let inst = Helpers.random_instance rng ~n:5 ~m:7 ~k:2 in
-  let session = Dynamic.start rng inst in
-  ignore (warm_pivots (Dynamic.relaxation session));
-  let resolved = Dynamic.resolve rng session in
-  Alcotest.(check int) "unchanged population re-solves in 0 pivots" 0
-    (warm_pivots (Dynamic.relaxation resolved))
-
-(* ------------------------------ SEO -------------------------------- *)
 
 (* Ten attendees, eight events, two rounds: a 224-variable LP_SIMP. *)
 let seo_fixture () =
@@ -287,9 +224,6 @@ let suite =
     Alcotest.test_case "MVD identity" `Quick test_mvd_of_config_identity;
     Alcotest.test_case "MVD enrichment" `Quick test_mvd_enrich_improves;
     Alcotest.test_case "MVD view cap" `Quick test_mvd_view_cap;
-    Alcotest.test_case "dynamic join/leave" `Quick test_dynamic_join_leave_roundtrip;
-    Alcotest.test_case "dynamic resolve" `Quick test_dynamic_resolve_not_worse_than_greedy_join;
-    Alcotest.test_case "dynamic resolve warm starts" `Quick test_dynamic_resolve_warm;
     Alcotest.test_case "SEO feasible plan" `Quick test_seo_plan_feasible;
     Alcotest.test_case "SEO replan warm starts" `Quick test_seo_replan_warm;
     Alcotest.test_case "SEO capacity guard" `Quick test_seo_capacity_guard;

@@ -53,7 +53,7 @@ let test_polish_single_user () =
   let rng = Rng.create 801 in
   let inst = Helpers.random_instance rng ~n:5 ~m:7 ~k:2 in
   let cfg = Svgic.Baselines.group inst in
-  let improved = Polish.improve_user inst cfg 2 in
+  let improved = Polish.improve_users ~max_passes:1 inst cfg [| 2 |] in
   (* Other rows untouched. *)
   for u = 0 to 4 do
     if u <> 2 then

@@ -2,8 +2,8 @@
    wins coalescing, structural joins/leaves with stable external ids,
    bit-identical trace replay across runs and domain counts,
    incremental-vs-cold quality within the certificate gap, deadline and
-   fault degradation, trace parsing — plus the satellite coverage for
-   [Dynamic]'s stable ids and the monotonic clock. *)
+   fault degradation, trace parsing, external ids across structural
+   and value-only ticks, and the monotonic clock. *)
 
 module Rng = Svgic_util.Rng
 module Mclock = Svgic_util.Mclock
@@ -63,6 +63,11 @@ let check_bracket t =
     true
     (Serve.bound t <= obj +. 1e-9);
   Alcotest.(check bool) "objective <= upper" true (obj <= Serve.upper t +. 1e-9);
+  (match
+     Config.validate (Serve.instance t) (Config.assignment (Serve.config t))
+   with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "invalid configuration: %s" msg);
   (* the engine's incremental objective must agree with a from-scratch
      evaluation of its own configuration *)
   let full = Config.total_utility (Serve.instance t) (Serve.config t) in
@@ -242,12 +247,42 @@ let test_replay_across_domains () =
 
 (* ---------------- incremental vs cold batch solve ----------------- *)
 
+(* A cold batch solve of the engine's current population. Both
+   brackets contain its OPT, so they meet, and the incremental
+   objective stays under the cold upper bound. With [~within_gap] the
+   incremental objective must also sit within the cold certificate's
+   gap of the cold objective. *)
+let check_against_cold ~within_gap ~what seed t =
+  let inc_obj = Serve.objective t in
+  let part = Shard.partition ~labelling:Shard.Components (Serve.instance t) in
+  let cold =
+    Shard.solve_round ~rounding:(Shard.Avg_d { r = None }) (Rng.create seed)
+      part
+  in
+  let gap = cold.Shard.upper_bound -. cold.Shard.objective in
+  if within_gap then
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d %s: incremental within cold certificate gap"
+         seed what)
+      true
+      (inc_obj >= cold.Shard.objective -. gap -. 1e-6);
+  Alcotest.(check bool)
+    (Printf.sprintf "seed %d %s: incremental below cold upper bound" seed what)
+    true
+    (inc_obj <= cold.Shard.upper_bound +. 1e-6);
+  Alcotest.(check bool)
+    (Printf.sprintf "seed %d %s: [%g, %g] meets cold [%g, %g]" seed what
+       (Serve.bound t) (Serve.upper t) cold.Shard.bound cold.Shard.upper_bound)
+    true
+    (Float.max (Serve.bound t) cold.Shard.bound
+    <= Float.min (Serve.upper t) cold.Shard.upper_bound +. 1e-6)
+
 let test_incremental_within_cold_gap () =
   for seed = 1 to 20 do
     let rng = Rng.create (100 + seed) in
     let inst = community_instance rng ~blobs:3 ~blob_size:4 ~m:5 ~k:2 in
     let t = Serve.create (Rng.create seed) inst in
-    (* a few ticks of drift + one structural event *)
+    (* a few ticks of drift + one join *)
     for tickno = 1 to 4 do
       for i = 0 to 2 do
         ignore
@@ -265,23 +300,17 @@ let test_incremental_within_cold_gap () =
              (Serve.Join (profile ~m:5 ~seed:(1000 + seed) ~friends:[ 0; 5 ])));
       ignore (Serve.tick t)
     done;
-    let inc_obj = Serve.objective t in
-    (* cold batch solve of the final population, with its certificate *)
-    let final = Serve.instance t in
-    let part = Shard.partition ~labelling:Shard.Components final in
-    let cold =
-      Shard.solve_round ~rounding:(Shard.Avg_d { r = None }) (Rng.create seed)
-        part
-    in
-    let gap = cold.Shard.upper_bound -. cold.Shard.objective in
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: incremental within cold certificate gap" seed)
-      true
-      (inc_obj >= cold.Shard.objective -. gap -. 1e-6);
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: incremental below cold upper bound" seed)
-      true
-      (inc_obj <= cold.Shard.upper_bound +. 1e-6)
+    check_against_cold ~within_gap:true ~what:"after a join" seed t;
+    (* then a leave. The engine keeps its shards across a leave, so a
+       leave that disconnects a shard leaves two components in one
+       shard, rounded as one, while the cold solve rounds them apart.
+       AVG-D over two components is not bounded by the two separate
+       runs (DESIGN.md §5 "Sharded pipeline", "When sharding is
+       exact"): on seed 7 the engine reads 11.93 against a cold 12.95
+       with a cold gap of 0.87. So only the sound checks apply here. *)
+    ignore (Serve.submit t (Serve.Leave (seed mod 12)));
+    ignore (Serve.tick t);
+    check_against_cold ~within_gap:false ~what:"after a leave" seed t
   done
 
 (* ------------------- degradation under pressure ------------------- *)
@@ -421,52 +450,61 @@ let test_parse_line () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus line must not parse"
 
-(* ------------------- Dynamic stable external ids ------------------ *)
+(* ---------------------- stable external ids ----------------------- *)
 
-let small_dynamic () =
+let small_session () =
   let rng = Rng.create 12 in
   let inst = community_instance ~p_cross:0.3 rng ~blobs:2 ~blob_size:3 ~m:4 ~k:2 in
-  Dynamic.start (Rng.create 29) inst
+  Serve.create (Rng.create 29) inst
 
-let test_dynamic_stable_ids () =
-  let t = small_dynamic () in
-  (* leave user 2: everyone else keeps her external id *)
-  let t = Dynamic.leave t 2 in
-  Alcotest.(check bool) "2 is tombstoned" true (Dynamic.internal_of t 2 = None);
+(* [internal_of] inverts [user_ids] on the current population. *)
+let check_remap t =
   Array.iteri
     (fun i ext ->
-      Alcotest.(check int)
+      Alcotest.(check (option int))
         (Printf.sprintf "roundtrip %d" ext)
-        i
-        (Option.get (Dynamic.internal_of t ext)))
-    (Dynamic.user_ids t);
+        (Some i) (Serve.internal_of t ext))
+    (Serve.user_ids t)
+
+let test_dynamic_stable_ids () =
+  let t = small_session () in
+  (* leave user 2: everyone else keeps their external id *)
+  ignore (Serve.submit t (Serve.Leave 2));
+  ignore (Serve.tick t);
+  Alcotest.(check bool) "2 is gone" true (Serve.internal_of t 2 = None);
+  check_remap t;
   Alcotest.(check bool) "5 still addressable" true
-    (Dynamic.internal_of t 5 <> None);
-  (* a join reuses the most recently freed id *)
-  let t, ext =
-    Dynamic.join t (profile ~m:4 ~seed:6 ~friends:[ 0; 5 ])
-  in
-  Alcotest.(check int) "tombstone reused LIFO" 2 ext;
-  (* and with no tombstones left, a fresh id is minted *)
-  let t, ext2 = Dynamic.join t (profile ~m:4 ~seed:7 ~friends:[ 1 ]) in
-  Alcotest.(check int) "fresh id" 6 ext2;
-  Alcotest.(check int) "population" 7 (Instance.n (Dynamic.instance t))
+    (Serve.internal_of t 5 <> None);
+  (* a join and a leave in one structural tick *)
+  ignore (Serve.submit t (Serve.Join (profile ~m:4 ~seed:6 ~friends:[ 0; 5 ])));
+  ignore (Serve.submit t (Serve.Leave 0));
+  let st = Serve.tick t in
+  Alcotest.(check bool) "structural" true st.Serve.structural;
+  Alcotest.(check int) "population" 5 (Serve.num_users t);
+  check_remap t;
+  check_bracket t
 
 let test_dynamic_resolve_preserves_remap () =
-  let t = small_dynamic () in
-  let t = Dynamic.leave t 0 in
-  let ids_before = Dynamic.user_ids t in
-  let t = Dynamic.resolve (Rng.create 31) t in
-  Alcotest.(check bool)
-    "remap survives resolve" true
-    (ids_before = Dynamic.user_ids t);
-  Alcotest.(check bool) "0 still gone" true (Dynamic.internal_of t 0 = None)
+  let t = small_session () in
+  ignore (Serve.submit t (Serve.Leave 0));
+  ignore (Serve.tick t);
+  let ids_before = Serve.user_ids t in
+  (* a value-only tick re-solves the touched shard and keeps the ids *)
+  ignore (Serve.submit t (Serve.Pref_delta { user = 4; item = 1; value = 0.9 }));
+  let st = Serve.tick t in
+  Alcotest.(check bool) "not structural" false st.Serve.structural;
+  Alcotest.(check bool) "re-solved" true (st.Serve.shards_touched >= 1);
+  Alcotest.(check (array int)) "remap survives a value tick" ids_before
+    (Serve.user_ids t);
+  Alcotest.(check bool) "0 still gone" true (Serve.internal_of t 0 = None);
+  check_remap t
 
 let test_dynamic_tau_keyed_by_external () =
-  let t = small_dynamic () in
-  (* after a leave shifts internals, a join's τ callbacks must be
-     queried with *external* friend ids *)
-  let t = Dynamic.leave t 1 in
+  let t = small_session () in
+  (* after a leave compacts the internal ids, a join's τ callbacks must
+     be asked with *external* friend ids *)
+  ignore (Serve.submit t (Serve.Leave 1));
+  ignore (Serve.tick t);
   let asked = ref [] in
   let p =
     {
@@ -476,18 +514,23 @@ let test_dynamic_tau_keyed_by_external () =
         (fun fext _ ->
           asked := fext :: !asked;
           0.25);
-      tau_in = (fun _ _ -> 0.125);
+      tau_in =
+        (fun fext _ ->
+          asked := fext :: !asked;
+          0.125);
     }
   in
-  let t, _ext = Dynamic.join t p in
+  let ext = Option.get (Serve.submit t (Serve.Join p)) in
+  ignore (Serve.tick t);
   Alcotest.(check bool) "asked with external id 5" true (List.mem 5 !asked);
   Alcotest.(check bool) "never asked with an internal id" true
     (List.for_all (fun e -> e = 5) !asked);
-  let i = Option.get (Dynamic.internal_of t 5) in
-  let j = Instance.n (Dynamic.instance t) - 1 in
-  Alcotest.(check (float 1e-12))
-    "tau_out landed" 0.25
-    (Instance.tau (Dynamic.instance t) j i 0)
+  let i = Option.get (Serve.internal_of t 5) in
+  let j = Option.get (Serve.internal_of t ext) in
+  let inst = Serve.instance t in
+  Alcotest.(check (float 1e-12)) "tau_out landed" 0.25 (Instance.tau inst j i 0);
+  Alcotest.(check (float 1e-12)) "tau_in landed" 0.125 (Instance.tau inst i j 0);
+  check_bracket t
 
 (* ------------------------ monotonic clock ------------------------- *)
 
