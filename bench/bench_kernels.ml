@@ -76,8 +76,8 @@ let fanout_note domains =
 
 (* CPU time the hypervisor stole from this VM since boot: (steal,
    total) jiffies from the aggregate line of /proc/stat, [None]
-   without procfs. A fan-out row's note states the share stolen while
-   it ran: a hand-off to a descheduled vCPU stalls the whole join. *)
+   without procfs. The [fw_solve_mc] notes state the share stolen while
+   each row ran, so a slow row can be told from a contended host. *)
 let cpu_jiffies () =
   match open_in "/proc/stat" with
   | exception Sys_error _ -> None
@@ -317,7 +317,7 @@ let avg_d_select_records ~sizes =
 (* ---------------- AVG-D end-to-end -------------------------------- *)
 
 let avg_d_end_to_end_records ~shapes =
-  List.concat_map
+  List.map
     (fun (n, m, k) ->
       let rng = Rng.create (1700 + n + m + k) in
       let inst = Datasets.make Datasets.Timik rng ~n ~m ~k ~lambda:0.5 in
@@ -326,16 +326,11 @@ let avg_d_end_to_end_records ~shapes =
          tens of microseconds at the small shapes, far below timer and
          scheduler noise. *)
       let ops = max 2 (2_000_000 / (n * m * k)) in
-      let (reference, reference_w), (champion, champion_w) =
-        time_pair ~rounds:5 ~ops
-          (fun () -> ignore (Svgic.Algorithms.avg_d_reference inst relax))
-          (fun () -> ignore (Svgic.Algorithms.avg_d inst relax))
+      let champion, champion_w =
+        time_kernel ~rounds:5 ~ops (fun () ->
+            ignore (Svgic.Algorithms.avg_d inst relax))
       in
-      let size = m * k in
-      [
-        mk ~alloc:reference_w "avg_d_full" "naive" size reference;
-        mk ~alloc:champion_w "avg_d_full" "champion" size champion;
-      ])
+      mk ~alloc:champion_w "avg_d_full" "champion" (m * k) champion)
     shapes
 
 (* ---------------- LP engine ---------------------------------------- *)
@@ -627,10 +622,9 @@ let fw_sparse_problem seed ~n ~m ~k ~edges ~density =
   in
   Svgic_lp.Pairwise_fw.{ n; m; k; linear; pairs }
 
-(* The sparse engine, serial, on a fixed iteration schedule: the flat
-   pair entries, pair pass + user pass and insertion oracle, without
-   the fan-out. The size field is m·k, matching the other config-phase
-   kernels. *)
+(* The sparse engine on a fixed iteration schedule: the flat pair
+   entries, pair pass + user pass and insertion oracle. The size field
+   is m·k, matching the other config-phase kernels. *)
 let fw_solve_records ~shapes =
   List.map
     (fun (n, m, k) ->
@@ -641,47 +635,32 @@ let fw_solve_records ~shapes =
       let iterations = 40 in
       let sparse, sparse_w =
         time_kernel ~ops:1 (fun () ->
-            ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:1 p))
+            ignore (Svgic_lp.Pairwise_fw.solve ~iterations p))
       in
       mk ~alloc:sparse_w "fw_solve" "sparse" (m * k) sparse)
     shapes
 
-(* Frank-Wolfe serial vs fanned out over every available domain, on
-   Timik-like instances at m = 12 (plan_large's shards are the 300-user
-   row) and a fixed 300-iteration schedule. [size] is n·m, the quantity
-   [Pairwise_fw]'s default fan-out rule reads; the full-scale sizes
-   bracket the crossover where two domains start to pay. The [domains]
-   field records what the parallel side actually ran with: on a
-   single-domain box the row measures fan-out overhead, not
-   parallelism, and the speedup derivation skips it. Both rows' notes
-   give the share of CPU time the host stole while the pair ran. *)
-let fw_mc_crossover_users = [ 25; 50; 100; 200; 300; 600; 1200; 2400; 6000 ]
+(* The Frank-Wolfe engine on Timik-like instances at m = 12
+   (plan_large's shards are the 300-user row) and a fixed 300-iteration
+   schedule, from 25 to 6,000 users. [size] is n·m. The note gives the
+   share of CPU time the host stole while the row ran. *)
+let fw_mc_full_users = [ 25; 50; 100; 200; 300; 600; 1200; 2400; 6000 ]
 
 let fw_mc_records ~users =
   let m = 12 and k = 4 and iterations = 300 in
-  let avail = Pool.available_domains () in
-  List.concat_map
+  List.map
     (fun n ->
       let rng = Rng.create (5200 + n) in
       let inst = Datasets.make Datasets.Timik rng ~n ~m ~k ~lambda:0.5 in
       let p = Svgic.Lp_build.fw_problem inst in
       let before = cpu_jiffies () in
-      let (serial, serial_w), (parallel, parallel_w) =
-        time_pair ~rounds:5 ~ops:1
-          (fun () ->
-            ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:1 p))
-          (fun () ->
-            ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:avail p))
+      let serial, serial_w =
+        time_kernel ~rounds:5 ~ops:1 (fun () ->
+            ignore (Svgic_lp.Pairwise_fw.solve ~iterations p))
       in
       let steal = steal_note before (cpu_jiffies ()) in
-      let size = n * m in
-      [
-        mk ~domains:1 ~note:steal ~alloc:serial_w "fw_solve_mc" "serial" size
-          serial;
-        mk ~domains:avail
-          ~note:(fanout_note avail ^ "; " ^ steal)
-          ~alloc:parallel_w "fw_solve_mc" "parallel" size parallel;
-      ])
+      mk ~domains:1 ~note:steal ~alloc:serial_w "fw_solve_mc" "serial" (n * m)
+        serial)
     users
 
 (* The full relaxation (scaled Timik instance) through the exact
@@ -716,7 +695,7 @@ let fw_vs_exact_records ~shapes =
                           iterations = 1_200;
                           smoothing = 0.005;
                           gap_tol = Some 0.05;
-                          domains = Some 1;
+                          domains = None;
                         })
                    inst))
       in
@@ -777,11 +756,10 @@ let fault_ladder_records ~lp_shapes ~fw_shapes =
         let iterations = 40 in
         let (bare, bare_w), (supervised, supervised_w) =
           time_pair ~rounds:5 ~ops:1
-            (fun () ->
-              ignore (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:1 p))
+            (fun () -> ignore (Svgic_lp.Pairwise_fw.solve ~iterations p))
             (fun () ->
               ignore
-                (Svgic_lp.Pairwise_fw.solve ~iterations ~domains:1
+                (Svgic_lp.Pairwise_fw.solve ~iterations
                    ~token:(Supervise.unlimited ())
                    p))
         in
@@ -1437,7 +1415,7 @@ let run () =
   let fw_shapes =
     if smoke then [ (16, 12, 2) ] else [ (96, 64, 6); (256, 128, 8) ]
   in
-  let fw_mc_users = if smoke then [ 16 ] else fw_mc_crossover_users in
+  let fw_mc_users = if smoke then [ 16 ] else fw_mc_full_users in
   let fw_exact_shapes = if smoke then [] else [ (50, 80, 4) ] in
   (* (n, m, k, edges, density): ILPs the simplex tree proves within
      seconds. *)

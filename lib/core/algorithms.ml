@@ -148,12 +148,11 @@ let avg_best_of ?(advanced_sampling = true) ?size_cap ?domains ~repeats rng inst
        score = ALG(S_tar) - r · Δ_LP(S_tar)
    where Δ_LP is the part of OPT_LP(S_cur) removed by assigning the
    target subgroup. The global term r·OPT_LP(S_cur) is common to all
-   candidates of an iteration and therefore dropped from the argmax. *)
-type candidate = { score : float; alpha : float }
+   candidates of an iteration and therefore dropped from the argmax.
 
-(* Per-worker mutable workspace of [evaluate_pair], so the initial
-   m·k sweep can fan out across domains without sharing scratch.
-   [slot_free] caches per-user slot emptiness for one slot: the
+   [scratch] is the per-worker mutable workspace of [evaluate_pair_hot],
+   so the initial m·k sweep can fan out across domains without sharing
+   scratch. [slot_free] caches per-user slot emptiness for one slot: the
    same-slot invalidation sweep evaluates every item of a single slot
    against a frozen state, so the lookups (including the per-edge
    neighbor checks, the hottest loads of the evaluation) are filled
@@ -309,77 +308,8 @@ let evaluate_pair_hot ctx scratch ~item ~slot =
     scratch.star_n <- 0
   end
 
-(* Option-returning wrapper, kept for the reference implementation and
-   anyone who wants the candidate materialized. *)
-let evaluate_pair_prepared ctx scratch ~item ~slot =
-  evaluate_pair_hot ctx scratch ~item ~slot;
-  if scratch.best_found then
-    Some { score = scratch.best.(0); alpha = scratch.best.(1) }
-  else None
-
-let evaluate_pair ctx scratch ~item ~slot =
-  prepare_slot ctx scratch ~slot;
-  evaluate_pair_prepared ctx scratch ~item ~slot
-
-(* Seed implementation: full m·k cache scan per iteration. Kept as the
-   oracle for the heap-based fast path (tests assert identical output)
-   and as the "before" side of the candidate-selection benchmark. *)
-let avg_d_reference ?(r = 0.25) ?size_cap inst relax =
-  if Instance.lambda inst = 0.0 && size_cap = None then top_k_greedy inst
-  else
-    let m = Instance.m inst and k = Instance.k inst in
-    let ctx = make_ctx ?size_cap ~r inst relax in
-    let scratch = make_scratch (Instance.n inst) in
-    let cache = Array.make (m * k) None in
-    let recompute idx =
-      cache.(idx) <- evaluate_pair ctx scratch ~item:(idx / k) ~slot:(idx mod k)
-    in
-    for idx = 0 to (m * k) - 1 do
-      recompute idx
-    done;
-    let finished = ref false in
-    while not !finished do
-      if Csf.complete ctx.state then finished := true
-      else begin
-        let best_idx = ref (-1) and best_score = ref neg_infinity in
-        for idx = 0 to (m * k) - 1 do
-          match cache.(idx) with
-          | Some { score; _ } when score > !best_score ->
-              best_idx := idx;
-              best_score := score
-          | Some _ | None -> ()
-        done;
-        if !best_idx < 0 then begin
-          (* No candidate has an eligible user — only possible through a
-             size-cap lockout; complete greedily. *)
-          Csf.greedy_complete ctx.state;
-          finished := true
-        end
-        else begin
-          let idx = !best_idx in
-          let c = idx / k and s = idx mod k in
-          match cache.(idx) with
-          | None -> assert false
-          | Some { alpha; _ } ->
-              let assigned = Csf.apply ctx.state ~item:c ~slot:s ~alpha in
-              if assigned = [] then recompute idx
-              else begin
-                (* Invalidate exactly the pairs whose eligibility or
-                   future-mass terms changed: same slot (any item), same
-                   item (any slot). *)
-                for c' = 0 to m - 1 do
-                  recompute ((c' * k) + s)
-                done;
-                for s' = 0 to k - 1 do
-                  recompute ((c * k) + s')
-                done
-              end
-        end
-      end
-    done;
-    Csf.to_config ctx.state
-
-(* Fast path: the same derandomized iteration, but (a) the initial m·k
+(* The derandomized iteration of the seed implementation
+   (test/oracles/avg_d_reference.ml), except that (a) the initial m·k
    candidate sweep fans out across domains (read-only state, private
    scratch per worker), and (b) the per-iteration argmax keeps one
    champion per slot instead of rescanning the whole m·k cache.

@@ -72,15 +72,10 @@ val avg_d :
     tracks one champion per slot (maintained during the dirty
     same-item/same-slot recomputation sweep, with a lazy O(m) slot
     rescan only when a sitting champion is recomputed) instead of a
-    full m·k cache rescan. Output is bit-identical to
-    [avg_d_reference] for every [domains] value. *)
-
-val avg_d_reference :
-  ?r:float -> ?size_cap:int -> Instance.t -> Relaxation.t -> Config.t
-(** The seed implementation of [avg_d] (serial, full m·k candidate
-    rescan per iteration). Kept as the determinism oracle for tests and
-    the "before" side of the candidate-selection benchmark; prefer
-    [avg_d]. *)
+    full m·k cache rescan. Output is identical for every [domains]
+    value, and bit for bit that of the serial seed implementation
+    with its full m·k rescan, which the tests keep as their oracle
+    ([test/oracles/avg_d_reference.ml]). *)
 
 (** The AVG-D inner loop in isolation: one prepared-slot evaluation
     sweep (re-score every item of one slot against the frozen rounding

@@ -108,10 +108,10 @@ let solve_simplex ?warm ?token inst =
   { xbar; scaled_objective = objective; scaled_upper = objective; basis;
     fw_gap = None; degraded = not complete; lp_stats }
 
-let frank_wolfe ~iterations ~smoothing ~gap_tol ~domains ?token inst =
+let frank_wolfe ~iterations ~smoothing ~gap_tol ?token inst =
   let problem = Lp_build.fw_problem inst in
   let solution =
-    Svgic_lp.Pairwise_fw.solve ~iterations ~smoothing ?gap_tol ?domains ?token
+    Svgic_lp.Pairwise_fw.solve ~iterations ~smoothing ?gap_tol ?token
       ~swap_steps:true problem
   in
   {
@@ -148,7 +148,7 @@ let greedy_fallback inst =
 
 (* The config-phase degradation ladder (DESIGN.md §5):
      exact -> exact retry (cold, no warm basis)
-           -> gap-certified Frank-Wolfe (serial)
+           -> gap-certified Frank-Wolfe
            -> top-k greedy baseline.
    The ladder only engages on failure, so the clean path is
    bit-identical to the unsupervised solve. Failures descend, deadline
@@ -165,16 +165,16 @@ let solve ?(backend = Auto) ?warm ?token inst =
     try
       frank_wolfe ~iterations:2_000 ~smoothing:0.02
         ~gap_tol:(Some (default_fw_gap_tol inst))
-        ~domains:(Some 1) ?token inst
+        ?token inst
     with Failure _ -> greedy_fallback inst
   in
   match backend with
   | Auto -> assert false
-  | Frank_wolfe { iterations; smoothing; gap_tol; domains } -> (
+  | Frank_wolfe { iterations; smoothing; gap_tol; domains = _ } -> (
       (* FW failures (a non-finite screen) are data-level and would
          repeat identically, so the only rung below is the greedy
          floor. *)
-      try frank_wolfe ~iterations ~smoothing ~gap_tol ~domains ?token inst
+      try frank_wolfe ~iterations ~smoothing ~gap_tol ?token inst
       with Failure _ -> greedy_fallback inst)
   | Exact_simplex -> (
       match solve_simplex ?warm ?token inst with

@@ -14,8 +14,9 @@ type backend =
           (** stop at this smoothed duality gap; [None] runs the full
               iteration budget *)
       domains : int option;
-          (** [Pool] fan-out cap; [None] lets the engine decide.
-              Bit-identical results for every value. *)
+          (** ignored: the engine runs on the calling domain. Kept
+              only because [perfbench/plan_wl.ml] builds and matches
+              on it; drop it with the next change to perfbench. *)
     }
       (** scalable first-order solver with a duality-gap certificate
           (Corollary 4.2 applies: a gap-certified β-approximate
@@ -103,8 +104,8 @@ val solve :
     [token] supervises the solve (DESIGN.md §5 "Failure handling"):
     it is threaded into the simplex pivot loop / Frank–Wolfe sweep
     loop, and on expiry or failure the degradation ladder takes over —
-    exact → exact retry (cold) → gap-certified serial
-    Frank–Wolfe → top-k greedy floor — always returning a feasible
+    exact → exact retry (cold) → gap-certified Frank–Wolfe →
+    top-k greedy floor — always returning a feasible
     [t] with [degraded = true] instead of raising. The ladder engages
     only on failure, so a clean supervised solve is bit-identical to
     the unsupervised one. Without a token, failures on the exact path

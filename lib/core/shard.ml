@@ -135,17 +135,6 @@ type result = {
   degraded : bool array;
 }
 
-(* Inner parallelism must not nest inside a shard fan-out: force the
-   rounding serial and pin an unresolved FW backend to one domain. *)
-let serial_backend inst backend =
-  let backend =
-    match backend with Relaxation.Auto -> Relaxation.choose_backend inst | b -> b
-  in
-  match backend with
-  | Relaxation.Frank_wolfe ({ domains = None; _ } as fw) ->
-      Relaxation.Frank_wolfe { fw with domains = Some 1 }
-  | b -> b
-
 type solved = {
   s_config : Config.t;
   s_utility : float;
@@ -196,10 +185,7 @@ let solve_one ?(backend = Relaxation.Auto) ?size_cap ?warm ?incumbent ?token
       Some
         (settle ~degraded:false ~basis:None ~fell_back:false ~upper:(snd g) g)
     else begin
-      let relax =
-        Relaxation.solve ?warm ?token ~backend:(serial_backend inst backend)
-          inst
-      in
+      let relax = Relaxation.solve ?warm ?token ~backend inst in
       let relax =
         match injected with
         | Some Fault.Nan ->
@@ -221,6 +207,8 @@ let solve_one ?(backend = Relaxation.Auto) ?size_cap ?warm ?incumbent ?token
       if match token with Some t -> Supervise.expired t | None -> false then
         None
       else begin
+        (* Inner parallelism must not nest inside a shard fan-out: the
+           rounding runs serial. *)
         let cfg =
           match rounding with
           | Avg { repeats; advanced_sampling } ->

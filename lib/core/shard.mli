@@ -191,9 +191,8 @@ val solve_one :
     handling"). In order: the fault poll at [site] and [index]; an
     edge-free shard with no [size_cap] and no injected fault takes its
     exact top-k optimum; {!Relaxation.solve} [?warm ?token] on
-    [backend] (default [Auto]) with inner parallelism on one domain;
-    the iterate health screen, then the deadline check; [rounding]
-    (AVG draws from [rng]); the greedy floor under a degraded
+    [backend] (default [Auto]); the iterate health screen, then the
+    deadline check; [rounding] on one domain (AVG draws from [rng]); the greedy floor under a degraded
     relaxation, then the [incumbent] floor, each only when strictly
     better; on deadline expiry, or on [Failure] or an injected fault
     under [Isolate] (the default), the fall-back to [incumbent], else

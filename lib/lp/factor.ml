@@ -376,29 +376,6 @@ let btran f y =
     y.(r) <- !acc
   done
 
-let update f ~pivot_row w =
-  let n = ref 0 in
-  for i = 0 to f.m - 1 do
-    if i <> pivot_row && Float.abs w.(i) > drop_tol then incr n
-  done;
-  ensure_e f ~etas:(f.ne + 1) ~pool:(f.e_n + !n);
-  let t = f.ne in
-  f.e_piv.(t) <- pivot_row;
-  FA.set f.e_pv t w.(pivot_row);
-  f.e_start.(t) <- f.e_n;
-  let cursor = ref f.e_n in
-  for i = 0 to f.m - 1 do
-    if i <> pivot_row && Float.abs w.(i) > drop_tol then begin
-      f.e_idx.(!cursor) <- i;
-      FA.set f.e_val !cursor w.(i);
-      incr cursor
-    end
-  done;
-  f.e_n <- !cursor;
-  f.e_start.(t + 1) <- !cursor;
-  f.ne <- t + 1;
-  f.eta_appends <- f.eta_appends + 1
-
 let update_pattern f ~pivot_row w idx n =
   let cnt = ref 0 in
   for k = 0 to n - 1 do

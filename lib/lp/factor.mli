@@ -82,17 +82,14 @@ val ftran : t -> float array -> unit
 val btran : t -> float array -> unit
 (** Solve [B^T y = c] in place. Allocation-free. *)
 
-val update : t -> pivot_row:int -> float array -> unit
-(** Absorb a basis change: column at basis position [pivot_row] is
-    replaced by the column whose FTRANed image is [w] (dense). Appends
-    one update eta (entries below the drop tolerance discarded).
-    Allocation-free apart from arena growth. *)
-
 val update_pattern : t -> pivot_row:int -> float array -> int array -> int -> unit
-(** [update_pattern f ~pivot_row w idx n] is {!update} restricted to
-    an explicit nonzero pattern: [idx.(0 .. n-1)] must list every row
+(** [update_pattern f ~pivot_row w idx n] absorbs a basis change: the
+    column at basis position [pivot_row] is replaced by the column
+    whose FTRANed image is [w]. [idx.(0 .. n-1)] must list every row
     where [w] is nonzero, without duplicates — exactly what
-    {!ftran_pattern} returns. O(pattern) instead of O(m). *)
+    {!ftran_pattern} returns. Appends one update eta (entries below the
+    drop tolerance discarded, the rest in [idx] order); O(pattern).
+    Allocation-free apart from arena growth. *)
 
 val ftran_pattern : t -> float array -> int array -> int -> int
 (** [ftran_pattern f w idx n] computes {!ftran}[ f w] for a [w] that

@@ -1,4 +1,3 @@
-module Pool = Svgic_util.Pool
 module Select = Svgic_util.Select
 module Supervise = Svgic_util.Supervise
 
@@ -60,7 +59,7 @@ let smoothing_slack ~smoothing p = smoothing *. Float.log 2.0 *. weight_mass p
    oracle vertex, the Frank-Wolfe gap contribution <grad, v - x>, and
    (in swap mode) the best mass-swap move. The iterate, the gradient
    and the oracle slots are flat [n*m] (resp. [n*k]) arrays indexed
-   [u*m + c]. A serial sweep runs two loops:
+   [u*m + c]. A sweep runs two loops:
 
    - the pair pass walks the pairs with a non-zero weight in pair-array
      order and, per non-zero (pair, item), takes one [exp] and adds
@@ -84,19 +83,11 @@ let smoothing_slack ~smoothing p = smoothing *. Float.log 2.0 *. weight_mass p
    cell, and the [min] term's coordinate, by index from that one
    comparison instead of by branch.
 
-   A pair pass cannot be split by users without two workers adding to
-   one cell, so a fanned-out sweep ([domains > 1]) keeps a share/gather
-   split over a per-user CSR adjacency built for that solve: the share
-   pass visits each (pair, item) from its lower-numbered endpoint and
-   writes both shares into per-entry slots (the second through [mate]);
-   after a join, the gather pass sums each user's shares into its
-   gradient row in CSR row order, which is pair-array order again,
-   then runs the user pass. Every slot has one writer and the objective
-   and gap are reduced serially by user index, so every worker count
-   gives the serial run's bits. A third per-user pass applies the
-   updates (it must not run concurrently with the sweep's reads).
+   After each sweep the objective and gap are reduced by user index and
+   the swept iterate is banked if it is the best so far; only then
+   does a per-user pass apply the update, which overwrites it.
 
-   Nothing on the serial iteration path allocates (for the k <= 16
+   Nothing on the iteration path allocates (for the k <= 16
    insertion oracle): every float stays in a flat array, an all-float
    record or a local the compiler unboxes, the step size reaches the
    update through a one-slot array rather than as a (boxed) argument,
@@ -208,7 +199,7 @@ let sweep_state ?(smoothing = 0.05) ?(swap_steps = false) p =
     step = [| 0.0 |];
   }
 
-(* The serial sweep's first loop: the gradient and the exact pair
+(* The sweep's first loop: the gradient and the exact pair
    objective terms (the argument above). The logistic share is inlined
    by hand: a non-inlined float-returning call would box its result,
    breaking the zero-allocation contract. *)
@@ -315,9 +306,8 @@ let user_pass st u =
     done
   end
   else begin
-    (* A fresh copy per call: [Select.top_k] allocates anyway, and a
-       buffer in the state would be shared by the fanned-out sweep's
-       workers. *)
+    (* A fresh copy per call: [Select.top_k] allocates its result
+       anyway, so this path is not allocation-free in any case. *)
     let row = Array.sub g b m in
     let sel = Select.top_k k row in
     Array.blit sel 0 tops tb k;
@@ -343,102 +333,9 @@ let gradient ?(smoothing = 0.05) p x =
   pair_pass st;
   Array.init p.n (fun u -> Array.sub st.g (u * p.m) p.m)
 
-(* ------------------------------------------------------------------ *)
-(* The fanned-out sweep's per-user CSR adjacency of (neighbour, item,
-   weight) entries: each undirected pair contributes one entry to each
-   endpoint's row per item with a non-zero weight, in pair-array order
-   (pair-major, then item). [mate] links the two entries of one
-   (pair, item). Built only by solves with [domains > 1]. *)
-
-type csr = {
-  ptr : int array;  (* n + 1 *)
-  nbr : int array;  (* nnz: the other endpoint *)
-  citem : int array;  (* nnz *)
-  cwgt : float array;  (* nnz *)
-  mate : int array;  (* nnz: the same (pair, item) in the other row *)
-}
-
-let build_csr st =
-  let n = st.sp.n in
-  let count = Array.make n 0 in
-  for i = 0 to Array.length st.lo - 1 do
-    let len = st.span.(i + 1) - st.span.(i) in
-    count.(st.lo.(i)) <- count.(st.lo.(i)) + len;
-    count.(st.hi.(i)) <- count.(st.hi.(i)) + len
-  done;
-  let ptr = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    ptr.(u + 1) <- ptr.(u) + count.(u)
-  done;
-  let nnz = ptr.(n) in
-  let nbr = Array.make nnz 0 and citem = Array.make nnz 0 in
-  let cwgt = Array.make nnz 0.0 and mate = Array.make nnz 0 in
-  let fill = Array.sub ptr 0 n in
-  for i = 0 to Array.length st.lo - 1 do
-    let l = st.lo.(i) and h = st.hi.(i) in
-    for e = st.span.(i) to st.span.(i + 1) - 1 do
-      let il = fill.(l) and ih = fill.(h) in
-      nbr.(il) <- h;
-      nbr.(ih) <- l;
-      citem.(il) <- st.item.(e);
-      citem.(ih) <- st.item.(e);
-      cwgt.(il) <- st.wgt.(e);
-      cwgt.(ih) <- st.wgt.(e);
-      mate.(il) <- ih;
-      mate.(ih) <- il;
-      fill.(l) <- il + 1;
-      fill.(h) <- ih + 1
-    done
-  done;
-  { ptr; nbr; citem; cwgt; mate }
-
-(* Share pass for user u: the pair pass's arithmetic for the entries
-   whose neighbour is numbered higher, with both shares written to
-   [share] slots instead of the gradient. *)
-let share_user st adj share u =
-  let m = st.sp.m and x = st.x and smoothing = st.smoothing in
-  let bu = u * m in
-  let acc = ref 0.0 in
-  for e = adj.ptr.(u) to adj.ptr.(u + 1) - 1 do
-    let v = adj.nbr.(e) in
-    if v > u then begin
-      let c = adj.citem.(e) and w = adj.cwgt.(e) in
-      let il = bu + c and ih = (v * m) + c in
-      let d = x.(ih) -. x.(il) in
-      let ez = exp (-.Float.abs (d /. smoothing)) in
-      let larger = w *. (1.0 /. (1.0 +. ez)) in
-      let smaller = w *. (ez /. (1.0 +. ez)) in
-      if d >= 0.0 then begin
-        share.(e) <- larger;
-        share.(adj.mate.(e)) <- smaller;
-        acc := !acc +. (w *. x.(il))
-      end
-      else begin
-        share.(e) <- smaller;
-        share.(adj.mate.(e)) <- larger;
-        acc := !acc +. (w *. x.(ih))
-      end
-    end
-  done;
-  st.pair_obj.(u) <- !acc
-
-(* Gather pass for user u: its gradient row, the linear terms plus its
-   shares in CSR row order, then the user pass. *)
-let gather_user st adj share u =
-  let m = st.sp.m and g = st.g in
-  let b = u * m in
-  Array.blit st.lin b g b m;
-  for e = adj.ptr.(u) to adj.ptr.(u + 1) - 1 do
-    let i = b + adj.citem.(e) in
-    g.(i) <- g.(i) +. share.(e)
-  done;
-  user_pass st u
-
 (* Applies the recorded step to user u, with the step size from
    [st.step]. The swap step is taken when its first-order progress
-   beats the classic step's; both choices depend only on per-user
-   slots and the step size, so the decision is identical for every
-   worker count. *)
+   beats the classic step's. *)
 let apply_user st u =
   let m = st.sp.m and k = st.sp.k in
   let x = st.x and b = u * m in
@@ -461,16 +358,6 @@ let apply_user st u =
       x.(b + c) <- x.(b + c) +. gamma
     done
   end
-
-(* Default fan-out: parallel only when the per-sweep work amortizes the
-   CSR the fanned-out sweep builds and its three fan-outs per
-   iteration. Calibrated on fw_solve_mc rows taken against the serial
-   pair pass (Timik-like, m = 12, 2-vCPU VM, host stealing under 0.5%
-   of CPU time): over seven runs, 7,200 is the smallest n·m at which
-   two domains won every run, and they lost some run at every size up
-   to 3,600. *)
-let auto_domains p =
-  if p.n > 1 && p.n * p.m >= 7_200 then Pool.available_domains () else 1
 
 (* Input-data health screen: a poisoned preference or pair weight
    would propagate NaN through every gradient and silently zero the
@@ -497,7 +384,7 @@ type tally = {
   mutable best_ub : float;
 }
 
-(* Reduces the swept iterate's per-user slots serially by user index
+(* Reduces the swept iterate's per-user slots by user index
    and banks it if it is the best so far. *)
 let record st tl best =
   let obj = ref 0.0 and gap = ref 0.0 in
@@ -522,7 +409,7 @@ let record st tl best =
   let cand = obj +. gap in
   if cand -. cand = 0.0 && cand < tl.best_ub then tl.best_ub <- cand
 
-let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?domains ?token
+let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?token
     ?(swap_steps = false) p =
   assert (p.k >= 1 && p.k <= p.m);
   assert (smoothing > 0.0);
@@ -531,7 +418,6 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?domains ?token
     match token with Some t -> t | None -> Supervise.unlimited ()
   in
   let n = p.n and m = p.m in
-  let domains = match domains with Some d -> d | None -> auto_domains p in
   let st = sweep_state ~smoothing ~swap_steps p in
   let best = Array.copy st.x in
   let tl =
@@ -542,29 +428,6 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?domains ?token
       best_gap = infinity;
       best_ub = infinity;
     }
-  in
-  (* The sweep and update closures are built once here, not per
-     iteration. A fanned-out solve builds its CSR adjacency and share
-     slots here too, and joins the share pass before the gather pass
-     reads any share. *)
-  let sweep, update =
-    if domains <= 1 then
-      ( (fun () -> sweep_serial st),
-        fun () ->
-          for u = 0 to n - 1 do
-            apply_user st u
-          done )
-    else begin
-      let adj = build_csr st in
-      let share = Array.make (Array.length adj.nbr) 0.0 in
-      let par_share u = share_user st adj share u in
-      let par_gather u = gather_user st adj share u in
-      let par_apply u = apply_user st u in
-      ( (fun () ->
-          Pool.parallel_for ~domains n par_share;
-          Pool.parallel_for ~domains n par_gather),
-        fun () -> Pool.parallel_for ~domains n par_apply )
-    end
   in
   let steps = ref 0 in
   let stopped = ref false in
@@ -578,7 +441,7 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?domains ?token
       timed_out := true
     end
     else begin
-      sweep ();
+      sweep_serial st;
       record st tl best;
       let obj = tl.obj and gap = tl.gap in
       (* Iterate health guard ([v -. v <> 0.0] catches NaN and both
@@ -592,14 +455,16 @@ let solve ?(iterations = 400) ?(smoothing = 0.05) ?gap_tol ?domains ?token
         | Some tol when gap <= tol -> stopped := true
         | _ ->
             st.step.(0) <- 2.0 /. float_of_int (!steps + 2);
-            update ();
+            for u = 0 to n - 1 do
+              apply_user st u
+            done;
             incr steps
     end
   done;
   (* The last update left an unevaluated iterate; score it so the best
      tracking covers every point visited. *)
   if not !stopped then begin
-    sweep ();
+    sweep_serial st;
     record st tl best
   end;
   let x = Array.init n (fun u -> Array.sub best (u * m) m) in

@@ -1,4 +1,4 @@
-(** Sparse multicore Frank–Wolfe engine for the pairwise-concave
+(** Sparse Frank–Wolfe engine for the pairwise-concave
     relaxation shape shared by [LP_SIMP] (the compact SVGIC
     relaxation, Section 4.4 of the paper).
 
@@ -19,23 +19,14 @@
       a full gradient/objective sweep costs O(n·m + nnz) instead of
       O(n·m + |pairs|·m); the iterate, the gradient and the oracle
       vertices are flat [n·m] (resp. [n·k]) arrays;
-    - a serial sweep is two loops. The pair pass walks the non-zero
+    - a sweep is two loops. The pair pass walks the non-zero
       (pair, item) entries once, takes one [exp] per entry, and adds
       both endpoints' soft-min shares straight into the gradient and
       the exact objective term into the lower-numbered endpoint's
       slot. The user pass then runs, per user, the dot products, the
       optional swap move, the top-k oracle and the duality-gap
-      contribution. A per-user update pass follows;
-    - a fanned-out sweep ([domains > 1], over contiguous user blocks
-      via [Svgic_util.Pool]) cannot split the pair pass by users, so
-      it builds a per-user CSR adjacency for that solve: a share pass
-      writes both endpoints' shares of each (pair, item) into
-      per-entry slots (the second through a [mate] index) and, after a
-      join, a gather pass sums each user's shares into its gradient
-      row and runs the user pass. Every gradient cell sums the same
-      terms in the same order on both paths, every slot has one
-      writer and all cross-user reductions are by-index, so serial
-      and parallel runs are bit-identical;
+      contribution. A per-user update pass follows. The solve runs on
+      the calling domain;
     - the Frank–Wolfe gap [<grad f_s, v - x>] of the smoothed
       objective [f_s] is accumulated every sweep; [gap_tol] stops the
       solve as soon as it certifies the iterate.
@@ -91,7 +82,7 @@ val smoothing_slack : smoothing:float -> problem -> float
     {!solution.ub} for a bound on the exact optimum. *)
 
 type sweep_state
-(** Everything one serial sweep reads and writes: the flat linear
+(** Everything one sweep reads and writes: the flat linear
     terms, iterate and gradient, the non-zero (pair, item) entries in
     pair-array order, and the per-user output slots (objective and gap
     contributions, oracle vertex, optional swap move). [solve] builds
@@ -122,7 +113,6 @@ val solve :
   ?iterations:int ->
   ?smoothing:float ->
   ?gap_tol:float ->
-  ?domains:int ->
   ?token:Svgic_util.Supervise.token ->
   ?swap_steps:bool ->
   problem ->
@@ -142,11 +132,6 @@ val solve :
     weights) and stops early if an iterate's objective or gap ever
     goes non-finite, so a numerically poisoned run degrades to "best
     finite iterate seen" instead of returning garbage.
-
-    [domains] caps the [Pool] fan-out (default: all available domains
-    once [n·m] reaches 7,200, where the fanned-out sweep amortizes its
-    CSR and its fan-outs per iteration; serial below that). Results
-    are bit-identical for every value.
 
     [swap_steps] (default false) enables a pairwise-style move: when
     swapping mass from the user's worst loaded coordinate onto its

@@ -101,8 +101,8 @@ let start_s = ref 0.0
    runs between fan-outs (pool.mli). After a fan-out that ran for more
    than [keep_ratio] times what starting its workers cost, starting
    them again is negligible next to the work they serve, so they are
-   stopped; short fan-outs (a serving tick, a Frank–Wolfe sweep) keep
-   them. *)
+   stopped; short fan-outs (a serving tick, AVG-D's initial candidate
+   sweep) keep them. *)
 let keep_ratio = 1000.0
 
 (* A resident worker's loop. Idle workers block on [posted]: a

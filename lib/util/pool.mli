@@ -1,7 +1,7 @@
 (** Chunked multicore fan-out over OCaml 5 domains kept resident
     between calls — the substrate behind AVG's best-of-N repeats,
-    AVG-D's initial candidate sweep, the Frank–Wolfe sweep, the
-    sharded solve and the serving tick.
+    AVG-D's initial candidate sweep, the sharded solve and the serving
+    tick.
 
     Semantics:
     - [0, n) is split into contiguous blocks; block 0 runs on the
@@ -15,8 +15,8 @@
     - A fan-out that ran for more than 1,000 times what starting its
       workers cost stops them before it returns: starting them again
       is negligible next to such work, and idle workers tax the serial
-      code that follows (below). Short fan-outs — a serving tick, a
-      Frank–Wolfe sweep — keep them.
+      code that follows (below). Short fan-outs — a serving tick,
+      AVG-D's initial candidate sweep — keep them.
     - One fan-out at a time holds the resident workers. A fan-out
       that finds them held — nested inside a block, run from a signal
       handler or from another domain — spawns fresh domains and joins
@@ -82,8 +82,8 @@ val parallel_for_local :
 (** [parallel_for_local n ~local f] is [parallel_for] where each worker
     first builds private scratch [l = local ()] and runs [f l i] over
     its block — the allocation-free way to give every domain its own
-    mutable workspace (the Frank–Wolfe sweep's per-worker gradient
-    buffer). The serial fallback builds [local ()] exactly once. *)
+    mutable workspace (AVG-D's per-worker candidate scratch). The
+    serial fallback builds [local ()] exactly once. *)
 
 val parallel_map : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_map n f] is [| f 0; …; f (n-1) |]. *)

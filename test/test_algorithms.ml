@@ -275,7 +275,9 @@ let test_avg_d_fast_path_matches_reference () =
       let relax = solve inst in
       List.iter
         (fun size_cap ->
-          let reference = Algorithms.avg_d_reference ?size_cap inst relax in
+          let reference =
+            Svgic_oracles.Avg_d_reference.avg_d ?size_cap inst relax
+          in
           List.iter
             (fun domains ->
               let fast = Algorithms.avg_d ?size_cap ~domains inst relax in

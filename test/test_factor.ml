@@ -168,8 +168,9 @@ let test_oracle_lu () =
 
 (* ------------------ update etas ----------------------------------- *)
 
-(* Replace random columns one at a time through Factor.update and
-   compare every FTRAN against a freshly refactorized twin. *)
+(* Replace random columns one at a time through Factor.update_pattern
+   (with the full pattern [0 .. m-1]) and compare every FTRAN against a
+   freshly refactorized twin. *)
 let test_updates () =
   let rng = Rng.create 4242 in
   for case = 1 to 12 do
@@ -191,7 +192,7 @@ let test_updates () =
       Factor.ftran f w;
       let r = row_of.(slot) in
       if Float.abs w.(r) > 1e-6 then begin
-        Factor.update f ~pivot_row:r w;
+        Factor.update_pattern f ~pivot_row:r w (Array.init m Fun.id) m;
         for i = 0 to m - 1 do
           a.(i).(slot) <- col.(i)
         done;
@@ -367,7 +368,7 @@ let test_policy () =
     (Factor.should_refactor f);
   let w = Array.make m 0.0 in
   w.(row_of.(0)) <- 1.5;
-  Factor.update f ~pivot_row:row_of.(0) w;
+  Factor.update_pattern f ~pivot_row:row_of.(0) w (Array.init m Fun.id) m;
   Alcotest.(check bool) "override fires after one update" true
     (Factor.should_refactor f);
   Factor.set_refactor_every f None;

@@ -1,9 +1,8 @@
-(* Tests for the sparse multicore Frank-Wolfe engine (Pairwise_fw):
-   sparse-vs-dense gradient equivalence against the seed prototype
+(* Tests for the sparse Frank-Wolfe engine (Pairwise_fw): sparse-vs-
+   dense gradient equivalence against the seed prototype
    (test/oracles/fw_reference.ml), objective agreement with the exact
-   simplex across seeds, serial-vs-parallel bit-identity, golden solve
-   digests, duality-gap stopping, and the Relaxation-level gap
-   report. *)
+   simplex across seeds, golden solve digests, duality-gap stopping,
+   and the Relaxation-level gap report. *)
 
 module Problem = Svgic_lp.Problem
 module Simplex = Svgic_oracles.Simplex
@@ -129,51 +128,12 @@ let test_fw_matches_exact_across_seeds () =
       (s.objective >= 0.97 *. exact)
   done
 
-(* ---- serial-vs-parallel bit-identity ------------------------------ *)
-
-(* k = 4 takes the insertion oracle, k = 18 [Select.top_k]. *)
-let test_serial_parallel_bit_identical () =
-  let solve_with ~k ~swap ~mixed domains =
-    (* Fresh problem per run so no shared mutable state can leak. *)
-    let rng = Rng.create 83 in
-    let fw = fw_random_problem rng ~n:37 ~m:24 ~k ~edges:90 ~density:0.3 in
-    let fw = if mixed then mixed_orientation fw else fw in
-    Fw.solve ~iterations:120 ~smoothing:0.02 ~gap_tol:1e-6 ~domains
-      ~swap_steps:swap fw
-  in
-  List.iter
-    (fun (k, swap, mixed) ->
-      let base = solve_with ~k ~swap ~mixed 1 in
-      List.iter
-        (fun domains ->
-          let s = solve_with ~k ~swap ~mixed domains in
-          Alcotest.(check bool)
-            (Printf.sprintf
-               "identical iterate (k=%d domains=%d swap=%b mixed=%b)" k
-               domains swap mixed)
-            true (s.x = base.x);
-          Alcotest.(check bool) "identical objective" true
-            (s.objective = base.objective);
-          Alcotest.(check bool) "identical gap" true (s.gap = base.gap);
-          Alcotest.(check int) "identical iterations" base.iterations
-            s.iterations)
-        [ 2; 3; 7 ])
-    [
-      (4, false, false);
-      (4, true, false);
-      (4, false, true);
-      (4, true, true);
-      (18, false, false);
-      (18, true, true);
-    ]
-
 (* ---- golden digests ------------------------------------------------ *)
 
 (* Every float of a solve pinned bit for bit: objective, gap and ub in
    hex, the iteration count, and a CRC-32 of the returned iterate's
-   IEEE bits. The constants were captured before the sweep was split
-   into its share and gather passes; any change to the sweep's
-   arithmetic or accumulation order shows up here. *)
+   IEEE bits. Any change to the sweep's arithmetic or accumulation
+   order shows up here. *)
 let digest (s : Fw.solution) =
   let n = Array.length s.x in
   let m = if n = 0 then 0 else Array.length s.x.(0) in
@@ -200,29 +160,60 @@ let golden =
 let test_golden_digests () =
   List.iter
     (fun (swap, want) ->
-      List.iter
-        (fun domains ->
-          let rng = Rng.create 211 in
-          let fw =
-            mixed_orientation
-              (fw_random_problem rng ~n:29 ~m:10 ~k:3 ~edges:70 ~density:0.35)
-          in
-          let s =
-            Fw.solve ~iterations:150 ~smoothing:0.02 ~domains ~swap_steps:swap
-              fw
-          in
-          let got = digest s in
-          if got <> want then
-            Alcotest.failf "swap=%b domains=%d: digest %S, want %S" swap
-              domains got want)
-        [ 1; 2; 3 ])
+      let rng = Rng.create 211 in
+      let fw =
+        mixed_orientation
+          (fw_random_problem rng ~n:29 ~m:10 ~k:3 ~edges:70 ~density:0.35)
+      in
+      let got =
+        digest (Fw.solve ~iterations:150 ~smoothing:0.02 ~swap_steps:swap fw)
+      in
+      if got <> want then
+        Alcotest.failf "swap=%b: digest %S, want %S" swap got want)
     golden
+
+(* k = 4 takes the insertion oracle, k = 18 [Select.top_k]; each with
+   swap steps off and on, and pairs stored (min, max) or in mixed
+   orientation. The constants were captured when every one of these
+   solves was also checked bit for bit against fan-outs over 2, 3 and
+   7 domains. *)
+let shape_golden =
+  [
+    ( (4, false, false),
+      "obj 0x1.3325d5dadc2c6p+7 gap 0x1.3c2ebf96671fcp+0 ub 0x1.3594a980bd3f8p+7 it 120 crc f9c5374b" );
+    ( (4, true, false),
+      "obj 0x1.33b55141245d6p+7 gap 0x1.3644272c9fa01p+1 ub 0x1.3878678daa315p+7 it 120 crc 4f00a1fe" );
+    ( (4, false, true),
+      "obj 0x1.34ca181d573f6p+7 gap 0x1.8d136d72639p+0 ub 0x1.37cf2c87325a5p+7 it 120 crc ce6f532a" );
+    ( (4, true, true),
+      "obj 0x1.356bcda3b453ap+7 gap 0x1.3fd9c75a5cb37p+1 ub 0x1.3a63517e2f78p+7 it 120 crc bb19a17d" );
+    ( (18, false, false),
+      "obj 0x1.1564b6f075bap+9 gap 0x1.ff34eca3bde2p-2 ub 0x1.15a49d8e0a31cp+9 it 120 crc 20b7427e" );
+    ( (18, true, true),
+      "obj 0x1.17586731a83e6p+9 gap 0x1.6ed1ab6cf75dp+0 ub 0x1.180fd0075eba1p+9 it 120 crc 2aedeb65" );
+  ]
+
+let test_shape_golden_digests () =
+  List.iter
+    (fun ((k, swap, mixed), want) ->
+      let rng = Rng.create 83 in
+      let fw = fw_random_problem rng ~n:37 ~m:24 ~k ~edges:90 ~density:0.3 in
+      let fw = if mixed then mixed_orientation fw else fw in
+      let got =
+        digest
+          (Fw.solve ~iterations:120 ~smoothing:0.02 ~gap_tol:1e-6
+             ~swap_steps:swap fw)
+      in
+      if got <> want then
+        Alcotest.failf "k=%d swap=%b mixed=%b: digest %S, want %S" k swap mixed
+          got want)
+    shape_golden
 
 (* The shape plan_large runs: one shard view of a Timik-like
    community graph (attach 2, 2% cross edges, p ~ U(0,1),
    tau ~ U(0,0.5), lambda = 0.5) at m = 12, k = 4, solved with the Auto
    backend's Frank-Wolfe settings. The constant was captured before the
-   serial sweep became one pass over the pairs. *)
+   sweep became one pass over the pairs. *)
 let shard_golden =
   "obj 0x1.b3e62e5a4c9b1p+8 gap 0x1.3922711beb9bp-1 ub 0x1.b4815d10fbc3p+8 it 2000 crc 56f74d81"
 
@@ -251,17 +242,12 @@ let test_shard_golden_digest () =
   let fw = Svgic.Lp_build.fw_problem shard in
   Alcotest.(check int) "shard users" 100 fw.n;
   let gap_tol = 1e-3 *. float_of_int (fw.n * fw.k) in
-  List.iter
-    (fun domains ->
-      let s =
-        Fw.solve ~iterations:2_000 ~smoothing:0.02 ~gap_tol ~domains
-          ~swap_steps:true fw
-      in
-      let got = digest s in
-      if got <> shard_golden then
-        Alcotest.failf "domains=%d: digest %S, want %S" domains got
-          shard_golden)
-    [ 1; 2 ]
+  let got =
+    digest
+      (Fw.solve ~iterations:2_000 ~smoothing:0.02 ~gap_tol ~swap_steps:true fw)
+  in
+  if got <> shard_golden then
+    Alcotest.failf "digest %S, want %S" got shard_golden
 
 (* ---- oracle tie-break --------------------------------------------- *)
 
@@ -273,7 +259,7 @@ let test_oracle_lowest_index_tie_break () =
   let vertex linear k =
     let m = Array.length linear in
     let fw = Fw.{ n = 1; m; k; linear = [| linear |]; pairs = [||] } in
-    let s = Fw.solve ~iterations:1 ~domains:1 fw in
+    let s = Fw.solve ~iterations:1 fw in
     List.filter (fun c -> s.x.(0).(c) = 1.0) (List.init m Fun.id)
   in
   let linear = [| 1.0; 3.0; 3.0; 2.0; 3.0; 0.0; 3.0 |] in
@@ -294,7 +280,7 @@ let test_rejects_malformed_problems () =
       }
   in
   let rejects name p =
-    match Fw.solve ~iterations:5 ~domains:1 p with
+    match Fw.solve ~iterations:5 p with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: solved, want Invalid_argument" name
   in
@@ -304,9 +290,9 @@ let test_rejects_malformed_problems () =
   rejects "endpoint out of range"
     { fw with pairs = [| (0, 3, [| 1.0; 0.0; 0.0; 0.0 |]) |] }
 
-(* ---- allocation-free serial iterations ---------------------------- *)
+(* ---- allocation-free iterations ---------------------------------- *)
 
-(* A serial solve allocates its sweep state and result once; no
+(* A solve allocates its sweep state and result once; no
    iteration allocates, so doubling the budget adds no minor words.
    Without [gap_tol] both budgets run to the end. *)
 let test_serial_iterations_allocate_nothing () =
@@ -314,9 +300,7 @@ let test_serial_iterations_allocate_nothing () =
   let fw = fw_random_problem rng ~n:40 ~m:10 ~k:3 ~edges:90 ~density:0.35 in
   let words ~swap iterations =
     let w0 = Gc.minor_words () in
-    let s =
-      Fw.solve ~iterations ~smoothing:0.02 ~domains:1 ~swap_steps:swap fw
-    in
+    let s = Fw.solve ~iterations ~smoothing:0.02 ~swap_steps:swap fw in
     let w1 = Gc.minor_words () in
     Alcotest.(check int) "full budget" iterations s.iterations;
     w1 -. w0
@@ -378,7 +362,7 @@ let test_engine_tracks_prototype () =
   let rng = Rng.create 103 in
   for _trial = 1 to 3 do
     let fw = fw_random_problem rng ~n:7 ~m:8 ~k:3 ~edges:12 ~density:0.6 in
-    let s = Fw.solve ~iterations:300 ~smoothing:0.05 ~domains:1 fw in
+    let s = Fw.solve ~iterations:300 ~smoothing:0.05 fw in
     let r = Reference.solve ~iterations:300 ~smoothing:0.05 fw in
     Alcotest.(check (float 1e-4)) "same best objective" r.objective s.objective
   done
@@ -440,9 +424,9 @@ let suite =
       test_gradient_matches_reference;
     Alcotest.test_case "fw vs exact simplex (20 seeds)" `Quick
       test_fw_matches_exact_across_seeds;
-    Alcotest.test_case "serial = parallel bit-identical" `Quick
-      test_serial_parallel_bit_identical;
     Alcotest.test_case "golden solve digests" `Quick test_golden_digests;
+    Alcotest.test_case "golden oracle and swap digests" `Quick
+      test_shape_golden_digests;
     Alcotest.test_case "golden plan_large shard digest" `Quick
       test_shard_golden_digest;
     Alcotest.test_case "oracle keeps the lowest-index tie-break" `Quick
