@@ -397,15 +397,12 @@ let lp_resolve_records () =
   let size = (n + Svgic.Instance.num_pairs inst) * m in
   [ mk ~alloc:w ~note "lp_resolve" "warm" size ns ]
 
-(* Cold exact solves of the two shard shapes the repository benchmark
-   solves most, LP_SIMP at m = 6, k = 4 from the all-logical basis: a
-   30-user Timik-like serving shard (serve_drift's shards) and a
-   30-user planted community at p_in = 0.2 (a plan_unlabelled shard,
-   about 1,050 rows). Each op solves the same program, so the note's
-   pivot and rebuild counts are deterministic. The size field is the
-   LP variable count. *)
-let lp_cold_records ~smoke =
-  let shard_lp variant ~ops graph =
+(* The two shard shapes the repository benchmark solves most, as
+   LP_SIMP at m = 6, k = 4: a 30-user Timik-like serving shard
+   (serve_drift's shards) and a 30-user planted community at
+   p_in = 0.2 (a plan_unlabelled shard, about 1,050 rows). *)
+let shard_lps =
+  let shard_lp graph =
     let rng = Rng.create 3131 in
     let g = graph rng in
     let m = 6 in
@@ -418,64 +415,91 @@ let lp_cold_records ~smoke =
         (fun _ -> Rng.float rng 0.5)
     in
     let inst = Svgic.Instance.of_flat ~graph:g ~m ~k:4 ~lambda:0.5 ~pref ~tau in
-    let problem, _ = Svgic.Lp_build.simp_lp inst in
-    let module RS = Svgic_lp.Revised_simplex in
-    let note =
-      match RS.solve problem with
-      | RS.Optimal s ->
-          Printf.sprintf "%d pivots, %d refactorizations per cold solve"
-            s.RS.pivots s.RS.stats.RS.refactorizations
-      | RS.Infeasible | RS.Unbounded | RS.Timeout _ ->
-          failwith "lp_cold: the shard must solve"
-    in
-    let ns, w =
-      time_kernel ~rounds:(if smoke then 2 else 3) ~ops (fun () ->
-          ignore (RS.solve problem))
-    in
-    mk ~alloc:w ~note "lp_cold" variant (Svgic_lp.Problem.num_vars problem) ns
+    fst (Svgic.Lp_build.simp_lp inst)
   in
   [
-    shard_lp "timik30" ~ops:10 (fun rng ->
-        fst
-          (Svgic_graph.Generate.timik_like rng ~n:30 ~communities:1 ~attach:2
-             ~cross_frac:0.0));
-    shard_lp "planted30" ~ops:1 (fun rng ->
-        fst
-          (Svgic_graph.Generate.planted_partition rng ~n:30 ~communities:1
-             ~p_in:0.2 ~p_out:0.0));
+    ( "timik30",
+      fun () ->
+        shard_lp (fun rng ->
+            fst
+              (Svgic_graph.Generate.timik_like rng ~n:30 ~communities:1
+                 ~attach:2 ~cross_frac:0.0)) );
+    ( "planted30",
+      fun () ->
+        shard_lp (fun rng ->
+            fst
+              (Svgic_graph.Generate.planted_partition rng ~n:30 ~communities:1
+                 ~p_in:0.2 ~p_out:0.0)) );
   ]
 
+(* How far one base factorization carries a solve: pivots and
+   Forrest-Tomlin updates per rebuild, and the mean fill one update
+   stores (row-eta entries plus spike entries). *)
+let rebuild_note pivots (s : Svgic_lp.Revised_simplex.stats) =
+  let rebuilds = float_of_int (max 1 s.refactorizations) in
+  Printf.sprintf
+    "%.1f pivots per rebuild; %.1f updates per rebuild, mean update fill \
+     %.1f nnz"
+    (float_of_int pivots /. rebuilds)
+    (float_of_int s.updates /. rebuilds)
+    (float_of_int s.update_nnz /. float_of_int (max 1 s.updates))
+
+(* Cold exact solves of [shard_lps] from the all-logical basis. Each op
+   solves the same program, so the note's pivot, rebuild and update
+   counts are deterministic. The size field is the LP variable count. *)
+let lp_cold_records ~smoke =
+  let module RS = Svgic_lp.Revised_simplex in
+  List.map
+    (fun (variant, build) ->
+      let problem = build () in
+      let note =
+        match RS.solve problem with
+        | RS.Optimal s ->
+            Printf.sprintf "%d pivots, %d refactorizations per cold solve; %s"
+              s.RS.pivots s.RS.stats.RS.refactorizations
+              (rebuild_note s.RS.pivots s.RS.stats)
+        | RS.Infeasible | RS.Unbounded | RS.Timeout _ ->
+            failwith "lp_cold: the shard must solve"
+      in
+      let ops = if variant = "timik30" then 10 else 1 in
+      let ns, w =
+        time_kernel ~rounds:(if smoke then 2 else 3) ~ops (fun () ->
+            ignore (RS.solve problem))
+      in
+      mk ~alloc:w ~note "lp_cold" variant
+        (Svgic_lp.Problem.num_vars problem)
+        ns)
+    shard_lps
+
 (* Characterizes the LU rebuild itself, off the counters of a normal
-   solve: ns_per_op is factor time per rebuild, and the note
-   carries the fill ratio (factor nonzeros over basis-column nonzeros
-   at the last rebuild) and how many pivots/update etas one base
-   factorization absorbs before the fill-growth policy asks for the
-   next. *)
+   solve: ns_per_op is factor time per rebuild, and the note carries
+   the fill ratio (factor nonzeros over basis-column nonzeros at the
+   last rebuild) and how far one base factorization carries the solve
+   ([rebuild_note]). The [lu] rows are Timik LP_SIMP programs of the
+   given shapes; the [planted30] row is the plan_unlabelled shard of
+   [shard_lps]. *)
 let lp_refactor_records ~shapes =
   let module RS = Svgic_lp.Revised_simplex in
-  List.filter_map
-    (fun shape ->
-      let problem = simp_lp_of shape in
-      let size = Svgic_lp.Problem.num_vars problem in
-      match RS.solve problem with
-      | RS.Optimal sol ->
-          let s = sol.RS.stats in
-          let rebuilds = max 1 s.RS.refactorizations in
-          let per_rebuild = s.RS.factor_s *. 1e9 /. float_of_int rebuilds in
-          let note =
-            Printf.sprintf
-              "%d rebuilds over %d pivots (%.1f pivots/rebuild); fill %d nnz \
-               / basis %d nnz (ratio %.2f); %d update etas"
-              s.RS.refactorizations sol.RS.pivots
-              (float_of_int sol.RS.pivots /. float_of_int rebuilds)
-              s.RS.fill_nnz s.RS.basis_nnz
-              (float_of_int s.RS.fill_nnz
-              /. float_of_int (max 1 s.RS.basis_nnz))
-              s.RS.eta_appends
-          in
-          Some (mk ~note "lp_refactor" "lu" size per_rebuild)
-      | RS.Infeasible | RS.Unbounded | RS.Timeout _ -> None)
-    shapes
+  let row variant problem =
+    let size = Svgic_lp.Problem.num_vars problem in
+    match RS.solve problem with
+    | RS.Optimal sol ->
+        let s = sol.RS.stats in
+        let rebuilds = max 1 s.RS.refactorizations in
+        let per_rebuild = s.RS.factor_s *. 1e9 /. float_of_int rebuilds in
+        let note =
+          Printf.sprintf
+            "%d rebuilds over %d pivots; fill %d nnz / basis %d nnz (ratio \
+             %.2f); %s"
+            s.RS.refactorizations sol.RS.pivots s.RS.fill_nnz s.RS.basis_nnz
+            (float_of_int s.RS.fill_nnz /. float_of_int (max 1 s.RS.basis_nnz))
+            (rebuild_note sol.RS.pivots s)
+        in
+        Some (mk ~note "lp_refactor" variant size per_rebuild)
+    | RS.Infeasible | RS.Unbounded | RS.Timeout _ -> None
+  in
+  let lu = List.filter_map (fun shape -> row "lu" (simp_lp_of shape)) shapes in
+  lu @ Option.to_list (row "planted30" ((List.assoc "planted30" shard_lps) ()))
 
 (* ---------------- AVG phase split: LP solve vs rounding ----------- *)
 

@@ -104,7 +104,7 @@ let verbose_arg =
         ~doc:
           "Print solver internals: when the relaxation ran on the revised \
            simplex, its pivot count and basis-factorization counters \
-           (refactorizations, factor fill, update etas)")
+           (refactorizations, factor fill, Forrest-Tomlin updates)")
 
 let make_instance ?load preset seed ~n ~m ~k ~lambda =
   match load with
@@ -190,10 +190,11 @@ let report_lp_stats verbose relax =
     | Some { Svgic.Relaxation.pivots; factor } ->
         Printf.printf
           "lp engine          : %d pivots, %d refactorizations, fill %d nnz, \
-           %d update etas (%.3f s refactorizing)\n"
+           %d Forrest-Tomlin updates storing %d nnz (%.3f s refactorizing)\n"
           pivots factor.Svgic_lp.Revised_simplex.refactorizations
           factor.Svgic_lp.Revised_simplex.fill_nnz
-          factor.Svgic_lp.Revised_simplex.eta_appends
+          factor.Svgic_lp.Revised_simplex.updates
+          factor.Svgic_lp.Revised_simplex.update_nnz
           factor.Svgic_lp.Revised_simplex.factor_s
     | None ->
         Printf.printf

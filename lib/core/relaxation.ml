@@ -18,8 +18,13 @@ type budget = { exact_vars : int; exact_nnz : int }
    simplex, sparse-LU factorization): ~64 ms at 1.9k variables, ~3.9 s
    at 13.3k. Fitting the power law between those points puts the ~2 s
    exact-solve envelope at ~9.5k variables / ~32k matrix nonzeros.
-   Instances beyond the envelope go to the certified Frank-Wolfe
-   engine. *)
+   Re-measured with Forrest-Tomlin updates on a 2-vCPU VM: ~42 ms at
+   1.9k and 2.1-2.3 s at 13.3k (the parent read 38-67 ms and
+   2.1-3.1 s there), an exponent of ~2.05 that puts the ~2 s envelope
+   near 12.7k variables. The budget stays at 9.5k: raising it would
+   send plan_large's 10,632-variable shards to the exact engine
+   instead of Frank-Wolfe, which is a separate decision. Instances
+   beyond the envelope go to the certified Frank-Wolfe engine. *)
 let default_budget = { exact_vars = 9_500; exact_nnz = 32_000 }
 
 let budget_ref = ref default_budget

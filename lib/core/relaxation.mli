@@ -52,8 +52,8 @@ val choose_backend : Instance.t -> backend
 type lp_stats = {
   pivots : int;  (** simplex basis changes of the final attempt *)
   factor : Svgic_lp.Revised_simplex.stats;
-      (** factorization counters (refactorizations, fill, update etas,
-          refactorization seconds) *)
+      (** factorization counters (refactorizations, fill, Forrest–Tomlin
+          updates and their fill, refactorization seconds) *)
 }
 (** Solver counters, surfaced for diagnostics (the CLI prints them
     under [--verbose]). *)

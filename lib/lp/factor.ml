@@ -1,22 +1,40 @@
 (* Sparse basis factorization: Markowitz LU with threshold partial
-   pivoting and eta-append updates. See factor.mli for the
+   pivoting and Forrest–Tomlin updates. See factor.mli for the
    architecture notes.
 
+   Steps. A step pairs a pivot row with the basis column whose
+   position is that row. A rebuild numbers its steps 0..m-1 in pivot
+   order; L keeps that numbering ([l_row] / [l_step]) until the next
+   rebuild. U's steps are renumbered by updates: replacing the column
+   at position [r] retires [r]'s step and gives [r] a new step at the
+   end of the pivot order, so U's steps run 0..nsteps-1 with retired
+   steps ([p_row] = -1) among them, and a later step always has a
+   larger index — which is what the worklist heaps order by.
+
+   U is kept in two views that every update edits together: the row
+   view (each step's off-diagonal entries, as the basis position of
+   the column they sit in) and the column view [ut_*] (each column's
+   entries, as the step of the row they sit in). A row grows in place
+   up to its capacity and moves to the end of its pool when full; a
+   column never grows, since an update only removes entries from
+   existing columns and appends its spike as a new one. Deletions
+   swap the last entry into the hole.
+
    Storage discipline: every factor lives in flat arenas — parallel
-   [int array] / [Float.Array.t] pools indexed by per-step start
-   offsets — that are grown geometrically and never shrunk, so the
-   apply paths (ftran/btran/update) never allocate and repeated
-   refactorizations reuse the same memory. The Markowitz working
-   matrix (dynamic rows + column candidate lists + count buckets) is
-   equally persistent, allocated lazily on the first refactorization
-   so small solves that never refactorize pay nothing; its per-row
-   entry arrays and per-column candidate lists start at [entry_cap0]
-   slots, not at the pools' 64-slot floor, because a basis row holds a
-   handful of entries. [reset] re-arms a factor for a new basis size,
-   keeping all of this memory while the size fits (arrays are
-   reallocated, and the working matrix remade, only when it grows),
-   which is how the revised simplex's per-domain workspace reuses one
-   factor across solves. *)
+   [int array] / [Float.Array.t] pools indexed by per-step offsets —
+   that are grown geometrically and never shrunk, so the apply paths
+   (ftran/btran/update) never allocate once the arenas have reached
+   their working size, and repeated refactorizations reuse the same
+   memory. The Markowitz working matrix (dynamic rows + column
+   candidate lists + count buckets) is equally persistent, allocated
+   lazily on the first refactorization so small solves that never
+   refactorize pay nothing; its per-row entry arrays and per-column
+   candidate lists start at [entry_cap0] slots, not at the pools'
+   64-slot floor, because a basis row holds a handful of entries.
+   [reset] re-arms a factor for a new basis size, keeping all of this
+   memory while the size fits (arrays are reallocated, and the working
+   matrix remade, only when it grows), which is how the revised
+   simplex's per-domain workspace reuses one factor across solves. *)
 
 module FA = Float.Array
 module Timer = Svgic_util.Timer
@@ -27,7 +45,8 @@ type stats = {
   refactorizations : int;
   fill_nnz : int;
   basis_nnz : int;
-  eta_appends : int;
+  updates : int;
+  update_nnz : int;
   factor_s : float;
 }
 
@@ -35,7 +54,8 @@ let ztol = 1e-9 (* pivot-magnitude floor *)
 let drop_tol = 1e-12 (* entries below this are discarded *)
 let tau = 0.1 (* threshold partial pivoting: |a| >= tau * colmax *)
 let markowitz_scan = 4 (* candidate columns examined per pivot search *)
-let lu_update_cap = 512 (* hard bound on update etas between rebuilds *)
+let lu_update_cap = 512 (* hard bound on updates between rebuilds *)
+let ft_tol = 1e-8 (* relative stability test of an updated diagonal *)
 let entry_cap0 = 4 (* first capacity of a working-matrix row / column list *)
 
 (* Markowitz working state: the active submatrix as dynamic rows
@@ -74,126 +94,103 @@ type ws = {
   ut_pos : int array; (* ... and each step's next free slot *)
 }
 
-(* Every per-row array below (and every array of [ws]) holds at least
-   [m] cells; a factor re-armed by [reset] for a smaller basis keeps
-   its longer arrays and only ever reads their first [m] cells. *)
+(* Per-row arrays hold at least [m] cells and per-step arrays at least
+   [m + 1]; a factor re-armed by [reset] for a smaller basis keeps its
+   longer arrays and only ever reads the cells its basis uses. *)
 type t = {
   mutable m : int;
-  (* Base factorization: steps 0..m-1, step t pivots row [p_row.(t)]
-     with value [diag.(t)]; L multipliers (rows below) in the l pool,
-     the U row (entries in later-pivoted columns, stored as pivot rows
-     after the remap) in the u pool. *)
-  mutable nsteps : int;
-  mutable p_row : int array;
-  mutable diag : FA.t;
-  mutable l_start : int array; (* nsteps + 1 offsets into the l pool *)
+  (* L of the last rebuild: step t (0..nl-1) pivoted row [l_row.(t)],
+     and its multipliers (rows below) sit in the l pool. Empty (nl = 0)
+     while the factor starts from the identity. *)
+  mutable nl : int;
+  mutable l_row : int array;
+  mutable l_step : int array; (* row -> L step *)
+  mutable l_start : int array; (* nl + 1 offsets into the l pool *)
   mutable l_idx : int array;
   mutable l_val : FA.t;
   mutable l_n : int;
+  (* Row etas, one per update, applied after L: eta k rewrites row
+     [eta_row.(k)] as itself minus [eta_val.(i) * w.(eta_idx.(i))] over
+     its entries. *)
+  mutable neta : int;
+  mutable eta_row : int array;
+  mutable eta_start : int array; (* neta + 1 offsets *)
+  mutable eta_idx : int array;
+  mutable eta_val : FA.t;
+  mutable eta_n : int;
+  (* U over steps 0..nsteps-1: step t pivots row [p_row.(t)] (-1 once
+     retired) with value [diag.(t)]. Row view: step t's off-diagonal
+     entries (basis position of their column, value) in
+     [u_start.(t) .. u_start.(t) + u_len.(t) - 1] of the u pool, room
+     up to [u_cap.(t)]. Column view: the entries of step s's column
+     (row step, value) in [ut_start.(s) .. ut_start.(s) + ut_len.(s) -
+     1] of the ut pool. *)
+  mutable nsteps : int;
+  mutable p_row : int array;
+  mutable diag : FA.t;
+  mutable step_of_row : int array; (* row -> live U step *)
   mutable u_start : int array;
+  mutable u_len : int array;
+  mutable u_cap : int array;
   mutable u_idx : int array;
   mutable u_val : FA.t;
   mutable u_n : int;
-  (* Transposed U view (rebuilt per refactorization): the
-     entries of every U row bucketed by the step they reference, which
-     is what the pattern-driven back substitution scatters from. *)
   mutable ut_start : int array;
+  mutable ut_len : int array;
   mutable ut_t : int array;
   mutable ut_v : FA.t;
-  mutable step_of_row : int array; (* inverse of p_row over steps 0..nsteps-1 *)
-  (* Pattern scratch for the hypersparse apply path. *)
+  mutable ut_n : int;
+  (* The spike: the last [ftran_pattern] column after L and the row
+     etas, dense by row (zero outside [sp_idx]), which [update] writes
+     into U. *)
+  mutable sp_idx : int array;
+  mutable sp_val : float array;
+  mutable sp_n : int;
+  mutable sp_ok : bool;
+  (* Pattern scratch for the hypersparse apply path and the update. *)
   mutable in_pat : bool array;
   mutable hp : int array; (* binary heap of step indices *)
-  mutable in_hp : bool array;
+  mutable in_hp : bool array; (* per step *)
   mutable hp_n : int;
   mutable last_np : int; (* pattern size of the last [ftran_pattern] result *)
-  (* Update etas (product-form updates on top of the base factors). *)
-  mutable e_piv : int array;
-  mutable e_pv : FA.t;
-  mutable e_start : int array; (* ne + 1 offsets *)
-  mutable e_idx : int array;
-  mutable e_val : FA.t;
-  mutable ne : int;
-  mutable e_n : int;
+  mutable rw : float array; (* row-eta scratch by row, zero between updates *)
   (* Refactorization policy + counters. *)
   mutable force_every : int option;
+  mutable unstable : bool; (* an update failed the stability test *)
+  mutable nupd : int; (* updates since the last rebuild *)
+  mutable upd_nnz : int; (* their fill *)
   mutable base_nnz : int;
   mutable basis_nnz : int;
   mutable refactorizations : int;
-  mutable eta_appends : int;
+  mutable updates : int;
+  mutable update_nnz : int;
   mutable factor_s : float;
   mutable ws : ws option;
 }
-
-let create ~m =
-  let mm = max 1 m in
-  {
-    m;
-    nsteps = 0;
-    p_row = Array.make mm 0;
-    diag = FA.make mm 0.0;
-    l_start = Array.make (mm + 1) 0;
-    l_idx = [||];
-    l_val = FA.create 0;
-    l_n = 0;
-    u_start = Array.make (mm + 1) 0;
-    u_idx = [||];
-    u_val = FA.create 0;
-    u_n = 0;
-    ut_start = Array.make (mm + 1) 0;
-    ut_t = [||];
-    ut_v = FA.create 0;
-    step_of_row = Array.make mm 0;
-    in_pat = Array.make mm false;
-    hp = Array.make mm 0;
-    in_hp = Array.make mm false;
-    hp_n = 0;
-    last_np = 0;
-    e_piv = [||];
-    e_pv = FA.create 0;
-    e_start = Array.make 1 0;
-    e_idx = [||];
-    e_val = FA.create 0;
-    ne = 0;
-    e_n = 0;
-    force_every = None;
-    base_nnz = m;
-    basis_nnz = m;
-    refactorizations = 0;
-    eta_appends = 0;
-    factor_s = 0.0;
-    ws = None;
-  }
-
-let reset_identity f =
-  f.nsteps <- 0;
-  f.l_n <- 0;
-  f.u_n <- 0;
-  f.ne <- 0;
-  f.e_n <- 0;
-  f.base_nnz <- f.m;
-  f.basis_nnz <- f.m
 
 let stats f =
   {
     refactorizations = f.refactorizations;
     fill_nnz = f.base_nnz;
     basis_nnz = f.basis_nnz;
-    eta_appends = f.eta_appends;
+    updates = f.updates;
+    update_nnz = f.update_nnz;
     factor_s = f.factor_s;
   }
 
-let updates_since_refactor f = f.ne
+let updates_since_refactor f = f.nupd
 let set_refactor_every f p = f.force_every <- p
 
 let should_refactor f =
+  f.unstable
+  ||
   match f.force_every with
-  | Some p -> f.ne >= p
+  | Some p -> f.nupd >= p
   | None ->
       (* Amortized balance: once applying the update file costs about
          as much as the base solve itself, a rebuild pays for itself
          within a few iterations. *)
-      f.ne >= lu_update_cap || f.e_n > f.base_nnz + f.m
+      f.nupd >= lu_update_cap || f.upd_nnz > f.base_nnz + f.m
 
 (* ---------------- arena growth ------------------------------------ *)
 
@@ -223,12 +220,124 @@ let ensure_u f needed =
   f.u_idx <- grow_int f.u_idx needed;
   f.u_val <- grow_fa f.u_val needed
 
-let ensure_e f ~etas ~pool =
-  f.e_piv <- grow_int f.e_piv etas;
-  f.e_pv <- grow_fa f.e_pv etas;
-  f.e_start <- grow_int f.e_start (etas + 1);
-  f.e_idx <- grow_int f.e_idx pool;
-  f.e_val <- grow_fa f.e_val pool
+let ensure_ut f needed =
+  f.ut_t <- grow_int f.ut_t needed;
+  f.ut_v <- grow_fa f.ut_v needed
+
+let ensure_eta f ~etas ~pool =
+  f.eta_row <- grow_int f.eta_row etas;
+  f.eta_start <- grow_int f.eta_start (etas + 1);
+  f.eta_idx <- grow_int f.eta_idx pool;
+  f.eta_val <- grow_fa f.eta_val pool
+
+(* Room for [n] U steps in every per-step array. *)
+let ensure_steps f n =
+  if n > Array.length f.p_row then begin
+    f.p_row <- grow_int f.p_row n;
+    f.diag <- grow_fa f.diag n;
+    f.u_start <- grow_int f.u_start n;
+    f.u_len <- grow_int f.u_len n;
+    f.u_cap <- grow_int f.u_cap n;
+    f.ut_start <- grow_int f.ut_start n;
+    f.ut_len <- grow_int f.ut_len n;
+    let b = Array.make (Array.length f.p_row) false in
+    Array.blit f.in_hp 0 b 0 (Array.length f.in_hp);
+    f.in_hp <- b
+  end
+
+(* Forget the update file: no row etas, no pending spike. *)
+let clear_updates f =
+  f.neta <- 0;
+  f.eta_n <- 0;
+  for k = 0 to f.sp_n - 1 do
+    f.sp_val.(f.sp_idx.(k)) <- 0.0
+  done;
+  f.sp_n <- 0;
+  f.sp_ok <- false;
+  f.unstable <- false;
+  f.nupd <- 0;
+  f.upd_nnz <- 0
+
+(* The identity: no L, U = I on steps 0..m-1. *)
+let reset_identity f =
+  let m = f.m in
+  clear_updates f;
+  f.nl <- 0;
+  f.l_n <- 0;
+  f.nsteps <- m;
+  for t = 0 to m - 1 do
+    f.p_row.(t) <- t;
+    FA.set f.diag t 1.0;
+    f.step_of_row.(t) <- t;
+    f.u_start.(t) <- 0;
+    f.u_len.(t) <- 0;
+    f.u_cap.(t) <- 0;
+    f.ut_start.(t) <- 0;
+    f.ut_len.(t) <- 0
+  done;
+  f.u_n <- 0;
+  f.ut_n <- 0;
+  f.base_nnz <- m;
+  f.basis_nnz <- m
+
+let create ~m =
+  let mm = max 1 m in
+  let f =
+    {
+      m;
+      nl = 0;
+      l_row = Array.make mm 0;
+      l_step = Array.make mm 0;
+      l_start = Array.make (mm + 1) 0;
+      l_idx = [||];
+      l_val = FA.create 0;
+      l_n = 0;
+      neta = 0;
+      eta_row = [||];
+      eta_start = Array.make 1 0;
+      eta_idx = [||];
+      eta_val = FA.create 0;
+      eta_n = 0;
+      nsteps = 0;
+      p_row = Array.make (mm + 1) 0;
+      diag = FA.make (mm + 1) 0.0;
+      step_of_row = Array.make mm 0;
+      u_start = Array.make (mm + 1) 0;
+      u_len = Array.make (mm + 1) 0;
+      u_cap = Array.make (mm + 1) 0;
+      u_idx = [||];
+      u_val = FA.create 0;
+      u_n = 0;
+      ut_start = Array.make (mm + 1) 0;
+      ut_len = Array.make (mm + 1) 0;
+      ut_t = [||];
+      ut_v = FA.create 0;
+      ut_n = 0;
+      sp_idx = Array.make mm 0;
+      sp_val = Array.make mm 0.0;
+      sp_n = 0;
+      sp_ok = false;
+      in_pat = Array.make mm false;
+      hp = Array.make mm 0;
+      in_hp = Array.make (mm + 1) false;
+      hp_n = 0;
+      last_np = 0;
+      rw = Array.make mm 0.0;
+      force_every = None;
+      unstable = false;
+      nupd = 0;
+      upd_nnz = 0;
+      base_nnz = m;
+      basis_nnz = m;
+      refactorizations = 0;
+      updates = 0;
+      update_nnz = 0;
+      factor_s = 0.0;
+      ws = None;
+    }
+  in
+  reset_identity f;
+  f
 
 let make_ws m =
   let mm = max 1 m in
@@ -264,39 +373,47 @@ let get_ws f =
   match f.ws with
   | Some w -> w
   | None ->
-      let w = make_ws (Array.length f.p_row) in
+      let w = make_ws (Array.length f.step_of_row) in
       f.ws <- Some w;
       w
 
 let reset f ~m =
-  let cap = Array.length f.p_row in
+  let cap = Array.length f.step_of_row in
   if m > cap then begin
     let cap = max m (2 * cap) in
-    f.p_row <- Array.make cap 0;
-    f.diag <- FA.make cap 0.0;
+    f.l_row <- Array.make cap 0;
+    f.l_step <- Array.make cap 0;
     f.l_start <- Array.make (cap + 1) 0;
-    f.u_start <- Array.make (cap + 1) 0;
-    f.ut_start <- Array.make (cap + 1) 0;
     f.step_of_row <- Array.make cap 0;
+    f.sp_idx <- Array.make cap 0;
+    f.sp_val <- Array.make cap 0.0;
+    f.sp_n <- 0;
     f.in_pat <- Array.make cap false;
     f.hp <- Array.make cap 0;
-    f.in_hp <- Array.make cap false;
+    f.rw <- Array.make cap 0.0;
     (* The working matrix is remade at the new capacity on the next
        refactorization. *)
     f.ws <- None
   end
   else begin
-    (* Marks a pattern solve left behind if an asynchronous exception
-       (a signal handler's, say) cut it short. *)
-    Array.fill f.in_pat 0 m false;
-    Array.fill f.in_hp 0 m false
+    (* Marks and scratch that a pattern solve or an update left behind
+       if an asynchronous exception (a signal handler's, say) cut it
+       short. *)
+    let rows = max m f.m in
+    Array.fill f.in_pat 0 rows false;
+    Array.fill f.rw 0 rows 0.0;
+    Array.fill f.sp_val 0 rows 0.0;
+    f.sp_n <- 0;
+    Array.fill f.in_hp 0 (min (Array.length f.in_hp) (max rows f.nsteps)) false
   end;
+  ensure_steps f (m + 1);
   f.m <- m;
   reset_identity f;
   f.last_np <- 0;
   f.force_every <- None;
   f.refactorizations <- 0;
-  f.eta_appends <- 0;
+  f.updates <- 0;
+  f.update_nnz <- 0;
   f.factor_s <- 0.0
 
 let ensure_cbuf ws needed =
@@ -309,66 +426,66 @@ let ensure_cbuf ws needed =
 
 (* ---------------- apply paths ------------------------------------- *)
 
-let apply_update_etas_ftran f w =
-  for t = 0 to f.ne - 1 do
-    let wp = w.(f.e_piv.(t)) in
-    if wp <> 0.0 then begin
-      let z = wp /. FA.get f.e_pv t in
-      w.(f.e_piv.(t)) <- z;
-      for i = f.e_start.(t) to f.e_start.(t + 1) - 1 do
-        w.(f.e_idx.(i)) <- w.(f.e_idx.(i)) -. (FA.get f.e_val i *. z)
-      done
-    end
-  done
-
-let apply_update_etas_btran f y =
-  for t = f.ne - 1 downto 0 do
-    let acc = ref y.(f.e_piv.(t)) in
-    for i = f.e_start.(t) to f.e_start.(t + 1) - 1 do
-      acc := !acc -. (FA.get f.e_val i *. y.(f.e_idx.(i)))
-    done;
-    y.(f.e_piv.(t)) <- !acc /. FA.get f.e_pv t
-  done
-
 let ftran f w =
   (* Forward elimination through L (multipliers in step order)... *)
-  for t = 0 to f.nsteps - 1 do
-    let wp = w.(f.p_row.(t)) in
+  for t = 0 to f.nl - 1 do
+    let wp = w.(f.l_row.(t)) in
     if wp <> 0.0 then
       for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
         w.(f.l_idx.(i)) <- w.(f.l_idx.(i)) -. (FA.get f.l_val i *. wp)
       done
   done;
-  (* ...then back substitution through U (reverse step order; the
-     U-row entries were remapped to pivot rows at build time). *)
+  (* ...then the row etas in update order... *)
+  for k = 0 to f.neta - 1 do
+    let r = f.eta_row.(k) in
+    let acc = ref w.(r) in
+    for i = f.eta_start.(k) to f.eta_start.(k + 1) - 1 do
+      acc := !acc -. (FA.get f.eta_val i *. w.(f.eta_idx.(i)))
+    done;
+    w.(r) <- !acc
+  done;
+  (* ...then back substitution through U's row view (reverse step
+     order; retired steps skipped). *)
   for t = f.nsteps - 1 downto 0 do
     let r = f.p_row.(t) in
-    let acc = ref w.(r) in
-    for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
-      acc := !acc -. (FA.get f.u_val i *. w.(f.u_idx.(i)))
-    done;
-    w.(r) <- (if !acc = 0.0 then 0.0 else !acc /. FA.get f.diag t)
-  done;
-  apply_update_etas_ftran f w
+    if r >= 0 then begin
+      let acc = ref w.(r) in
+      let s0 = f.u_start.(t) in
+      for i = s0 to s0 + f.u_len.(t) - 1 do
+        acc := !acc -. (FA.get f.u_val i *. w.(f.u_idx.(i)))
+      done;
+      w.(r) <- (if !acc = 0.0 then 0.0 else !acc /. FA.get f.diag t)
+    end
+  done
 
 let btran f y =
-  apply_update_etas_btran f y;
-  (* U^T forward substitution (scatter form)... *)
+  (* U^T forward substitution (scatter over the row view)... *)
   for t = 0 to f.nsteps - 1 do
     let r = f.p_row.(t) in
-    let v = y.(r) in
-    if v <> 0.0 then begin
-      let s = v /. FA.get f.diag t in
-      y.(r) <- s;
-      for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
-        y.(f.u_idx.(i)) <- y.(f.u_idx.(i)) -. (FA.get f.u_val i *. s)
-      done
+    if r >= 0 then begin
+      let v = y.(r) in
+      if v <> 0.0 then begin
+        let s = v /. FA.get f.diag t in
+        y.(r) <- s;
+        let s0 = f.u_start.(t) in
+        for i = s0 to s0 + f.u_len.(t) - 1 do
+          y.(f.u_idx.(i)) <- y.(f.u_idx.(i)) -. (FA.get f.u_val i *. s)
+        done
+      end
+      else y.(r) <- 0.0
     end
-    else y.(r) <- 0.0
+  done;
+  (* ...the row etas transposed, newest first... *)
+  for k = f.neta - 1 downto 0 do
+    let v = y.(f.eta_row.(k)) in
+    if v <> 0.0 then
+      for i = f.eta_start.(k) to f.eta_start.(k + 1) - 1 do
+        y.(f.eta_idx.(i)) <- y.(f.eta_idx.(i)) -. (FA.get f.eta_val i *. v)
+      done
   done;
   (* ...then L^T in reverse step order (gather form). *)
-  for t = f.nsteps - 1 downto 0 do
-    let r = f.p_row.(t) in
+  for t = f.nl - 1 downto 0 do
+    let r = f.l_row.(t) in
     let acc = ref y.(r) in
     for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
       acc := !acc -. (FA.get f.l_val i *. y.(f.l_idx.(i)))
@@ -376,41 +493,17 @@ let btran f y =
     y.(r) <- !acc
   done
 
-let update_pattern f ~pivot_row w idx n =
-  let cnt = ref 0 in
-  for k = 0 to n - 1 do
-    let i = idx.(k) in
-    if i <> pivot_row && Float.abs w.(i) > drop_tol then incr cnt
-  done;
-  ensure_e f ~etas:(f.ne + 1) ~pool:(f.e_n + !cnt);
-  let t = f.ne in
-  f.e_piv.(t) <- pivot_row;
-  FA.set f.e_pv t w.(pivot_row);
-  f.e_start.(t) <- f.e_n;
-  let cursor = ref f.e_n in
-  for k = 0 to n - 1 do
-    let i = idx.(k) in
-    if i <> pivot_row && Float.abs w.(i) > drop_tol then begin
-      f.e_idx.(!cursor) <- i;
-      FA.set f.e_val !cursor w.(i);
-      incr cursor
-    end
-  done;
-  f.e_n <- !cursor;
-  f.e_start.(t + 1) <- !cursor;
-  f.ne <- t + 1;
-  f.eta_appends <- f.eta_appends + 1
-
 (* ---------------- hypersparse apply ------------------------------- *)
 
-(* Binary heaps over step indices, backing the pattern-driven FTRAN: a
-   min-heap drives the L forward pass (its dependencies point to later
-   steps, so pops ascend) and a max-heap drives the U back
-   substitution (dependencies point to earlier steps, so pops
-   descend). One storage arena serves both — the passes never overlap.
-   [in_hp] dedups pushes, and a step is processed at most once per
-   pass because every push made while draining lies strictly on the
-   far side of the step just popped. *)
+(* Binary heaps over step indices, backing the pattern-driven FTRAN and
+   the update's row elimination: a min-heap drives the L forward pass
+   and the elimination (their dependencies point to later steps, so
+   pops ascend) and a max-heap drives the U back substitution
+   (dependencies point to earlier steps, so pops descend). One storage
+   arena serves all three — the passes never overlap. [in_hp] dedups
+   pushes, and a step is processed at most once per pass because every
+   push made while draining lies strictly on the far side of the step
+   just popped. *)
 
 let hp_push_min f t =
   if not f.in_hp.(t) then begin
@@ -514,35 +607,40 @@ let[@inline] mark_row in_pat idx np i =
     np + 1
   end
 
-(* The base-factor passes of [ftran_pattern], in two orders that do the
+(* The factor passes of [ftran_pattern], in two orders that do the
    same floating-point operations in the same sequence and mark rows in
-   the same sequence. Both take and return the pattern length.
+   the same sequence. All take and return the pattern length.
 
    Heap order: the L forward pass fires a step only once its pivot row
    is nonzero, and firing scatters into later-pivoted rows, so the
    min-heap pops steps in ascending order and visits only the steps the
    pattern reaches. The U back substitution runs in scatter form off
-   the transposed view: finalizing a step divides by its diagonal and
+   the column view: finalizing a step divides by its diagonal and
    pushes its value into the earlier-pivoted rows that reference it,
    so the max-heap pops in descending order. *)
-let ftran_lu_heap f w idx np =
+let ftran_l_heap f w idx np =
   let in_pat = f.in_pat in
   let np = ref np in
   f.hp_n <- 0;
   for k = 0 to !np - 1 do
-    hp_push_min f f.step_of_row.(idx.(k))
+    hp_push_min f f.l_step.(idx.(k))
   done;
   while f.hp_n > 0 do
     let t = hp_pop_min f in
-    let wp = w.(f.p_row.(t)) in
+    let wp = w.(f.l_row.(t)) in
     if wp <> 0.0 then
       for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
         let j = f.l_idx.(i) in
         np := mark_row in_pat idx !np j;
         w.(j) <- w.(j) -. (FA.get f.l_val i *. wp);
-        hp_push_min f f.step_of_row.(j)
+        hp_push_min f f.l_step.(j)
       done
   done;
+  !np
+
+let ftran_u_heap f w idx np =
+  let in_pat = f.in_pat in
+  let np = ref np in
   f.hp_n <- 0;
   for k = 0 to !np - 1 do
     hp_push_max f f.step_of_row.(idx.(k))
@@ -554,7 +652,8 @@ let ftran_lu_heap f w idx np =
     if v <> 0.0 then begin
       let z = v /. FA.get f.diag s in
       w.(r) <- z;
-      for i = f.ut_start.(s) to f.ut_start.(s + 1) - 1 do
+      let s0 = f.ut_start.(s) in
+      for i = s0 to s0 + f.ut_len.(s) - 1 do
         let t = f.ut_t.(i) in
         let rt = f.p_row.(t) in
         np := mark_row in_pat idx !np rt;
@@ -566,16 +665,16 @@ let ftran_lu_heap f w idx np =
   !np
 
 (* Dense order: every step in plain loops, ascending for L and
-   descending for U. A row outside the pattern holds an exact zero, so
-   its step does nothing here and is never popped in heap order; every
-   other step fires in the order the heaps would pop it. U stays the
-   scatter over the transposed view: the gather form of [ftran] sums
-   each row's terms in another order. *)
-let ftran_lu_dense f w idx np =
+   descending for U (retired U steps skipped). A row outside the
+   pattern holds an exact zero, so its step does nothing here and is
+   never popped in heap order; every other step fires in the order the
+   heaps would pop it. U stays the scatter over the column view: the
+   gather form of [ftran] sums each row's terms in another order. *)
+let ftran_l_dense f w idx np =
   let in_pat = f.in_pat in
   let np = ref np in
-  for t = 0 to f.nsteps - 1 do
-    let wp = w.(f.p_row.(t)) in
+  for t = 0 to f.nl - 1 do
+    let wp = w.(f.l_row.(t)) in
     if wp <> 0.0 then
       for i = f.l_start.(t) to f.l_start.(t + 1) - 1 do
         let j = f.l_idx.(i) in
@@ -583,20 +682,62 @@ let ftran_lu_dense f w idx np =
         w.(j) <- w.(j) -. (FA.get f.l_val i *. wp)
       done
   done;
+  !np
+
+let ftran_u_dense f w idx np =
+  let in_pat = f.in_pat in
+  let np = ref np in
   for s = f.nsteps - 1 downto 0 do
     let r = f.p_row.(s) in
-    let v = w.(r) in
-    if v <> 0.0 then begin
-      let z = v /. FA.get f.diag s in
-      w.(r) <- z;
-      for i = f.ut_start.(s) to f.ut_start.(s + 1) - 1 do
-        let rt = f.p_row.(f.ut_t.(i)) in
-        np := mark_row in_pat idx !np rt;
-        w.(rt) <- w.(rt) -. (FA.get f.ut_v i *. z)
-      done
+    if r >= 0 then begin
+      let v = w.(r) in
+      if v <> 0.0 then begin
+        let z = v /. FA.get f.diag s in
+        w.(r) <- z;
+        let s0 = f.ut_start.(s) in
+        for i = s0 to s0 + f.ut_len.(s) - 1 do
+          let rt = f.p_row.(f.ut_t.(i)) in
+          np := mark_row in_pat idx !np rt;
+          w.(rt) <- w.(rt) -. (FA.get f.ut_v i *. z)
+        done
+      end
     end
   done;
   !np
+
+(* The row etas, pattern-tracked: a row joins the pattern only when
+   its eta leaves it nonzero, so rows outside stay exact zeros. *)
+let ftran_r f w idx np =
+  let in_pat = f.in_pat in
+  let np = ref np in
+  for k = 0 to f.neta - 1 do
+    let r = f.eta_row.(k) in
+    let acc = ref w.(r) in
+    for i = f.eta_start.(k) to f.eta_start.(k + 1) - 1 do
+      acc := !acc -. (FA.get f.eta_val i *. w.(f.eta_idx.(i)))
+    done;
+    if in_pat.(r) then w.(r) <- !acc
+    else if !acc <> 0.0 then begin
+      np := mark_row in_pat idx !np r;
+      w.(r) <- !acc
+    end
+  done;
+  !np
+
+(* Keep the column as it stands between the row etas and U: the spike
+   an [update] writes into U. *)
+let save_spike f w idx np =
+  let sp = f.sp_val in
+  for k = 0 to f.sp_n - 1 do
+    sp.(f.sp_idx.(k)) <- 0.0
+  done;
+  for k = 0 to np - 1 do
+    let i = idx.(k) in
+    f.sp_idx.(k) <- i;
+    sp.(i) <- w.(i)
+  done;
+  f.sp_n <- np;
+  f.sp_ok <- true
 
 let ftran_pattern f w idx n =
   let in_pat = f.in_pat in
@@ -609,28 +750,163 @@ let ftran_pattern f w idx n =
      more than a tenth of the rows, the plain loops are cheaper. The
      previous result predicts this one (consecutive entering columns
      of one basis fill alike), and either order gives the same bits. *)
-  if f.nsteps > 0 then
+  let dense = 10 * f.last_np > f.m in
+  if f.nl > 0 then
     np :=
-      if 10 * f.last_np > f.m then ftran_lu_dense f w idx !np
-      else ftran_lu_heap f w idx !np;
-  (* Update etas, pattern-tracked. *)
-  for t = 0 to f.ne - 1 do
-    let wp = w.(f.e_piv.(t)) in
-    if wp <> 0.0 then begin
-      let z = wp /. FA.get f.e_pv t in
-      w.(f.e_piv.(t)) <- z;
-      for i = f.e_start.(t) to f.e_start.(t + 1) - 1 do
-        let j = f.e_idx.(i) in
-        np := mark_row in_pat idx !np j;
-        w.(j) <- w.(j) -. (FA.get f.e_val i *. z)
-      done
-    end
-  done;
+      (if dense then ftran_l_dense f w idx !np else ftran_l_heap f w idx !np);
+  np := ftran_r f w idx !np;
+  save_spike f w idx !np;
+  np := if dense then ftran_u_dense f w idx !np else ftran_u_heap f w idx !np;
   for k = 0 to !np - 1 do
     in_pat.(idx.(k)) <- false
   done;
   f.last_np <- !np;
   !np
+
+(* ---------------- Forrest–Tomlin update --------------------------- *)
+
+(* Drop row step [t]'s entry from column [c]'s list. *)
+let ut_remove f c t =
+  let s0 = f.ut_start.(c) in
+  let last = s0 + f.ut_len.(c) - 1 in
+  let i = ref s0 in
+  while f.ut_t.(!i) <> t do
+    incr i
+  done;
+  f.ut_t.(!i) <- f.ut_t.(last);
+  FA.set f.ut_v !i (FA.get f.ut_v last);
+  f.ut_len.(c) <- f.ut_len.(c) - 1
+
+(* Drop the entry in basis position [r]'s column from step [t]'s row. *)
+let u_remove f t r =
+  let s0 = f.u_start.(t) in
+  let last = s0 + f.u_len.(t) - 1 in
+  let i = ref s0 in
+  while f.u_idx.(!i) <> r do
+    incr i
+  done;
+  f.u_idx.(!i) <- f.u_idx.(last);
+  FA.set f.u_val !i (FA.get f.u_val last);
+  f.u_len.(t) <- f.u_len.(t) - 1
+
+(* Append (position [r], spike value of row [i]) to step [t]'s row,
+   moving the row to the end of the pool when it is full. The value is
+   read here, not passed: a float argument would be boxed. *)
+let u_append f t r i =
+  let len = f.u_len.(t) in
+  if len >= f.u_cap.(t) then begin
+    let cap = max entry_cap0 (2 * len) in
+    ensure_u f (f.u_n + cap);
+    let s0 = f.u_start.(t) in
+    Array.blit f.u_idx s0 f.u_idx f.u_n len;
+    FA.blit f.u_val s0 f.u_val f.u_n len;
+    f.u_start.(t) <- f.u_n;
+    f.u_cap.(t) <- cap;
+    f.u_n <- f.u_n + cap
+  end;
+  let p = f.u_start.(t) + len in
+  f.u_idx.(p) <- r;
+  FA.set f.u_val p f.sp_val.(i);
+  f.u_len.(t) <- len + 1
+
+(* The column at basis position [r] (step s) leaves and the spike
+   enters, in four moves:
+   1. eliminate row s's off-diagonal entries with the rows of later
+      steps (min-heap, ascending), recording the multipliers as one
+      row eta; the new diagonal is the spike's row-r entry minus the
+      same combination of its other entries;
+   2. retire row s from the column view and column s from the row
+      view;
+   3. give position r a new last step carrying that diagonal;
+   4. write the spike's other entries as the new step's column, in
+      both views. *)
+let update f ~pivot_row:r w =
+  if not f.sp_ok then
+    invalid_arg "Factor.update: no spike; call ftran_pattern first";
+  f.sp_ok <- false;
+  let sp = f.sp_val in
+  let s = f.step_of_row.(r) in
+  let rw = f.rw in
+  let k = f.neta in
+  ensure_eta f ~etas:(k + 1) ~pool:f.eta_n;
+  f.eta_row.(k) <- r;
+  f.eta_start.(k) <- f.eta_n;
+  f.hp_n <- 0;
+  let s0 = f.u_start.(s) and slen = f.u_len.(s) in
+  for i = s0 to s0 + slen - 1 do
+    let c = f.u_idx.(i) in
+    rw.(c) <- FA.get f.u_val i;
+    hp_push_min f f.step_of_row.(c)
+  done;
+  let dnew = ref sp.(r) in
+  while f.hp_n > 0 do
+    let t = hp_pop_min f in
+    let rt = f.p_row.(t) in
+    let x = rw.(rt) in
+    rw.(rt) <- 0.0;
+    if Float.abs x > drop_tol then begin
+      let mu = x /. FA.get f.diag t in
+      if f.eta_n >= FA.length f.eta_val then
+        ensure_eta f ~etas:(k + 1) ~pool:(f.eta_n + 1);
+      f.eta_idx.(f.eta_n) <- rt;
+      FA.set f.eta_val f.eta_n mu;
+      f.eta_n <- f.eta_n + 1;
+      dnew := !dnew -. (mu *. sp.(rt));
+      let t0 = f.u_start.(t) in
+      for i = t0 to t0 + f.u_len.(t) - 1 do
+        let c = f.u_idx.(i) in
+        rw.(c) <- rw.(c) -. (mu *. FA.get f.u_val i);
+        hp_push_min f f.step_of_row.(c)
+      done
+    end
+  done;
+  if f.eta_n > f.eta_start.(k) then begin
+    f.eta_start.(k + 1) <- f.eta_n;
+    f.neta <- k + 1
+  end;
+  (* The stability test: in exact arithmetic the new diagonal is the
+     pivot element times the old one. *)
+  let expect = w.(r) *. FA.get f.diag s in
+  if
+    not
+      (!dnew <> 0.0
+      && Float.abs (!dnew -. expect) <= ft_tol *. Float.abs !dnew)
+  then f.unstable <- true;
+  for i = s0 to s0 + slen - 1 do
+    ut_remove f f.step_of_row.(f.u_idx.(i)) s
+  done;
+  let c0 = f.ut_start.(s) in
+  for i = c0 to c0 + f.ut_len.(s) - 1 do
+    u_remove f f.ut_t.(i) r
+  done;
+  ensure_steps f (f.nsteps + 1);
+  let ns = f.nsteps in
+  f.nsteps <- ns + 1;
+  f.p_row.(s) <- -1;
+  f.p_row.(ns) <- r;
+  f.step_of_row.(r) <- ns;
+  FA.set f.diag ns !dnew;
+  f.u_start.(ns) <- f.u_n;
+  f.u_len.(ns) <- 0;
+  f.u_cap.(ns) <- 0;
+  ensure_ut f (f.ut_n + f.sp_n);
+  f.ut_start.(ns) <- f.ut_n;
+  for q = 0 to f.sp_n - 1 do
+    let i = f.sp_idx.(q) in
+    if i <> r && Float.abs sp.(i) > drop_tol then begin
+      let t = f.step_of_row.(i) in
+      f.ut_t.(f.ut_n) <- t;
+      FA.set f.ut_v f.ut_n sp.(i);
+      f.ut_n <- f.ut_n + 1;
+      u_append f t r i
+    end
+  done;
+  f.ut_len.(ns) <- f.ut_n - f.ut_start.(ns);
+  let fill = f.eta_n - f.eta_start.(k) + f.ut_len.(ns) in
+  f.upd_nnz <- f.upd_nnz + fill;
+  f.update_nnz <- f.update_nnz + fill;
+  f.nupd <- f.nupd + 1;
+  f.updates <- f.updates + 1
 
 (* ---------------- Markowitz LU refactorization -------------------- *)
 
@@ -824,6 +1100,8 @@ let pick_pivot ws m =
 let refactor_lu f ~nnz ~load ~row_of =
   let ws = get_ws f in
   let m = f.m in
+  clear_updates f;
+  f.nl <- 0;
   f.nsteps <- 0;
   f.l_n <- 0;
   f.u_n <- 0;
@@ -914,13 +1192,14 @@ let refactor_lu f ~nnz ~load ~row_of =
        ws.step_of_col.(c) <- t;
        ensure_u f (f.u_n + !pr);
        f.u_start.(t) <- f.u_n;
+       f.u_len.(t) <- !pr;
+       f.u_cap.(t) <- !pr;
        for q = 0 to !pr - 1 do
          (* Stored as column slots; remapped to pivot rows below. *)
          f.u_idx.(f.u_n + q) <- ws.cbuf_i.(q);
          FA.set f.u_val (f.u_n + q) ws.cbuf_v.(q)
        done;
        f.u_n <- f.u_n + !pr;
-       f.u_start.(t + 1) <- f.u_n;
        for q = 0 to !pr - 1 do
          dec_ccnt ws ws.cbuf_i.(q)
        done;
@@ -992,25 +1271,30 @@ let refactor_lu f ~nnz ~load ~row_of =
        row_of.(slot) <- f.p_row.(ws.step_of_col.(slot))
      done;
      for t = 0 to m - 1 do
-       f.step_of_row.(f.p_row.(t)) <- t
+       let r = f.p_row.(t) in
+       f.step_of_row.(r) <- t;
+       f.l_row.(t) <- r;
+       f.l_step.(r) <- t
      done;
-     (* Transposed U view for the pattern-driven back substitution:
-        every entry bucketed by the step it references (counting
-        sort). *)
-     f.ut_t <- grow_int f.ut_t f.u_n;
-     f.ut_v <- grow_fa f.ut_v f.u_n;
+     (* Column view for the pattern-driven back substitution and the
+        updates: every entry bucketed by the step it references
+        (counting sort). *)
+     ensure_ut f f.u_n;
      Array.fill ws.ut_cnt 0 m 0;
      for i = 0 to f.u_n - 1 do
        let s = f.step_of_row.(f.u_idx.(i)) in
        ws.ut_cnt.(s) <- ws.ut_cnt.(s) + 1
      done;
-     f.ut_start.(0) <- 0;
+     let next = ref 0 in
      for s = 0 to m - 1 do
-       f.ut_start.(s + 1) <- f.ut_start.(s) + ws.ut_cnt.(s);
-       ws.ut_pos.(s) <- f.ut_start.(s)
+       f.ut_start.(s) <- !next;
+       f.ut_len.(s) <- ws.ut_cnt.(s);
+       ws.ut_pos.(s) <- !next;
+       next := !next + ws.ut_cnt.(s)
      done;
+     f.ut_n <- !next;
      for t = 0 to m - 1 do
-       for i = f.u_start.(t) to f.u_start.(t + 1) - 1 do
+       for i = f.u_start.(t) to f.u_start.(t) + f.u_len.(t) - 1 do
          let s = f.step_of_row.(f.u_idx.(i)) in
          let pos = ws.ut_pos.(s) in
          ws.ut_pos.(s) <- pos + 1;
@@ -1018,6 +1302,7 @@ let refactor_lu f ~nnz ~load ~row_of =
          FA.set f.ut_v pos (FA.get f.u_val i)
        done
      done;
+     f.nl <- m;
      f.nsteps <- m
    with e ->
      Array.fill ws.wpos 0 m 0;
@@ -1028,8 +1313,6 @@ let refactor_lu f ~nnz ~load ~row_of =
 
 let refactorize f ~nnz ~load ~row_of =
   let t0 = Timer.start () in
-  f.ne <- 0;
-  f.e_n <- 0;
-  if f.m > 0 then refactor_lu f ~nnz ~load ~row_of;
+  if f.m > 0 then refactor_lu f ~nnz ~load ~row_of else clear_updates f;
   f.refactorizations <- f.refactorizations + 1;
   f.factor_s <- f.factor_s +. Timer.elapsed_s t0

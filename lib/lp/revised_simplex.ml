@@ -11,8 +11,9 @@
    The basis inverse lives in a [Factor.t] behind the FTRAN/BTRAN
    entry points: a Markowitz-ordered sparse LU with threshold partial
    pivoting. Basis changes between refactorizations are absorbed by
-   bounded eta-append updates, and [Factor.should_refactor] decides
-   when the update file has outgrown the base factors. Phase 1 is the
+   Forrest–Tomlin updates, and [Factor.should_refactor] decides when
+   the update file has outgrown the base factors or an update failed
+   its stability test. Phase 1 is the
    composite method: minimize the total bound violation of the basic
    variables, with piecewise costs that follow the current iterate, so
    it works unchanged from any (possibly warm-started, possibly
@@ -52,7 +53,8 @@ type stats = {
   refactorizations : int;
   fill_nnz : int;
   basis_nnz : int;
-  eta_appends : int;
+  updates : int;
+  update_nnz : int;
   factor_s : float;
 }
 
@@ -419,7 +421,8 @@ let solver_stats st =
     refactorizations = s.Factor.refactorizations;
     fill_nnz = s.Factor.fill_nnz;
     basis_nnz = s.Factor.basis_nnz;
-    eta_appends = s.Factor.eta_appends;
+    updates = s.Factor.updates;
+    update_nnz = s.Factor.update_nnz;
     factor_s = s.Factor.factor_s;
   }
 
@@ -812,8 +815,9 @@ let attempt ws ?basis ?(force_bland = false) ?refactor_every ~max_pivots ~token
                st.basis.(r) <- q;
                if not st.ws.cb_phase1 then st.cb.(r) <- st.cost.(q);
                st.ws.y_ok <- false;
-               (* Absorb the basis change into the factorization. *)
-               Factor.update_pattern st.f ~pivot_row:r w wnz !nw;
+               (* Absorb the basis change into the factorization: the
+                  spike the FTRAN above kept replaces column r. *)
+               Factor.update st.f ~pivot_row:r w;
                incr pivots;
                clean := false;
                if t *. Float.abs !enter_d > 1e-12 then stall := 0

@@ -6,8 +6,8 @@
     variable bounds are handled natively in the ratio test instead of
     being materialized as rows, and the basis inverse lives in a
     {!Factor.t} — a Markowitz-ordered sparse LU with threshold partial
-    pivoting and bounded eta-append updates, refactorized on fill
-    growth. Bland's rule takes over pricing and the ratio test
+    pivoting and Forrest–Tomlin updates, refactorized on fill growth
+    or a failed update stability test. Bland's rule takes over pricing and the ratio test
     after a stall, so degenerate programs terminate.
 
     Supervision (DESIGN.md §5 "Failure handling"): problem data is
@@ -49,7 +49,9 @@ type stats = {
   refactorizations : int;  (** base-factorization rebuilds *)
   fill_nnz : int;  (** factor nonzeros after the last rebuild *)
   basis_nnz : int;  (** basis-column nonzeros at the last rebuild *)
-  eta_appends : int;  (** update etas appended across the solve *)
+  updates : int;  (** Forrest–Tomlin updates across the solve *)
+  update_nnz : int;
+      (** nonzeros those updates stored (row etas plus spike entries) *)
   factor_s : float;  (** seconds spent refactorizing *)
 }
 (** Factorization counters for the attempt that produced the verdict
